@@ -3,12 +3,16 @@
 Time is a float in microseconds (matching :mod:`repro.nand.timing`).
 Events are callbacks scheduled at absolute times; ties break by insertion
 order so the simulation is fully deterministic.
+
+The heap holds ``(time, seq, event)`` tuples.  ``seq`` is unique per
+event, so ``heapq`` orders entries by comparing two numbers in C and
+never reaches the :class:`Event` itself.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 #: lazy-deletion compaction threshold: the heap is rebuilt (cancelled
 #: events dropped) once at least this many cancelled events are queued
@@ -19,19 +23,18 @@ COMPACT_MIN_CANCELLED = 64
 
 
 class Event:
-    """A scheduled callback.  Cancel via :meth:`cancel`."""
+    """A scheduled callback.  Cancel via :meth:`cancel`.
 
-    __slots__ = ("time", "seq", "callback", "cancelled", "engine")
+    Its time and sequence number live in the heap entry that holds it.
+    """
+
+    __slots__ = ("callback", "cancelled", "engine")
 
     def __init__(
         self,
-        time: float,
-        seq: int,
         callback: Callable[[], None],
         engine: Optional["Engine"] = None,
     ) -> None:
-        self.time = time
-        self.seq = seq
         self.callback = callback
         self.cancelled = False
         #: owning engine while the event sits in its queue; cleared on
@@ -44,9 +47,6 @@ class Event:
         self.cancelled = True
         if self.engine is not None:
             self.engine._note_cancel()
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
 
 class RecurringEvent:
@@ -95,7 +95,9 @@ class Engine:
     def __init__(self) -> None:
         self._now = 0.0
         self._seq = 0
-        self._queue: List[Event] = []
+        self._queue: List[Tuple[float, int, Event]] = []
+        #: sequence-number ranges handed out by :meth:`reserve`
+        self._reserved: List[range] = []
         self._processed = 0
         self._peak_pending = 0
         self._cancelled = 0
@@ -139,7 +141,7 @@ class Engine:
             self._cancelled >= COMPACT_MIN_CANCELLED
             and self._cancelled * 2 >= len(self._queue)
         ):
-            self._queue[:] = [e for e in self._queue if not e.cancelled]
+            self._queue[:] = [e for e in self._queue if not e[2].cancelled]
             heapq.heapify(self._queue)
             self._cancelled = 0
             self._compactions += 1
@@ -161,27 +163,61 @@ class Engine:
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` to run ``delay`` microseconds from now."""
-        if delay < 0:
+        # ``not >=`` also refuses NaN
+        if not delay >= 0:
             raise ValueError("delay must be >= 0")
-        event = Event(self._now + delay, self._seq, callback, self)
-        self._seq += 1
-        heapq.heappush(self._queue, event)
+        event = Event(callback, self)
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._queue, (self._now + delay, seq, event))
         live = len(self._queue) - self._cancelled
         if live > self._peak_pending:
             self._peak_pending = live
         return event
 
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` at an absolute time (>= now)."""
-        if time < self._now:
+    def schedule_at(
+        self,
+        time: float,
+        callback: Callable[[], None],
+        seq: Optional[int] = None,
+    ) -> Event:
+        """Schedule ``callback`` at an absolute time (>= now).
+
+        ``seq`` places the event at a sequence number taken from a
+        :meth:`reserve` range instead of the next free one, so it orders
+        among same-time events as if it had been scheduled when the
+        range was reserved.
+        """
+        # ``not >=`` also refuses NaN, which would stall run()'s batch loop
+        if not time >= self._now:
             raise ValueError("cannot schedule in the past")
-        event = Event(time, self._seq, callback, self)
-        self._seq += 1
-        heapq.heappush(self._queue, event)
+        if seq is None:
+            seq = self._seq
+            self._seq = seq + 1
+        elif not any(seq in span for span in self._reserved):
+            raise ValueError(f"seq {seq} is not in a reserved range")
+        event = Event(callback, self)
+        heapq.heappush(self._queue, (time, seq, event))
         live = len(self._queue) - self._cancelled
         if live > self._peak_pending:
             self._peak_pending = live
         return event
+
+    def reserve(self, n: int) -> int:
+        """Reserve ``n`` consecutive sequence numbers and return the
+        first; :meth:`schedule_at` accepts them through its ``seq``.
+
+        A caller that schedules a known set of events one at a time
+        (the host's arrival cursor) reserves them all at once, so each
+        event keeps the (time, seq) it would have had if every one had
+        been scheduled here.  Each reserved number is for one event.
+        """
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        base = self._seq
+        self._seq = base + n
+        self._reserved.append(range(base, base + n))
+        return base
 
     def every(self, interval: float, callback: Callable[[], None]) -> RecurringEvent:
         """Run ``callback`` every ``interval`` microseconds while other
@@ -192,15 +228,15 @@ class Engine:
     def step(self) -> bool:
         """Execute the next event.  Returns False when the queue is empty."""
         while self._queue:
-            event = heapq.heappop(self._queue)
+            time, _, event = heapq.heappop(self._queue)
             event.engine = None
             if event.cancelled:
                 self._cancelled -= 1
                 continue
-            self._now = event.time
+            self._now = time
             self._processed += 1
             if self.monitor is not None:
-                self.monitor(event.time)
+                self.monitor(time)
             event.callback()
             return True
         return False
@@ -239,6 +275,7 @@ class Engine:
         self._peak_pending = state["peak_pending"]
         self._compactions = state["compactions"]
         self._cancelled = 0
+        self._reserved = []
 
     def run(
         self,
@@ -278,19 +315,18 @@ class Engine:
             if max_events is not None and executed >= max_events:
                 self._drain_corpses(until)
                 return
-            head = queue[0]
+            batch_time, _, head = queue[0]
             if head.cancelled:
                 pop(queue)
                 head.engine = None
                 self._cancelled -= 1
                 continue
-            batch_time = head.time
             if until is not None and batch_time > until:
                 self._now = until
                 return
             self._now = batch_time
-            while queue and queue[0].time == batch_time:
-                event = pop(queue)
+            while queue and queue[0][0] == batch_time:
+                event = pop(queue)[2]
                 event.engine = None
                 if event.cancelled:
                     self._cancelled -= 1
@@ -315,14 +351,13 @@ class Engine:
         effectively drained.
         """
         queue = self._queue
-        while queue and queue[0].cancelled:
-            event = heapq.heappop(queue)
-            event.engine = None
+        while queue and queue[0][2].cancelled:
+            heapq.heappop(queue)[2].engine = None
             self._cancelled -= 1
         if (
             until is not None
             and until > self._now
-            and (not queue or queue[0].time > until)
+            and (not queue or queue[0][0] > until)
         ):
             self._now = until
 
@@ -341,23 +376,23 @@ class Engine:
                 profiler.pop()
                 return
             profiler.push("event_queue")
-            head = self._queue[0]
+            time, _, head = self._queue[0]
             if head.cancelled:
                 heapq.heappop(self._queue)
                 head.engine = None
                 self._cancelled -= 1
                 profiler.pop()
                 continue
-            if until is not None and head.time > until:
+            if until is not None and time > until:
                 self._now = until
                 profiler.pop()
                 return
-            event = heapq.heappop(self._queue)
+            event = heapq.heappop(self._queue)[2]
             event.engine = None
-            self._now = event.time
+            self._now = time
             self._processed += 1
             if self.monitor is not None:
-                self.monitor(event.time)
+                self.monitor(time)
             profiler.pop()
             profiler.push("dispatch")
             try:

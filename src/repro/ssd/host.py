@@ -29,12 +29,17 @@ All three modes account per-tenant statistics
 (:class:`~repro.ssd.stats.TenantStats`) whenever the trace carries
 tenant tags; untagged traces produce byte-identical output to the
 pre-host-model code paths.
+
+The two open-loop modes feed arrivals through one lazy cursor
+(:func:`_feed_arrivals`) that keeps a single arrival event queued, so
+the event heap stays as deep as the device's in-flight work instead of
+the trace's length.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.ssd.stats import SimulationStats, TenantStats
 from repro.workloads.base import IORequest, Trace
@@ -69,6 +74,39 @@ def _require_arrivals(trace: Trace, mode: str) -> None:
             "stamp the trace with workloads.base.with_arrivals (or load "
             "a recorded trace that carries timestamps)"
         )
+
+
+def _feed_arrivals(
+    engine, trace: Trace, start_us: float, arrive: Callable[[IORequest, float], None]
+) -> None:
+    """Call ``arrive(request, arrival_us)`` at ``start_us +
+    request.arrival_us`` for every request of ``trace``, keeping one
+    arrival event queued at a time.
+
+    The trace's whole sequence-number range is reserved here, and the
+    request at trace index ``k`` is scheduled with ``base + k`` once the
+    arrival before it (in stable (time, index) order) fires.  Each
+    arrival therefore carries the (time, seq) it would have had if every
+    request had been scheduled here, and the engine dispatches exactly
+    the same order: unsorted traces and exact ties included.  Arrivals
+    go through ``engine.schedule_at`` so wrappers on it see every one.
+    """
+    requests = trace.requests
+    times = [start_us + request.arrival_us for request in requests]
+    order = iter(sorted(range(len(requests)), key=times.__getitem__))
+    base = engine.reserve(len(requests))
+    upcoming = next(order, None)
+
+    def fire() -> None:
+        nonlocal upcoming
+        k = upcoming
+        upcoming = next(order, None)
+        if upcoming is not None:
+            engine.schedule_at(times[upcoming], fire, seq=base + upcoming)
+        arrive(requests[k], times[k])
+
+    if upcoming is not None:
+        engine.schedule_at(times[upcoming], fire, seq=base + upcoming)
 
 
 def _finish_or_stall(sim, state, pending, waiting=None, max_events=None) -> None:
@@ -282,17 +320,14 @@ def replay_ncq(
         if waiting and state["outstanding"] < queue_depth:
             issue(waiting.popleft())
 
-    for request in trace:
-        arrival_us = start_us + request.arrival_us
+    def arrive(request: IORequest, arrival_us: float) -> None:
         arrival_of[id(request)] = arrival_us
+        if state["outstanding"] < queue_depth:
+            issue(request)
+        else:
+            waiting.append(request)
 
-        def arrive(request=request) -> None:
-            if state["outstanding"] < queue_depth:
-                issue(request)
-            else:
-                waiting.append(request)
-
-        engine.schedule_at(arrival_us, arrive)
+    _feed_arrivals(engine, trace, start_us, arrive)
     if warmup_requests == 0:
         state["measure_start"] = start_us
     if sampler is not None:
@@ -363,18 +398,16 @@ def replay_unbounded(
             if recorder is not None:
                 recorder.stop()
 
+    def issue(request: IORequest, arrival_us: float) -> None:
+        state["outstanding"] += 1
+        pending[id(request)] = request
+        sim.ftl.submit(request, on_complete)
+
     if sampler is not None:
         sampler.start()
     if recorder is not None:
         recorder.start()
-    for request in trace:
-
-        def issue(request=request) -> None:
-            state["outstanding"] += 1
-            pending[id(request)] = request
-            sim.ftl.submit(request, on_complete)
-
-        engine.schedule_at(start_us + request.arrival_us, issue)
+    _feed_arrivals(engine, trace, start_us, issue)
     engine.run(max_events=max_events, profiler=sim.profiler)
     if state["outstanding"] > 0:
         _finish_or_stall(sim, state, pending, max_events=max_events)

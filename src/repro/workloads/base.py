@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
@@ -35,8 +36,10 @@ class IORequest:
             raise ValueError("lpn must be >= 0")
         if self.n_pages < 1:
             raise ValueError("n_pages must be >= 1")
-        if self.arrival_us is not None and self.arrival_us < 0:
-            raise ValueError("arrival_us must be >= 0")
+        # a NaN arrival would stall the engine, an infinite one end the
+        # run at t = inf
+        if self.arrival_us is not None and not 0 <= self.arrival_us < math.inf:
+            raise ValueError("arrival_us must be finite and >= 0")
 
     def at(self, arrival_us: float) -> "IORequest":
         """A copy of this request stamped with an arrival time."""

@@ -46,6 +46,7 @@ the native :func:`repro.workloads.traceio.load_trace` format.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
@@ -194,6 +195,10 @@ def load_block_trace(
                 raise BlockTraceError(
                     f"{path}:{line_no}: unparseable row {line!r} ({error})"
                 ) from error
+            if not math.isfinite(timestamp):
+                raise BlockTraceError(
+                    f"{path}:{line_no}: non-finite timestamp in row {line!r}"
+                )
             op = _parse_op(fields[columns["op"]], str(path), line_no)
             if size < 1 or offset < 0:
                 raise BlockTraceError(

@@ -29,18 +29,21 @@ AGING = {
 
 
 def _stepped_run(self, until=None, max_events=None, profiler=None):
-    """The pre-batching reference loop: one event per iteration."""
+    """The pre-batching reference loop: one event per iteration.
+
+    Heap entries are ``(time, seq, event)`` tuples.
+    """
     executed = 0
     while self._queue:
         if max_events is not None and executed >= max_events:
             return
-        head = self._queue[0]
+        time, _, head = self._queue[0]
         if head.cancelled:
             heapq.heappop(self._queue)
             head.engine = None
             self._cancelled -= 1
             continue
-        if until is not None and head.time > until:
+        if until is not None and time > until:
             self._now = until
             return
         self.step()

@@ -40,6 +40,11 @@ class TestWithArrivals:
         with pytest.raises(ValueError):
             IORequest("R", 0, 1, arrival_us=-1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_arrival_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            IORequest("R", 0, 1, arrival_us=bad)
+
 
 class TestOpenLoopReplay:
     def test_light_load_latency_is_service_time(self):

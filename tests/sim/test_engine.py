@@ -173,6 +173,18 @@ class TestEngine:
         with pytest.raises(ValueError):
             engine.schedule_at(1.0, lambda: None)
 
+    @pytest.mark.parametrize("bad", [float("nan"), -float("inf")])
+    def test_schedule_non_finite_delay_rejected(self, bad):
+        with pytest.raises(ValueError):
+            Engine().schedule(bad, lambda: None)
+
+    def test_schedule_at_nan_rejected(self):
+        # a NaN head would never match its own batch time in run()
+        engine = Engine()
+        with pytest.raises(ValueError):
+            engine.schedule_at(float("nan"), lambda: None)
+        assert engine.pending == 0
+
     def test_step_returns_false_when_empty(self):
         assert Engine().step() is False
 
@@ -182,6 +194,45 @@ class TestEngine:
             engine.schedule(1.0, lambda: None)
         engine.run()
         assert engine.processed == 3
+
+
+class TestReservedSequence:
+    def test_reserved_events_order_as_if_scheduled_at_reserve(self):
+        engine = Engine()
+        order = []
+        engine.schedule(5.0, lambda: order.append("before"))
+        base = engine.reserve(2)
+        engine.schedule(5.0, lambda: order.append("after"))
+        engine.schedule_at(5.0, lambda: order.append("second"), seq=base + 1)
+        engine.run(until=1.0)
+        engine.schedule_at(5.0, lambda: order.append("first"), seq=base)
+        engine.run()
+        assert order == ["before", "first", "second", "after"]
+
+    def test_schedule_at_refuses_seq_outside_reserved_range(self):
+        engine = Engine()
+        engine.schedule(1.0, lambda: None)  # takes seq 0
+        base = engine.reserve(3)
+        later = engine.reserve(2)
+        assert (base, later) == (1, 4)
+        for seq in (0, base - 1, later + 2, 100, -1):
+            with pytest.raises(ValueError, match="reserved"):
+                engine.schedule_at(2.0, lambda: None, seq=seq)
+        for seq in (base, base + 2, later + 1):
+            engine.schedule_at(2.0, lambda: None, seq=seq)
+        assert engine.pending == 4
+
+    def test_schedule_at_refuses_seq_without_reservation(self):
+        with pytest.raises(ValueError, match="reserved"):
+            Engine().schedule_at(1.0, lambda: None, seq=0)
+
+    def test_reserve_advances_the_counter(self):
+        engine = Engine()
+        assert engine.reserve(0) == 0
+        assert engine.reserve(5) == 0
+        assert engine.reserve(1) == 5
+        with pytest.raises(ValueError):
+            engine.reserve(-1)
 
 
 class TestRecurringEvents:

@@ -109,6 +109,13 @@ class TestParsing:
         with pytest.raises(BlockTraceError, match=":2:"):
             load_block_trace(path, logical_pages=100)
 
+    @pytest.mark.parametrize("stamp", ["nan", "inf", "-inf"])
+    def test_non_finite_timestamp_names_line(self, tmp_path, stamp):
+        path = tmp_path / "t.csv"
+        path.write_text(f"0,W,0,4096\n{stamp},R,0,4096\n")
+        with pytest.raises(BlockTraceError, match=":2: non-finite"):
+            load_block_trace(path, logical_pages=100)
+
 
 class TestTraceScheme:
     def test_is_trace_path(self):
