@@ -163,8 +163,10 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         default=None,
         help="run a SimulationSpec from a JSON/TOML file instead of the "
-        "flat flags (see docs/WORKLOADS.md); only --json / --log-level "
-        "compose with it",
+        "flat flags (see docs/WORKLOADS.md); the run-option flags "
+        "(--trace, --metrics-interval, --telemetry, --profile, --check, "
+        "--checkpoint, --resume, --artifacts) override the file's "
+        "options, and --json / --log-level apply as usual",
     )
     simulate.add_argument(
         "--json",
@@ -547,9 +549,33 @@ def _config(args: argparse.Namespace) -> SSDConfig:
     )
 
 
+def _run_options(args: argparse.Namespace) -> dict:
+    """The :class:`~repro.specs.RunOptions` fields set on the command
+    line (``--checkpoint-every`` only counts with ``--checkpoint``)."""
+    checkpoint_dir = getattr(args, "checkpoint", None)
+    options = {
+        "trace": getattr(args, "trace", None),
+        "metrics_interval": getattr(args, "metrics_interval", None),
+        "telemetry": getattr(args, "telemetry", False),
+        "profile": getattr(args, "profile", False),
+        "check": getattr(args, "check", None),
+        "checkpoint_every": (
+            args.checkpoint_every if checkpoint_dir is not None else None
+        ),
+        "checkpoint_dir": checkpoint_dir,
+        "resume_from": getattr(args, "resume", None),
+        "artifact_dir": getattr(args, "artifacts", None),
+        "artifact_every": getattr(args, "artifact_every", None),
+    }
+    return {
+        key: value
+        for key, value in options.items()
+        if value is not None and value is not False
+    }
+
+
 def _run(args: argparse.Namespace, ftl: str):
     config = _config(args)
-    checkpoint_dir = getattr(args, "checkpoint", None)
     ftl_kwargs = {}
     cmt_capacity = getattr(args, "cmt_capacity", None)
     if cmt_capacity is not None:
@@ -565,18 +591,7 @@ def _run(args: argparse.Namespace, ftl: str):
         prefill=args.prefill,
         n_requests=args.requests,
         seed=args.seed,
-        trace=getattr(args, "trace", None),
-        metrics_interval=getattr(args, "metrics_interval", None),
-        telemetry=getattr(args, "telemetry", False),
-        profile=getattr(args, "profile", False),
-        check=getattr(args, "check", None),
-        checkpoint_every=(
-            args.checkpoint_every if checkpoint_dir is not None else None
-        ),
-        checkpoint_dir=checkpoint_dir,
-        resume_from=getattr(args, "resume", None),
-        artifact_dir=getattr(args, "artifacts", None),
-        artifact_every=getattr(args, "artifact_every", None),
+        **_run_options(args),
         **ftl_kwargs,
     )
 
@@ -618,12 +633,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.spec:
         from repro.specs import load_spec_file
 
-        spec = load_spec_file(args.spec)
-        if args.artifacts:
-            spec = spec.with_options(
-                artifact_dir=args.artifacts,
-                artifact_every=args.artifact_every,
-            )
+        spec = load_spec_file(args.spec).with_options(**_run_options(args))
         result = run_simulation(spec)
     else:
         result = _run(args, args.ftl)

@@ -1,21 +1,23 @@
 """Segmented checkpoint/resume driver for :func:`repro.api.run_simulation`.
 
-Checkpointing rides on the *quiescent barrier* contract of
-:meth:`repro.ssd.controller.SSDSimulation.run_in_segments`: the trace is
-replayed ``checkpoint_every`` host requests at a time, each segment runs
-to full event-queue drain, and the drained instant between segments is
-where every component's ``state_dict()`` is captured -- no in-flight
-programs, no pending host writes, no active GC, empty FIFO queues.  The
-component ``state_dict()`` methods *assert* that quiescence, so a
-checkpoint can never silently capture a half-finished operation.
+Checkpointing is the barrier hook of the host replay loop,
+:func:`repro.ssd.host.replay` with ``segment_requests=`` and
+``on_barrier=``: the trace is replayed ``checkpoint_every`` host
+requests at a time, each segment runs to full event-queue drain, and the
+drained instant between segments is where every component's
+``state_dict()`` is captured -- no in-flight programs, no pending host
+writes, no active GC, empty FIFO queues.  The component ``state_dict()``
+methods *assert* that quiescence, so a checkpoint can never silently
+capture a half-finished operation.
 
 Resume builds a fresh simulation (skipping prefill -- the chips' full
 media state is in the checkpoint), loads every component, and continues
-the remaining segments with the carried-over accounting.  Because both
-the straight-through checkpointing run and the resumed run drain at the
-same request boundaries, they replay the identical event sequence:
-results and ``state_digest`` are byte-identical (the resume-equivalence
-property pinned by ``tests/persist``).
+the remaining segments with the carried-over accounting
+(``resume_accounting=``).  Because both the straight-through
+checkpointing run and the resumed run drain at the same request
+boundaries, they replay the identical event sequence: results and
+``state_digest`` are byte-identical (the resume-equivalence property
+pinned by ``tests/persist``).
 
 The segment drains themselves are a (deterministic) scheduling change
 relative to an un-segmented run, so resume equivalence is defined
@@ -39,6 +41,7 @@ from repro.persist.checkpoint import (
 from repro.specs import SimulationSpec, SpecError, WorkloadSpec
 from repro.ssd.config import SSDConfig
 from repro.ssd.controller import SSDSimulation
+from repro.ssd.host import replay
 from repro.workloads import build_workload
 from repro.workloads.base import Trace
 
@@ -118,6 +121,31 @@ def restore_state(sim: SSDSimulation, state: dict) -> None:
         controller.faults.load_state_dict(state["injector"])
     if state["checker"] is not None and sim.checker is not None:
         sim.checker.load_state_dict(state["checker"])
+
+
+def _replay_checkpointed(
+    sim, trace, base_header, out_dir, resume_accounting=None
+):
+    """Replay ``trace`` closed-loop in ``checkpoint_every``-request
+    segments, writing one checkpoint at every barrier."""
+    every = base_header["checkpoint_every"]
+
+    def on_barrier(accounting: dict) -> None:
+        header = dict(base_header)
+        header["segment"] = accounting["completed"] // every
+        header["completed"] = accounting["completed"]
+        header["clock_us"] = float(sim.controller.engine.now)
+        write_checkpoint(out_dir, header, capture_state(sim, accounting))
+
+    return replay(
+        sim,
+        trace,
+        queue_depth=base_header["queue_depth"],
+        warmup_requests=base_header["warmup_requests"],
+        segment_requests=every,
+        on_barrier=on_barrier,
+        resume_accounting=resume_accounting,
+    )
 
 
 def check_level_of(check) -> Optional[str]:
@@ -252,22 +280,7 @@ def run_checkpointed(
             # stays spec-less as it was before the spec API existed
             pass
 
-    def on_barrier(accounting: dict) -> None:
-        header = dict(base_header)
-        header["segment"] = accounting["completed"] // checkpoint_every
-        header["completed"] = accounting["completed"]
-        header["clock_us"] = float(sim.controller.engine.now)
-        write_checkpoint(
-            checkpoint_dir, header, capture_state(sim, accounting)
-        )
-
-    stats = sim.run_in_segments(
-        trace,
-        queue_depth=queue_depth,
-        warmup_requests=warmup_requests,
-        segment_requests=checkpoint_every,
-        on_barrier=on_barrier,
-    )
+    stats = _replay_checkpointed(sim, trace, base_header, checkpoint_dir)
     check_report = checker.finalize() if checker is not None else None
     return SimulationResult(
         stats=stats,
@@ -331,9 +344,6 @@ def _resume(
             f"{header['workload']!r} x {header['n_requests']}, got "
             f"{trace.name!r} x {len(trace)}"
         )
-    checkpoint_every = header["checkpoint_every"]
-    queue_depth = header["queue_depth"]
-    warmup_requests = header["warmup_requests"]
     out_dir = checkpoint_dir or os.path.dirname(os.path.abspath(resume_from))
     context = {
         "ftl": ftl,
@@ -350,21 +360,8 @@ def _resume(
         for key in header
         if key not in ("segment", "completed", "clock_us")
     }
-
-    def on_barrier(accounting: dict) -> None:
-        next_header = dict(base_header)
-        next_header["segment"] = accounting["completed"] // checkpoint_every
-        next_header["completed"] = accounting["completed"]
-        next_header["clock_us"] = float(sim.controller.engine.now)
-        write_checkpoint(out_dir, next_header, capture_state(sim, accounting))
-
-    stats = sim.run_in_segments(
-        trace,
-        queue_depth=queue_depth,
-        warmup_requests=warmup_requests,
-        segment_requests=checkpoint_every,
-        on_barrier=on_barrier,
-        resume_accounting=state["accounting"],
+    stats = _replay_checkpointed(
+        sim, trace, base_header, out_dir, state["accounting"]
     )
     check_report = checker.finalize() if checker is not None else None
     return SimulationResult(stats=stats, check=check_report)

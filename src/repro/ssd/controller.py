@@ -5,9 +5,9 @@
 per channel, all sharing a single device model (reliability surface, ISPP
 engine, retry model, ECC) so that every FTL sees the *same* silicon.
 
-:class:`SSDSimulation` wires a controller to an FTL, optionally prefills
-the drive (untimed), and replays traces closed-loop at a configurable
-queue depth, producing :class:`~repro.ssd.stats.SimulationStats`.
+:class:`SSDSimulation` wires a controller to an FTL and optionally
+prefills the drive (untimed); :func:`repro.ssd.host.replay` replays
+traces through it, producing :class:`~repro.ssd.stats.SimulationStats`.
 """
 
 from __future__ import annotations
@@ -317,12 +317,8 @@ class SSDSimulation:
         max_events: Optional[int] = None,
         metrics_interval_us: Optional[float] = None,
     ) -> SimulationStats:
-        """Replay a trace closed-loop and collect statistics.
-
-        Thin wrapper over :func:`repro.ssd.host.replay_closed`; see
-        :mod:`repro.ssd.host` for the full host-model catalogue
-        (closed loop, NCQ, unbounded open loop).
-        """
+        """Replay a trace closed-loop: :func:`repro.ssd.host.replay` in
+        ``"closed"`` mode."""
         from repro.ssd.host import replay
 
         return replay(
@@ -335,132 +331,14 @@ class SSDSimulation:
             metrics_interval_us=metrics_interval_us,
         )
 
-    def run_in_segments(
-        self,
-        trace: Trace,
-        queue_depth: int = 32,
-        warmup_requests: int = 0,
-        segment_requests: int = 0,
-        on_barrier=None,
-        resume_accounting: Optional[dict] = None,
-    ) -> SimulationStats:
-        """Closed-loop replay in quiescent segments (checkpoint support).
-
-        The trace is consumed ``segment_requests`` host requests at a
-        time; each segment runs to full event-queue drain before the next
-        begins, so between segments the entire stack -- engine, FTL,
-        buffer, resources -- is quiescent.  That drained instant is the
-        barrier at which :mod:`repro.persist` serializes state:
-        ``on_barrier(accounting)`` fires after every drained segment
-        except the final one, with ``accounting`` carrying the completed
-        count, measurement window, and latency samples a resumed run
-        needs to continue seamlessly.
-
-        ``resume_accounting`` (loaded from a checkpoint) pre-seeds that
-        bookkeeping; the first ``accounting["completed"]`` requests of
-        ``trace`` are skipped because they completed before the
-        checkpoint was taken.
-
-        Note the drain barrier itself shapes scheduling: the next segment
-        only starts issuing once the previous one fully drained, unlike
-        :meth:`run` where the window slides continuously.  Checkpointed
-        runs are therefore compared against checkpointed runs (resume
-        equivalence), never against un-segmented ones.
-        """
-        if queue_depth < 1:
-            raise ValueError("queue_depth must be >= 1")
-        if not 0 <= warmup_requests < len(trace):
-            raise ValueError("warmup_requests must be < len(trace)")
-        if trace.logical_pages > self.config.logical_pages:
-            raise ValueError("trace logical space exceeds the SSD's")
-        if segment_requests < 1:
-            raise ValueError("segment_requests must be >= 1")
-        engine = self.controller.engine
-        stats = SimulationStats(ftl_name=self.ftl.name, workload=trace.name)
-        requests = list(trace.requests)
-        n_requests = len(requests)
-        state = {"outstanding": 0, "completed": 0, "measure_start": None}
-        start_us = engine.now
-        if resume_accounting is not None:
-            state["completed"] = resume_accounting["completed"]
-            state["measure_start"] = resume_accounting["measure_start"]
-            start_us = resume_accounting["start_us"]
-            stats.read_latency.extend(resume_accounting["read_latency"])
-            stats.write_latency.extend(resume_accounting["write_latency"])
-        pending: Dict[int, IORequest] = {}
-        holder = {"iterator": iter(())}
-
-        def on_complete(active, now_us: float) -> None:
-            pending.pop(id(active.spec), None)
-            state["outstanding"] -= 1
-            state["completed"] += 1
-            if state["completed"] == warmup_requests:
-                state["measure_start"] = now_us
-            elif state["completed"] > warmup_requests:
-                latency = now_us - active.issued_us
-                if active.spec.is_read:
-                    stats.read_latency.add(latency)
-                else:
-                    stats.write_latency.add(latency)
-            issue_next()
-
-        def issue_next() -> None:
-            request = next(holder["iterator"], None)
-            if request is None:
-                return
-            state["outstanding"] += 1
-            pending[id(request)] = request
-            self.ftl.submit(request, on_complete)
-
-        if warmup_requests == 0 and state["measure_start"] is None:
-            state["measure_start"] = start_us
-        position = state["completed"]
-        while position < n_requests:
-            end = min(position + segment_requests, n_requests)
-            holder["iterator"] = iter(requests[position:end])
-            for _ in range(queue_depth):
-                issue_next()
-            engine.run(profiler=self.profiler)
-            if state["outstanding"] > 0:
-                self._log_stall(state["completed"], pending)
-                raise SimulationStalledError(
-                    _stall_message(state["completed"], pending)
-                )
-            position = end
-            if on_barrier is not None and position < n_requests:
-                on_barrier(
-                    {
-                        "completed": state["completed"],
-                        "measure_start": state["measure_start"],
-                        "start_us": start_us,
-                        "read_latency": stats.read_latency.sample_list(),
-                        "write_latency": stats.write_latency.sample_list(),
-                    }
-                )
-        measure_start = state["measure_start"]
-        if measure_start is None:
-            measure_start = start_us
-        stats.duration_us = engine.now - measure_start
-        stats.completed_requests = state["completed"] - warmup_requests
-        stats.counters = self.ftl.counters
-        stats.recovery = self.ftl.recovery
-        return stats
-
     def run_open_loop(
         self,
         trace: Trace,
         max_events: Optional[int] = None,
         metrics_interval_us: Optional[float] = None,
     ) -> SimulationStats:
-        """Replay a trace open-loop with an infinite queue: requests
-        issue at their arrival times regardless of completions.
-
-        Every request must carry ``arrival_us`` (see
-        :func:`repro.workloads.base.with_arrivals`).  Thin wrapper over
-        :func:`repro.ssd.host.replay_unbounded`; for arrival-driven
-        replay through a *bounded* queue (backpressure), use the NCQ
-        mode of :func:`repro.ssd.host.replay`.
-        """
+        """Replay an arrival-stamped trace open-loop with unlimited
+        slots: :func:`repro.ssd.host.replay` in ``"unbounded"`` mode."""
         from repro.ssd.host import replay
 
         return replay(

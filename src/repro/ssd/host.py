@@ -1,46 +1,52 @@
-"""Host replay models: closed-loop, NCQ open-loop, unbounded open-loop.
+"""Host replay: how the host issues a trace to the simulated SSD.
 
-This module owns *how the host issues a trace* -- previously an ad-hoc
-split between ``SSDSimulation.run`` (closed loop) and
-``SSDSimulation.run_open_loop`` (unbounded open loop).  Three modes,
-selected by :func:`replay`'s ``mode`` (the string
-:attr:`repro.specs.HostSpec.mode` computes):
+:func:`replay` is the one replay loop.  The host has ``queue_depth``
+slots and one FIFO wait list: a request that reaches the host takes a
+free slot and issues at once, or waits until a completion frees a slot.
+The three modes (``mode``, the string :attr:`repro.specs.HostSpec.mode`
+computes) differ only in when requests reach the host:
 
 ``"closed"``
-    ``queue_depth`` requests outstanding at all times; each completion
-    immediately issues the next request.  Arrival timestamps, if any,
-    are ignored.  Latency is measured from issue to completion.
+    A request arrives whenever a slot frees, so ``queue_depth`` requests
+    are outstanding at all times.  Arrival timestamps, if any, are
+    ignored.  Latency is measured from issue to completion.
 
 ``"ncq"``
-    An explicit NCQ model: requests *arrive* at their trace timestamps
-    into a queue of ``queue_depth`` slots.  An arrival finding a free
-    slot issues immediately; an arrival finding all slots busy waits in
-    FIFO order for a completion to free one (backpressure).  Latency is
-    measured from **arrival** to completion, so queue-full wait time is
-    part of the reported latency -- the host-visible number.
+    Requests arrive at their trace timestamps, and an arrival that finds
+    every slot busy waits (backpressure).  Latency is measured from
+    arrival to completion, so queue-full wait is part of it -- the
+    host-visible number.
 
 ``"unbounded"``
-    Every request issues exactly at its arrival timestamp regardless of
-    completions (infinite queue; the legacy open-loop model).  Under
+    Requests arrive at their trace timestamps into unlimited slots, so
+    each issues at its arrival regardless of completions.  Under
     overload the backlog grows without bound and latencies reflect pure
-    queueing delay.
+    queueing delay.  ``queue_depth`` and ``warmup_requests`` are
+    ignored: every completion is measured.
 
-All three modes account per-tenant statistics
-(:class:`~repro.ssd.stats.TenantStats`) whenever the trace carries
-tenant tags; untagged traces produce byte-identical output to the
-pre-host-model code paths.
+The first ``warmup_requests`` completions are simulated but left out of
+IOPS and latency: they bring the WAM's active blocks, the OPM's
+monitored parameters and the ORT into steady state, as the paper's
+platform measures long steady-state runs.  Every mode keeps per-tenant
+statistics (:class:`~repro.ssd.stats.TenantStats`) when the trace
+carries tenant tags.
 
-The two open-loop modes feed arrivals through one lazy cursor
+The open-loop modes take their arrivals from one lazy cursor
 (:func:`_feed_arrivals`) that keeps a single arrival event queued, so
 the event heap stays as deep as the device's in-flight work instead of
-the trace's length.
+the trace's length.  Closed-loop replay can also run in drained
+segments with a barrier hook between them, which is how
+:mod:`repro.persist` checkpoints a run.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from typing import Callable, Dict, Optional
+from itertools import islice
+from typing import Callable, Dict, Iterator, Optional
 
+from repro.ssd.controller import SimulationStalledError, _stall_message
 from repro.ssd.stats import SimulationStats, TenantStats
 from repro.workloads.base import IORequest, Trace
 
@@ -109,18 +115,6 @@ def _feed_arrivals(
         engine.schedule_at(times[upcoming], fire, seq=base + upcoming)
 
 
-def _finish_or_stall(sim, state, pending, waiting=None, max_events=None) -> None:
-    """Raise the stall diagnostic when the event queue drained early."""
-    from repro.ssd.controller import SimulationStalledError, _stall_message
-
-    stalled = dict(pending)
-    if waiting:
-        stalled.update({id(request): request for request in waiting})
-    if stalled and max_events is None:
-        sim._log_stall(state["completed"], stalled)
-        raise SimulationStalledError(_stall_message(state["completed"], stalled))
-
-
 def replay(
     sim,
     trace: Trace,
@@ -130,218 +124,162 @@ def replay(
     warmup_requests: int = 0,
     max_events: Optional[int] = None,
     metrics_interval_us: Optional[float] = None,
+    segment_requests: Optional[int] = None,
+    on_barrier: Optional[Callable[[dict], None]] = None,
+    resume_accounting: Optional[dict] = None,
 ) -> SimulationStats:
-    """Replay a trace through a simulation under one host model."""
+    """Replay a trace through a simulation under one host model.
+
+    ``segment_requests`` (closed mode only) replays the trace that many
+    requests at a time, each segment run until the event queue drains,
+    so between segments the whole stack is quiescent.  At every drained
+    instant but the last, ``on_barrier(accounting)`` receives the
+    completed count, measurement window and latency samples a resumed
+    run needs; :mod:`repro.persist` checkpoints there.
+    ``resume_accounting`` is such a payload, loaded from a checkpoint:
+    the requests it counts as completed are skipped and its accounting
+    carries on.  The drains shape scheduling, so a segmented run equals
+    other segmented runs (resumed or not), never an unsegmented one.
+    """
     if mode not in REPLAY_MODES:
         raise ValueError(f"mode must be one of {REPLAY_MODES}")
     if trace.logical_pages > sim.config.logical_pages:
         raise ValueError("trace logical space exceeds the SSD's")
     if mode == "unbounded":
-        return replay_unbounded(
-            sim,
-            trace,
-            max_events=max_events,
-            metrics_interval_us=metrics_interval_us,
-        )
-    if queue_depth is None or queue_depth < 1:
-        raise ValueError("queue_depth must be >= 1")
-    if not 0 <= warmup_requests < len(trace):
-        raise ValueError("warmup_requests must be < len(trace)")
-    if mode == "ncq":
-        return replay_ncq(
-            sim,
-            trace,
-            queue_depth=queue_depth,
-            warmup_requests=warmup_requests,
-            max_events=max_events,
-            metrics_interval_us=metrics_interval_us,
-        )
-    return replay_closed(
-        sim,
-        trace,
-        queue_depth=queue_depth,
-        warmup_requests=warmup_requests,
-        max_events=max_events,
-        metrics_interval_us=metrics_interval_us,
-    )
+        _require_arrivals(trace, "open-loop")
+        queue_depth, warmup_requests = math.inf, 0
+    else:
+        if queue_depth is None or queue_depth < 1:
+            raise ValueError("queue_depth must be >= 1")
+        if not 0 <= warmup_requests < len(trace):
+            raise ValueError("warmup_requests must be < len(trace)")
+        if mode == "ncq":
+            _require_arrivals(trace, "NCQ")
+    if segment_requests is not None:
+        if segment_requests < 1:
+            raise ValueError("segment_requests must be >= 1")
+        if mode != "closed" or max_events is not None or trace.tenants:
+            raise ValueError(
+                "segmented replay is closed-loop, runs every segment to "
+                "drain (no max_events) and keeps no per-tenant accounting"
+            )
 
-
-# ---------------------------------------------------------------------------
-# closed loop
-# ---------------------------------------------------------------------------
-
-
-def replay_closed(
-    sim,
-    trace: Trace,
-    *,
-    queue_depth: int = 32,
-    warmup_requests: int = 0,
-    max_events: Optional[int] = None,
-    metrics_interval_us: Optional[float] = None,
-) -> SimulationStats:
-    """Fixed-queue-depth replay: a completion issues the next request.
-
-    The first ``warmup_requests`` completions are simulated but excluded
-    from IOPS and latency statistics -- they bring the WAM's active
-    blocks, the OPM's monitored parameters, and the ORT into steady
-    state (the paper's platform measures long steady-state runs).
-    """
     engine = sim.controller.engine
     stats = _new_stats(sim, trace)
-    iterator = iter(trace.requests)
-    state = {"outstanding": 0, "completed": 0, "measure_start": None}
+    requests = trace.requests
+    n_requests = len(requests)
     pending: Dict[int, IORequest] = {}
-    n_requests = len(trace)
-    sampler = sim._make_sampler(metrics_interval_us, lambda: state["completed"])
+    waiting: "deque[IORequest]" = deque()
+    #: arrival time of each request that had to wait for a slot; every
+    #: other request issued at its arrival
+    waited_since: Dict[int, float] = {}
+    backlog: Iterator[IORequest] = iter(())
+    outstanding = completed = 0
+    measure_start: Optional[float] = None
+    start_us = engine.now
+    if resume_accounting is not None:
+        completed = resume_accounting["completed"]
+        measure_start = resume_accounting["measure_start"]
+        start_us = resume_accounting["start_us"]
+        stats.read_latency.extend(resume_accounting["read_latency"])
+        stats.write_latency.extend(resume_accounting["write_latency"])
+    if warmup_requests == 0 and measure_start is None:
+        measure_start = start_us
+    sampler = sim._make_sampler(metrics_interval_us, lambda: completed)
     recorder = getattr(sim, "timeseries", None)
     progress = getattr(sim, "progress", None)
 
+    def issue(request: IORequest) -> None:
+        nonlocal outstanding
+        outstanding += 1
+        pending[id(request)] = request
+        sim.ftl.submit(request, on_complete)
+
+    def arrive(request: IORequest, arrival_us: float) -> None:
+        if outstanding < queue_depth:
+            issue(request)
+        else:
+            waited_since[id(request)] = arrival_us
+            waiting.append(request)
+
     def on_complete(active, now_us: float) -> None:
-        pending.pop(id(active.spec), None)
-        state["outstanding"] -= 1
-        state["completed"] += 1
+        nonlocal outstanding, completed, measure_start
+        request = active.spec
+        key = id(request)
+        pending.pop(key, None)
+        arrived_us = waited_since.pop(key, active.issued_us)
+        outstanding -= 1
+        completed += 1
         if progress is not None:
-            progress(state["completed"], n_requests, now_us)
-        if state["completed"] == warmup_requests:
-            state["measure_start"] = now_us
-        elif state["completed"] > warmup_requests:
-            latency = now_us - active.issued_us
-            if active.spec.is_read:
+            progress(completed, n_requests, now_us)
+        if completed == warmup_requests:
+            measure_start = now_us
+        elif completed > warmup_requests:
+            latency = now_us - arrived_us
+            if request.is_read:
                 stats.read_latency.add(latency)
             else:
                 stats.write_latency.add(latency)
-            _note_tenant(stats, active.spec, latency)
-        if state["completed"] == n_requests:
+            _note_tenant(stats, request, latency)
+        if completed == n_requests:
             # stop re-arming so sampling never advances the clock past
             # the last host completion (it would distort IOPS)
             if sampler is not None:
                 sampler.stop()
             if recorder is not None:
                 recorder.stop()
-        issue_next()
-
-    def issue_next() -> None:
-        request = next(iterator, None)
-        if request is None:
-            return
-        state["outstanding"] += 1
-        pending[id(request)] = request
-        sim.ftl.submit(request, on_complete)
-
-    start_us = engine.now
-    if warmup_requests == 0:
-        state["measure_start"] = start_us
-    if sampler is not None:
-        sampler.start()
-    if recorder is not None:
-        recorder.start()
-    for _ in range(queue_depth):
-        issue_next()
-    engine.run(max_events=max_events, profiler=sim.profiler)
-    if state["outstanding"] > 0:
-        _finish_or_stall(sim, state, pending, max_events=max_events)
-    measure_start = state["measure_start"]
-    if measure_start is None:
-        measure_start = start_us
-    stats.duration_us = engine.now - measure_start
-    stats.completed_requests = state["completed"] - warmup_requests
-    stats.counters = sim.ftl.counters
-    stats.recovery = sim.ftl.recovery
-    if sampler is not None:
-        stats.metrics = sampler.finalize()
-    if recorder is not None:
-        recorder.finalize()
-    return stats
-
-
-# ---------------------------------------------------------------------------
-# NCQ open loop
-# ---------------------------------------------------------------------------
-
-
-def replay_ncq(
-    sim,
-    trace: Trace,
-    *,
-    queue_depth: int = 32,
-    warmup_requests: int = 0,
-    max_events: Optional[int] = None,
-    metrics_interval_us: Optional[float] = None,
-) -> SimulationStats:
-    """Arrival-driven replay through an N-slot queue with backpressure.
-
-    Requests arrive at their trace timestamps.  An arrival finding a
-    free slot issues immediately; otherwise it joins a FIFO wait list
-    and issues when a completion frees a slot.  Latency is measured from
-    the *arrival* timestamp, so time spent waiting for a slot counts --
-    this is the host-visible latency an application would observe
-    through a depth-N NCQ.
-    """
-    _require_arrivals(trace, "NCQ")
-    engine = sim.controller.engine
-    stats = _new_stats(sim, trace)
-    state = {"outstanding": 0, "completed": 0, "measure_start": None}
-    pending: Dict[int, IORequest] = {}
-    waiting: "deque[IORequest]" = deque()
-    arrival_of: Dict[int, float] = {}
-    n_requests = len(trace)
-    start_us = engine.now
-    sampler = sim._make_sampler(metrics_interval_us, lambda: state["completed"])
-    recorder = getattr(sim, "timeseries", None)
-    progress = getattr(sim, "progress", None)
-
-    def issue(request: IORequest) -> None:
-        state["outstanding"] += 1
-        pending[id(request)] = request
-        sim.ftl.submit(request, on_complete)
-
-    def on_complete(active, now_us: float) -> None:
-        request = active.spec
-        pending.pop(id(request), None)
-        state["outstanding"] -= 1
-        state["completed"] += 1
-        if progress is not None:
-            progress(state["completed"], n_requests, now_us)
-        if state["completed"] == warmup_requests:
-            state["measure_start"] = now_us
-        elif state["completed"] > warmup_requests:
-            latency = now_us - arrival_of.pop(id(request))
-            if request.is_read:
-                stats.read_latency.add(latency)
-            else:
-                stats.write_latency.add(latency)
-            _note_tenant(stats, request, latency)
-        if state["completed"] == n_requests:
-            if sampler is not None:
-                sampler.stop()
-            if recorder is not None:
-                recorder.stop()
-        if waiting and state["outstanding"] < queue_depth:
+        # the freed slot goes to the longest-waiting arrival; in closed
+        # mode the next request of the trace arrives to take it
+        if waiting:
             issue(waiting.popleft())
-
-    def arrive(request: IORequest, arrival_us: float) -> None:
-        arrival_of[id(request)] = arrival_us
-        if state["outstanding"] < queue_depth:
-            issue(request)
         else:
-            waiting.append(request)
+            request = next(backlog, None)
+            if request is not None:
+                issue(request)
 
-    _feed_arrivals(engine, trace, start_us, arrive)
-    if warmup_requests == 0:
-        state["measure_start"] = start_us
+    # NCQ replay reserves its arrivals' sequence numbers before the
+    # observers start and unbounded replay after them, which decides
+    # how an arrival and a sampler tick at the same instant dispatch
+    if mode == "ncq":
+        _feed_arrivals(engine, trace, start_us, arrive)
     if sampler is not None:
         sampler.start()
     if recorder is not None:
         recorder.start()
-    engine.run(max_events=max_events, profiler=sim.profiler)
-    if state["outstanding"] > 0 or waiting:
-        _finish_or_stall(sim, state, pending, waiting, max_events=max_events)
-    measure_start = state["measure_start"]
+    if mode == "unbounded":
+        _feed_arrivals(engine, trace, start_us, arrive)
+    position = completed
+    while True:
+        end = n_requests
+        if segment_requests is not None:
+            end = min(position + segment_requests, n_requests)
+        if mode == "closed":
+            backlog = iter(requests[position:end])
+            for request in islice(backlog, queue_depth):
+                issue(request)
+        engine.run(max_events=max_events, profiler=sim.profiler)
+        stalled = dict(pending)
+        stalled.update((id(request), request) for request in waiting)
+        if stalled and max_events is None:
+            sim._log_stall(completed, stalled)
+            raise SimulationStalledError(_stall_message(completed, stalled))
+        position = end
+        if position >= n_requests:
+            break
+        if on_barrier is not None:
+            on_barrier(
+                {
+                    "completed": completed,
+                    "measure_start": measure_start,
+                    "start_us": start_us,
+                    "read_latency": stats.read_latency.sample_list(),
+                    "write_latency": stats.write_latency.sample_list(),
+                }
+            )
     if measure_start is None:
         measure_start = start_us
     stats.duration_us = engine.now - measure_start
-    stats.completed_requests = state["completed"] - warmup_requests
+    stats.completed_requests = completed - warmup_requests
     stats.counters = sim.ftl.counters
     stats.recovery = sim.ftl.recovery
     if sampler is not None:
@@ -351,81 +289,4 @@ def replay_ncq(
     return stats
 
 
-# ---------------------------------------------------------------------------
-# unbounded open loop
-# ---------------------------------------------------------------------------
-
-
-def replay_unbounded(
-    sim,
-    trace: Trace,
-    *,
-    max_events: Optional[int] = None,
-    metrics_interval_us: Optional[float] = None,
-) -> SimulationStats:
-    """Replay a trace open-loop with an infinite queue: requests issue
-    at their arrival times regardless of completions.
-
-    Under overload the backlog grows and latencies reflect queueing --
-    the regime where the WAM's burst absorption shows directly.
-    """
-    _require_arrivals(trace, "open-loop")
-    engine = sim.controller.engine
-    stats = _new_stats(sim, trace)
-    state = {"outstanding": 0, "completed": 0}
-    pending: Dict[int, IORequest] = {}
-    start_us = engine.now
-    n_requests = len(trace)
-    sampler = sim._make_sampler(metrics_interval_us, lambda: state["completed"])
-    recorder = getattr(sim, "timeseries", None)
-    progress = getattr(sim, "progress", None)
-
-    def on_complete(active, now_us: float) -> None:
-        pending.pop(id(active.spec), None)
-        latency = now_us - active.issued_us
-        if active.spec.is_read:
-            stats.read_latency.add(latency)
-        else:
-            stats.write_latency.add(latency)
-        _note_tenant(stats, active.spec, latency)
-        state["outstanding"] -= 1
-        state["completed"] += 1
-        if progress is not None:
-            progress(state["completed"], n_requests, now_us)
-        if state["completed"] == n_requests:
-            if sampler is not None:
-                sampler.stop()
-            if recorder is not None:
-                recorder.stop()
-
-    def issue(request: IORequest, arrival_us: float) -> None:
-        state["outstanding"] += 1
-        pending[id(request)] = request
-        sim.ftl.submit(request, on_complete)
-
-    if sampler is not None:
-        sampler.start()
-    if recorder is not None:
-        recorder.start()
-    _feed_arrivals(engine, trace, start_us, issue)
-    engine.run(max_events=max_events, profiler=sim.profiler)
-    if state["outstanding"] > 0:
-        _finish_or_stall(sim, state, pending, max_events=max_events)
-    stats.duration_us = engine.now - start_us
-    stats.completed_requests = state["completed"]
-    stats.counters = sim.ftl.counters
-    stats.recovery = sim.ftl.recovery
-    if sampler is not None:
-        stats.metrics = sampler.finalize()
-    if recorder is not None:
-        recorder.finalize()
-    return stats
-
-
-__all__ = [
-    "REPLAY_MODES",
-    "replay",
-    "replay_closed",
-    "replay_ncq",
-    "replay_unbounded",
-]
+__all__ = ["REPLAY_MODES", "replay"]

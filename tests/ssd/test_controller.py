@@ -51,21 +51,38 @@ class TestWiring:
 
 
 class TestStallDiagnostics:
-    def test_stalled_run_reports_pending_requests(self):
+    @pytest.mark.parametrize(
+        "mode", ["closed", "ncq", "unbounded", "segmented"]
+    )
+    def test_stalled_run_reports_pending_requests(self, mode):
         """When the event queue drains with host requests still pending,
         the error names how many -- and which -- never completed."""
-        from repro.ssd.controller import SimulationStalledError
+        from repro.ssd.controller import SimulationStalledError, _stall_message
+        from repro.ssd.host import replay
+        from repro.workloads.base import with_arrivals
         from repro.workloads.synthetic import uniform_random_trace
 
         sim = SSDSimulation(SSDConfig.small(), ftl="page")
         sim.prefill(0.2)
         # swallow every submission: nothing ever completes
         sim.ftl.submit = lambda request, on_complete: None
-        trace = uniform_random_trace(sim.config.logical_pages, 10, seed=1)
+        trace = with_arrivals(
+            uniform_random_trace(sim.config.logical_pages, 10, seed=1),
+            rate_iops=10_000,
+            seed=2,
+        )
+        kwargs = {"mode": mode}
+        if mode == "segmented":
+            kwargs = {"mode": "closed", "segment_requests": 3}
         with pytest.raises(SimulationStalledError) as excinfo:
-            sim.run(trace, queue_depth=4)
+            replay(sim, trace, queue_depth=4, **kwargs)
+        # closed: the 4 issued; NCQ: 4 issued plus 6 waiting for a slot;
+        # unbounded: all 10 arrivals; segmented: the first segment's 3
+        stalled = {"closed": 4, "ncq": 10, "unbounded": 10, "segmented": 3}
+        expected = trace.requests[: stalled[mode]]
         message = str(excinfo.value)
-        assert "4 host requests never completed" in message
+        assert message == _stall_message(0, {id(r): r for r in expected})
+        assert f"{len(expected)} host requests never completed" in message
         assert "(0 done)" in message
         assert "lpn=" in message
         assert "n_pages=" in message

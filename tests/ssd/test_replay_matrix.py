@@ -1,0 +1,238 @@
+"""Every host replay mode, pinned against committed fingerprints.
+
+Each case replays a small trace on cube or dftl and hashes what the
+replay produced: the schema-v2 result, the latency samples (per tenant
+too), the metrics sampler's samples, the engine's event count and final
+clock, every (time, seq) entry the engine popped, and the accounting
+payload of every segment barrier.  The digests in
+``golden/replay_matrix.json`` were generated before the replay modes
+shared one driver, so a match shows the driver dispatches the same
+events in the same order as the loops it replaced.
+
+Regenerate them only after an intentional model change::
+
+    PYTHONPATH=src python tests/ssd/golden/regen_replay_matrix.py
+"""
+
+import hashlib
+import heapq
+import json
+import os
+import pickle
+from contextlib import contextmanager
+
+import pytest
+
+from repro.persist.driver import capture_state, restore_state
+from repro.specs import TenantSpec, WorkloadSpec
+from repro.ssd.config import SSDConfig
+from repro.ssd.controller import SSDSimulation
+from repro.ssd.host import replay
+from repro.workloads.base import with_arrivals
+from repro.workloads.synthetic import uniform_random_trace
+from repro.workloads.tenants import compose_tenants
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "replay_matrix.json")
+
+FTLS = ("cube", "dftl")
+QUEUE_DEPTH = 8
+SEGMENT = 100
+METRICS_US = 250.0
+PREFILL = 0.7
+CASES = (
+    "closed",
+    "closed-metrics",
+    "ncq",
+    "ncq-metrics",
+    "unbounded",
+    "unbounded-metrics",
+    "ncq-tenants",
+    "ncq-tenants-metrics",
+    "closed-warmup-max-events",
+    "ncq-warmup-max-events",
+    "segmented",
+    "segmented-resumed",
+)
+
+
+def _config():
+    return SSDConfig.small()
+
+
+def _trace(config):
+    trace = uniform_random_trace(
+        config.logical_pages, 400, read_fraction=0.4, seed=21
+    )
+    return with_arrivals(trace, rate_iops=30_000, burstiness=2.0, seed=22)
+
+
+def _tenant_trace(config):
+    tenants = [
+        TenantSpec("reader", WorkloadSpec("OLTP", n_requests=150), 20_000.0,
+                   partition=(0.0, 0.5)),
+        TenantSpec("writer", WorkloadSpec("Proxy", n_requests=150), 8_000.0,
+                   partition=(0.5, 1.0)),
+    ]
+    return compose_tenants(tenants, config, base_seed=3)
+
+
+def _sim(config, ftl, prefill=True):
+    sim = SSDSimulation(config, ftl=ftl)
+    if prefill:
+        sim.prefill(PREFILL)
+    return sim
+
+
+@contextmanager
+def _recording_pops(popped):
+    """Append the (time, seq) of every heap entry popped meanwhile."""
+    pop = heapq.heappop
+
+    def recording_pop(heap):
+        entry = pop(heap)
+        popped.append(entry[:2])
+        return entry
+
+    heapq.heappop = recording_pop
+    try:
+        yield
+    finally:
+        heapq.heappop = pop
+
+
+def _digest(value) -> str:
+    blob = json.dumps(value, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def _fingerprint(sim, stats, popped, barriers):
+    engine = sim.controller.engine
+    tenants = {
+        name: [t.read_latency.sample_list(), t.write_latency.sample_list()]
+        for name, t in (stats.tenants or {}).items()
+    }
+    return {
+        "result": _digest(stats.to_dict()),
+        "latency": _digest(
+            [
+                stats.read_latency.sample_list(),
+                stats.write_latency.sample_list(),
+                tenants,
+            ]
+        ),
+        "sampler": _digest(
+            [sample.to_dict() for sample in stats.metrics or ()]
+        ),
+        "engine": _digest([engine.processed, engine.now]),
+        "popped": _digest(popped),
+        "barriers": _digest(barriers),
+    }
+
+
+def _replay_case(ftl, mode, *, tenants=False, **kwargs):
+    config = _config()
+    trace = _tenant_trace(config) if tenants else _trace(config)
+    if mode != "unbounded":
+        kwargs.setdefault("queue_depth", QUEUE_DEPTH)
+    popped = []
+    sim = _sim(config, ftl)
+    with _recording_pops(popped):
+        stats = replay(sim, trace, mode=mode, **kwargs)
+    return _fingerprint(sim, stats, popped, [])
+
+
+def _segmented(sim, trace, **kwargs):
+    """Closed-loop replay in drained segments of SEGMENT requests."""
+    return replay(
+        sim,
+        trace,
+        mode="closed",
+        queue_depth=QUEUE_DEPTH,
+        warmup_requests=50,
+        segment_requests=SEGMENT,
+        **kwargs,
+    )
+
+
+def _segmented_cases(ftl):
+    """The straight-through segmented run and the run resumed from its
+    second barrier; the resumed result must equal the straight one."""
+    config = _config()
+    trace = _trace(config)
+    barriers, snapshots, popped = [], [], []
+    sim = _sim(config, ftl)
+
+    def on_barrier(accounting):
+        barriers.append(accounting)
+        snapshots.append(pickle.dumps(capture_state(sim, accounting)))
+
+    with _recording_pops(popped):
+        stats = _segmented(sim, trace, on_barrier=on_barrier)
+    straight = _fingerprint(sim, stats, popped, barriers)
+    assert [b["completed"] for b in barriers] == [100, 200, 300]
+
+    state = pickle.loads(snapshots[1])
+    resumed_sim = _sim(config, ftl, prefill=False)
+    restore_state(resumed_sim, state)
+    resumed_barriers, resumed_popped = [], []
+    with _recording_pops(resumed_popped):
+        resumed_stats = _segmented(
+            resumed_sim,
+            trace,
+            on_barrier=resumed_barriers.append,
+            resume_accounting=state["accounting"],
+        )
+    assert resumed_stats.to_dict() == stats.to_dict()
+    resumed = _fingerprint(
+        resumed_sim, resumed_stats, resumed_popped, resumed_barriers
+    )
+    return {"segmented": straight, "segmented-resumed": resumed}
+
+
+def fingerprints():
+    """Every case's fingerprint, keyed ``<ftl>/<case>``."""
+    out = {}
+    for ftl in FTLS:
+        cases = {}
+        for mode in ("closed", "ncq", "unbounded"):
+            cases[mode] = _replay_case(ftl, mode)
+            cases[f"{mode}-metrics"] = _replay_case(
+                ftl, mode, metrics_interval_us=METRICS_US
+            )
+        cases["ncq-tenants"] = _replay_case(ftl, "ncq", tenants=True)
+        cases["ncq-tenants-metrics"] = _replay_case(
+            ftl, "ncq", tenants=True, metrics_interval_us=METRICS_US
+        )
+        cases["closed-warmup-max-events"] = _replay_case(
+            ftl, "closed", warmup_requests=40, max_events=1200
+        )
+        cases["ncq-warmup-max-events"] = _replay_case(
+            ftl, "ncq", warmup_requests=40, max_events=1200
+        )
+        cases.update(_segmented_cases(ftl))
+        for case, fingerprint in cases.items():
+            out[f"{ftl}/{case}"] = fingerprint
+    return out
+
+
+@pytest.fixture(scope="module")
+def current():
+    return fingerprints()
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(GOLDEN) as handle:
+        return json.load(handle)
+
+
+def test_every_case_is_pinned(current, golden):
+    keys = sorted(f"{ftl}/{case}" for ftl in FTLS for case in CASES)
+    assert sorted(current) == sorted(golden) == keys
+
+
+@pytest.mark.parametrize("ftl", FTLS)
+@pytest.mark.parametrize("case", CASES)
+def test_replay_matches_golden(current, golden, ftl, case):
+    key = f"{ftl}/{case}"
+    assert current[key] == golden[key]

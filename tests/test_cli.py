@@ -1,8 +1,14 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import main
+
+SPEC_SMOKE = os.path.join(
+    os.path.dirname(__file__), os.pardir, "examples", "spec_smoke.json"
+)
 
 
 class TestCharacterize:
@@ -102,6 +108,23 @@ class TestSimulate:
     def test_bad_log_level_rejected(self):
         with pytest.raises(SystemExit):
             main(["--log-level", "chatty", "simulate"])
+
+
+class TestSimulateSpec:
+    def test_run_option_flags_apply_to_a_spec_file(self, tmp_path, capsys):
+        """--trace and --metrics-interval reach a --spec run: the trace
+        is written and its breakdown and timeline are printed."""
+        trace = tmp_path / "spec.jsonl"
+        exit_code = main([
+            "simulate", "--spec", SPEC_SMOKE,
+            "--trace", str(trace), "--metrics-interval", "500",
+        ])
+        assert exit_code == 0
+        out = capsys.readouterr().out
+        assert trace.stat().st_size > 0
+        assert f"trace written to {trace}" in out
+        assert "stage group" in out  # the breakdown table header
+        assert "IOPS per interval" in out
 
 
 class TestCompare:
