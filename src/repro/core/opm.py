@@ -30,7 +30,7 @@ from repro.core.ort import OptimalReadTable
 from repro.core.safety import SafetyChecker, SafetyVerdict
 from repro.nand.chip import ProgramResult, ReadResult
 from repro.nand.ispp import IsppEngine, ProgramParams, WLProgramProfile
-from repro.nand.read_retry import ReadParams
+from repro.nand.read_retry import MAX_OFFSET, ReadParams
 
 #: device-memory cost of one leader observation: 7 states x [L_min, L_max]
 #: in nibbles (7 bytes), plus quantized margin (2 bytes) and the safety
@@ -74,6 +74,10 @@ class OptimalParameterManager:
         self.enable_vfy_skip = enable_vfy_skip
         self._leaders: Dict[Tuple[int, int, int], LeaderObservation] = {}
         self._params_cache: Dict[Tuple[int, int, int], ProgramParams] = {}
+        # ReadParams is immutable: every read shares the one per offset
+        self._read_params = tuple(
+            ReadParams(offset_hint=offset) for offset in range(MAX_OFFSET + 1)
+        )
         # running counters for evaluation
         self.reprogram_count = 0
         self.follower_program_count = 0
@@ -231,7 +235,10 @@ class OptimalParameterManager:
 
     def read_params(self, chip_id: int, block: int, layer: int) -> ReadParams:
         """Offset hint for a read, from the ORT (Section 4.2)."""
-        return ReadParams(offset_hint=self.ort.get(chip_id, block, layer))
+        hint = self.ort.get(chip_id, block, layer)
+        if 0 <= hint <= MAX_OFFSET:
+            return self._read_params[hint]
+        return ReadParams(offset_hint=hint)  # raises: out of range
 
     def invalidate_read_entry(self, chip_id: int, block: int, layer: int) -> bool:
         """Drop one h-layer's ORT entry after its offset hint failed to

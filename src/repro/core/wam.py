@@ -20,15 +20,18 @@ allocation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.nand.geometry import BlockGeometry, WLAddress
 
 
-@dataclass(frozen=True)
-class Allocation:
-    """One allocated WL: where to program and whether it is a leader."""
+class Allocation(NamedTuple):
+    """One allocated WL: where to program and whether it is a leader.
+
+    Built once per program, so a named tuple rather than a frozen
+    dataclass (same fields, equality, hash and repr; much cheaper to
+    construct).
+    """
 
     block: int
     address: WLAddress

@@ -39,7 +39,7 @@ from repro.nand.chip import ProgramResult, ReadResult
 from repro.nand.errors import EraseFailError, ProgramFailError, WearOutError
 from repro.nand.geometry import PageAddress
 from repro.nand.ispp import ProgramParams
-from repro.nand.read_retry import ReadParams
+from repro.nand.read_retry import NOMINAL_READ, ReadParams
 from repro.ssd.config import SSDConfig
 from repro.ssd.write_buffer import BufferEntry, WriteBuffer
 from repro.workloads.base import IORequest
@@ -129,12 +129,14 @@ class _ActiveRequest:
 class _GCJob:
     """State of one in-progress garbage collection on a chip."""
 
-    __slots__ = ("victim", "pending", "staged")
+    __slots__ = ("victim", "pending", "next", "staged")
 
     def __init__(self, victim: int, pending: List[Tuple[int, int]]) -> None:
         self.victim = victim
-        #: (ppn, lpn) pairs still to migrate
+        #: the victim's valid (ppn, lpn) pairs, in page order
         self.pending = pending
+        #: index in ``pending`` of the next pair to migrate
+        self.next = 0
         #: (lpn, data, old_ppn) triples read out and awaiting program
         self.staged: List[Tuple[int, object, int]] = []
 
@@ -227,7 +229,7 @@ class BaseFTL:
 
     def read_params(self, chip_id: int, block: int, layer: int) -> ReadParams:
         """Offset hint for a read, fetched at die-service time."""
-        return ReadParams()
+        return NOMINAL_READ
 
     def after_read(
         self, chip_id: int, block: int, layer: int, result: ReadResult
@@ -622,10 +624,7 @@ class BaseFTL:
             self.counters.gc_programs += 1
         else:
             self.counters.flash_programs += 1
-        fast_params = squeeze_mv > 0 or any(
-            start > 1 for start in params.verify_plan.start_loops
-        )
-        if fast_params:
+        if squeeze_mv > 0 or params.verify_plan.skips_verifies:
             self.counters.follower_programs += 1
         else:
             self.counters.leader_programs += 1
@@ -988,7 +987,7 @@ class BaseFTL:
                 address.layer,
                 address.wl,
                 address.page,
-                ReadParams(),
+                NOMINAL_READ,
             )
             return result.t_read_us, result
 
@@ -1075,18 +1074,19 @@ class BaseFTL:
             payload, job.staged = job.staged, []
             self._program_entries(chip_id, [], is_gc=True, gc_payload=payload)
             return
-        if not job.pending:
+        start = job.next
+        if start >= len(job.pending):
             self._gc_erase(chip_id, job)
             return
-        batch_size = min(self.geometry.block.pages_per_wl, len(job.pending))
-        batch, job.pending = job.pending[:batch_size], job.pending[batch_size:]
-        outstanding = {"count": len(batch)}
+        batch = job.pending[start:start + self.geometry.block.pages_per_wl]
+        job.next = start + len(batch)
 
         def make_on_data(ppn: int, lpn: int):
             def on_data(result: ReadResult) -> None:
-                job.staged.append((lpn, result.data, ppn))
-                outstanding["count"] -= 1
-                if outstanding["count"] == 0:
+                staged = job.staged
+                staged.append((lpn, result.data, ppn))
+                # the batch is staged once its last read lands
+                if len(staged) == len(batch):
                     self._gc_continue(chip_id)
 
             return on_data

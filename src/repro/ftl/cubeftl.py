@@ -26,7 +26,7 @@ from repro.core.wam import Allocation, SequentialCursor, WLAllocationManager
 from repro.ftl.base import BaseFTL
 from repro.nand.chip import ProgramResult, ReadResult
 from repro.nand.ispp import ProgramParams
-from repro.nand.read_retry import ReadParams
+from repro.nand.read_retry import NOMINAL_READ, ReadParams
 from repro.ssd.config import SSDConfig
 
 
@@ -138,7 +138,7 @@ class CubeFTL(BaseFTL):
 
     def read_params(self, chip_id: int, block: int, layer: int) -> ReadParams:
         if not self.enable_ort:
-            return ReadParams()
+            return NOMINAL_READ
         return self.opm.read_params(chip_id, block, layer)
 
     def after_read(

@@ -49,7 +49,7 @@ from repro.ftl.mapping import UNMAPPED, PageMapper
 from repro.ftl.pageftl import PageFTL
 from repro.nand.errors import EraseFailError, ProgramFailError, WearOutError
 from repro.nand.geometry import PageAddress
-from repro.nand.read_retry import ReadParams
+from repro.nand.read_retry import NOMINAL_READ
 from repro.ssd.config import SSDConfig
 from repro.ssd.write_buffer import BufferEntry
 
@@ -80,12 +80,14 @@ class DftlStats:
 class _TransGCJob:
     """State of one in-progress translation-block collection."""
 
-    __slots__ = ("victim", "pending")
+    __slots__ = ("victim", "pending", "next")
 
     def __init__(self, victim: int, pending: List[Tuple[int, int]]) -> None:
         self.victim = victim
-        #: (ppn, tvpn) pairs still to migrate
+        #: the victim's valid (ppn, tvpn) pairs, in page order
         self.pending = pending
+        #: index in ``pending`` of the next pair to migrate
+        self.next = 0
 
 
 class DFTL(PageFTL):
@@ -362,7 +364,7 @@ class DFTL(PageFTL):
 
         def job():
             params = (
-                ReadParams()
+                NOMINAL_READ
                 if conservative
                 else self.read_params(chip_id, address.block, address.layer)
             )
@@ -607,8 +609,10 @@ class DFTL(PageFTL):
         job = self._trans_gc[chip_id]
         if job is None:
             return
-        while job.pending:
-            ppn, tvpn = job.pending.pop(0)
+        pending = job.pending
+        while job.next < len(pending):
+            ppn, tvpn = pending[job.next]
+            job.next += 1
             if self.tmapper.lookup(tvpn) != ppn:
                 continue  # superseded by a writeback during migration
             _chip, address = self.geometry.ppn_to_address(ppn)

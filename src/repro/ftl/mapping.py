@@ -32,23 +32,49 @@ class PageMapper:
         self._valid_count = np.zeros(
             (geometry.n_chips, geometry.blocks_per_chip), dtype=np.int32
         )
-        # bound methods cached for the translation fast path: ndarray.item
-        # returns a plain Python int without materializing a numpy scalar,
-        # which roughly halves the cost of the per-page lookup -- the
-        # single hottest mapping operation on read-dominated workloads
-        self._l2p_item = self._l2p.item
-        self._p2l_item = self._p2l.item
-        self._valid_item = self._valid.item
+        self._bind_views()
         # plain-int geometry constants so the per-bind PPN decomposition
         # needs no attribute chains
+        self._total_pages = int(geometry.total_pages)
         self._pages_per_chip = int(geometry.pages_per_chip)
         self._pages_per_block = int(geometry.block.pages_per_block)
+        self._n_chips = int(geometry.n_chips)
+        self._blocks_per_chip = int(geometry.blocks_per_chip)
+
+    def _bind_views(self) -> None:
+        """Memoryviews over the tables, for single-entry access.
+
+        Reading or writing one entry through a memoryview moves a plain
+        Python int or bool, about half the cost of numpy scalar indexing
+        (a 2-D ``+= 1`` costs three times as much).  The views share the
+        arrays' storage, so whole-table work (audit, block scans, the
+        checkpoint format) stays on the arrays.  ``_valid_count`` is
+        viewed flat: a PPN's entry is ``ppn // pages_per_block``.  Like
+        numpy, a view wraps negative indices, so every entry point
+        range-checks its index first.
+        """
+        self._l2p_view = memoryview(self._l2p)
+        self._p2l_view = memoryview(self._p2l)
+        self._valid_view = memoryview(self._valid)
+        self._count_view = memoryview(self._valid_count.reshape(-1))
 
     # ------------------------------------------------------------------
 
     def _check_lpn(self, lpn: int) -> None:
         if not 0 <= lpn < self.logical_pages:
             raise IndexError(f"LPN {lpn} out of range [0, {self.logical_pages})")
+
+    def _check_ppn(self, ppn: int) -> None:
+        if not 0 <= ppn < self._total_pages:
+            raise IndexError(f"PPN {ppn} out of range [0, {self._total_pages})")
+
+    def _check_block(self, chip_id: int, block: int) -> None:
+        if not 0 <= chip_id < self._n_chips:
+            raise IndexError(f"chip {chip_id} out of range [0, {self._n_chips})")
+        if not 0 <= block < self._blocks_per_chip:
+            raise IndexError(
+                f"block {block} out of range [0, {self._blocks_per_chip})"
+            )
 
     def _block_of_ppn(self, ppn: int) -> Tuple[int, int]:
         chip_id, rest = divmod(ppn, self._pages_per_chip)
@@ -60,14 +86,17 @@ class PageMapper:
     def lookup(self, lpn: int) -> int:
         """PPN currently holding an LPN, or :data:`UNMAPPED`."""
         if 0 <= lpn < self.logical_pages:
-            return self._l2p_item(lpn)
+            return self._l2p_view[lpn]
         raise IndexError(f"LPN {lpn} out of range [0, {self.logical_pages})")
 
     def lpn_of(self, ppn: int) -> int:
-        return self._p2l_item(ppn)
+        """LPN stored at a PPN, or :data:`UNMAPPED`."""
+        self._check_ppn(ppn)
+        return self._p2l_view[ppn]
 
     def is_valid(self, ppn: int) -> bool:
-        return self._valid_item(ppn)
+        self._check_ppn(ppn)
+        return self._valid_view[ppn]
 
     def bind(self, lpn: int, ppn: int) -> int:
         """Map an LPN to a newly programmed PPN.
@@ -79,41 +108,44 @@ class PageMapper:
             raise IndexError(
                 f"LPN {lpn} out of range [0, {self.logical_pages})"
             )
-        if not 0 <= ppn < self.geometry.total_pages:
+        if not 0 <= ppn < self._total_pages:
             raise IndexError(f"PPN {ppn} out of range")
-        if self._valid_item(ppn):
+        valid = self._valid_view
+        if valid[ppn]:
             raise ValueError(f"PPN {ppn} already holds valid data")
-        old = self._l2p_item(lpn)
+        l2p = self._l2p_view
+        old = l2p[lpn]
         if old != UNMAPPED:
             self._invalidate_ppn(old)
-        self._l2p[lpn] = ppn
-        self._p2l[ppn] = lpn
-        self._valid[ppn] = True
-        chip_id, rest = divmod(ppn, self._pages_per_chip)
-        self._valid_count[chip_id, rest // self._pages_per_block] += 1
+        l2p[lpn] = ppn
+        self._p2l_view[ppn] = lpn
+        valid[ppn] = True
+        self._count_view[ppn // self._pages_per_block] += 1
         return old
 
     def invalidate_lpn(self, lpn: int) -> None:
         """Drop an LPN's mapping (trim / overwrite-in-buffer)."""
         self._check_lpn(lpn)
-        old = self._l2p_item(lpn)
+        l2p = self._l2p_view
+        old = l2p[lpn]
         if old != UNMAPPED:
             self._invalidate_ppn(old)
-            self._l2p[lpn] = UNMAPPED
+            l2p[lpn] = UNMAPPED
 
     def _invalidate_ppn(self, ppn: int) -> None:
-        if self._valid_item(ppn):
-            self._valid[ppn] = False
-            chip_id, rest = divmod(ppn, self._pages_per_chip)
-            self._valid_count[chip_id, rest // self._pages_per_block] -= 1
-        self._p2l[ppn] = UNMAPPED
+        valid = self._valid_view
+        if valid[ppn]:
+            valid[ppn] = False
+            self._count_view[ppn // self._pages_per_block] -= 1
+        self._p2l_view[ppn] = UNMAPPED
 
     # ------------------------------------------------------------------
     # block-granular queries (GC support)
     # ------------------------------------------------------------------
 
     def valid_count(self, chip_id: int, block: int) -> int:
-        return int(self._valid_count[chip_id, block])
+        self._check_block(chip_id, block)
+        return self._count_view[chip_id * self._blocks_per_chip + block]
 
     def valid_counts_of_chip(self, chip_id: int) -> np.ndarray:
         return self._valid_count[chip_id].copy()
@@ -125,6 +157,7 @@ class PageMapper:
 
     def valid_pages_of_block(self, chip_id: int, block: int) -> List[Tuple[int, int]]:
         """(ppn, lpn) pairs of the block's valid pages, in page order."""
+        self._check_block(chip_id, block)
         lo, hi = self._block_page_range(chip_id, block)
         ppns = np.nonzero(self._valid[lo:hi])[0] + lo
         return [(int(ppn), int(self._p2l[ppn])) for ppn in ppns]
@@ -166,10 +199,8 @@ class PageMapper:
         self._p2l = np.array(state["p2l"], dtype=np.int64)
         self._valid = np.array(state["valid"], dtype=bool)
         self._valid_count = np.array(state["valid_count"], dtype=np.int32)
-        # the fast-path bound methods point at the *old* arrays; re-bind
-        self._l2p_item = self._l2p.item
-        self._p2l_item = self._p2l.item
-        self._valid_item = self._valid.item
+        # the views still point at the *old* arrays; re-bind
+        self._bind_views()
 
     # ------------------------------------------------------------------
     # invariants (exercised by property-based tests)

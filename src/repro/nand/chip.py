@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,7 +39,12 @@ from repro.nand.errors import (
 )
 from repro.nand.geometry import BlockGeometry
 from repro.nand.ispp import IsppEngine, IsppResult, ProgramParams, WLProgramProfile
-from repro.nand.read_retry import MAX_OFFSET, ReadParams, ReadRetryModel
+from repro.nand.read_retry import (
+    MAX_OFFSET,
+    NOMINAL_READ,
+    ReadParams,
+    ReadRetryModel,
+)
 from repro.nand.reliability import (
     AgingState,
     ReliabilityModel,
@@ -58,9 +63,13 @@ from repro.nand.timing import NandTiming
 _HINT_SWEEP_BUDGET = 3
 
 
-@dataclass(frozen=True)
-class ProgramResult:
-    """Outcome of a one-shot WL program operation."""
+class ProgramResult(NamedTuple):
+    """Outcome of a one-shot WL program operation.
+
+    Built once per program, so a named tuple rather than a frozen
+    dataclass (same fields, equality, hash and repr; much cheaper to
+    construct).
+    """
 
     #: total latency including parameter-setting overhead (us)
     t_prog_us: float
@@ -84,9 +93,15 @@ class ProgramResult:
         return self.ispp.clean and self.env_shift == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ReadResult:
-    """Outcome of a page read operation."""
+    """Outcome of a page read operation.
+
+    Built once per page read.  It stays a frozen dataclass (callers may
+    ``dataclasses.replace`` it), with a hand-written ``__init__`` that
+    fills the instance dict directly: the generated one pays an
+    ``object.__setattr__`` call per field.
+    """
 
     #: array-sense latency including retries (us); bus transfer is the
     #: controller's job
@@ -105,6 +120,25 @@ class ReadResult:
     #: portion of ``t_read_us`` spent on retry sense steps (0 when the
     #: first sense decoded) -- the tracer's queueing/NAND/retry split
     t_retry_us: float = 0.0
+
+    def __init__(
+        self,
+        t_read_us: float,
+        num_retry: int,
+        final_offset: int,
+        ber: float,
+        correctable: bool,
+        data: Optional[object],
+        t_retry_us: float = 0.0,
+    ) -> None:
+        fields = self.__dict__
+        fields["t_read_us"] = t_read_us
+        fields["num_retry"] = num_retry
+        fields["final_offset"] = final_offset
+        fields["ber"] = ber
+        fields["correctable"] = correctable
+        fields["data"] = data
+        fields["t_retry_us"] = t_retry_us
 
 
 class NandChip:
@@ -182,6 +216,11 @@ class NandChip:
         self.ecc = ecc or EccEngine()
         self.env_shift_prob = env_shift_prob
         self.store_tags = store_tags
+        # the block shape as plain ints, for the one-test address
+        # acceptance of program_wl and read_page
+        self._n_layers = geometry.n_layers
+        self._wls_per_layer = geometry.wls_per_layer
+        self._pages_per_wl = geometry.pages_per_wl
         self.erase_limit = erase_limit
         if read_disturb_per_read < 0:
             raise ValueError("read_disturb_per_read must be >= 0")
@@ -348,23 +387,27 @@ class NandChip:
         per page (``None`` entries for pad pages); stored only when
         ``store_oob`` is enabled, and, like data, only on program success.
         """
-        geometry = self.geometry
-        geometry.check_wl(layer, wl)
-        self._check_block(block)
-        # check_wl just validated (layer, wl); flatten inline rather than
-        # paying geometry.wl_index's second validation pass
-        wl_index = layer * geometry.wls_per_layer + wl
+        wls_per_layer = self._wls_per_layer
+        if not (
+            0 <= layer < self._n_layers
+            and 0 <= wl < wls_per_layer
+            and 0 <= block < self.n_blocks
+        ):
+            # one of these raises, with the usual message
+            self.geometry.check_wl(layer, wl)
+            self._check_block(block)
+        wl_index = layer * wls_per_layer + wl
         if self._programmed[block][wl_index]:
             raise ProgramOrderError(
                 f"WL (block={block}, layer={layer}, wl={wl}) already programmed"
             )
-        if data is not None and len(data) != self.geometry.pages_per_wl:
+        if data is not None and len(data) != self._pages_per_wl:
             raise ValueError(
-                f"data must supply {self.geometry.pages_per_wl} page tags"
+                f"data must supply {self._pages_per_wl} page tags"
             )
-        if oob is not None and len(oob) != self.geometry.pages_per_wl:
+        if oob is not None and len(oob) != self._pages_per_wl:
             raise ValueError(
-                f"oob must supply {self.geometry.pages_per_wl} page records"
+                f"oob must supply {self._pages_per_wl} page records"
             )
         if params is None:
             params = ProgramParams.default(self.ispp.n_states)
@@ -426,9 +469,7 @@ class NandChip:
                 self.chip_id, block, layer, wl, self.block_aging(block)
             )
         t_prog = ispp_result.t_prog_us
-        if params.window_squeeze_mv != 0 or any(
-            start > 1 for start in params.verify_plan.start_loops
-        ):
+        if params.window_squeeze_mv != 0 or params.verify_plan.skips_verifies:
             t_prog += self.timing.t_param_set_us
         t_prog = self._op_latency(t_prog)
         if self.telemetry is not None:
@@ -479,21 +520,28 @@ class NandChip:
         layer: int,
         wl: int,
         page: int,
-        params: ReadParams = ReadParams(),
+        params: ReadParams = NOMINAL_READ,
     ) -> ReadResult:
         """Read one page of a programmed WL."""
-        geometry = self.geometry
-        geometry.check_page(layer, wl, page)
-        self._check_block(block)
-        # check_page just validated the address; flatten inline rather
-        # than paying geometry.wl_index's second validation pass
-        wl_index = layer * geometry.wls_per_layer + wl
+        wls_per_layer = self._wls_per_layer
+        if not (
+            0 <= layer < self._n_layers
+            and 0 <= wl < wls_per_layer
+            and 0 <= page < self._pages_per_wl
+            and 0 <= block < self.n_blocks
+        ):
+            # one of these raises, with the usual message
+            self.geometry.check_page(layer, wl, page)
+            self._check_block(block)
+        wl_index = layer * wls_per_layer + wl
         if not self._programmed[block][wl_index]:
             raise UnprogrammedReadError(
                 f"page (block={block}, layer={layer}, wl={wl}, page={page}) "
                 "was never programmed"
             )
-        aging = self.block_aging(block)
+        aging = self._block_aging_cache.get(block)
+        if aging is None:
+            aging = self.block_aging(block)
         if self._fast is not None:
             tables = self._fast.block(block)
             ber = (

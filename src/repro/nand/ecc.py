@@ -37,6 +37,13 @@ class EccEngine:
             raise ValueError("correctable_bits must be >= 1")
         if not 0.0 < self.derating <= 1.0:
             raise ValueError("derating must be in (0, 1]")
+        # every page read tests against the limit; the engine is frozen,
+        # so compute it once
+        object.__setattr__(
+            self,
+            "_ber_limit",
+            self.derating * self.correctable_bits / self.codeword_bits,
+        )
 
     @property
     def codeword_bits(self) -> int:
@@ -45,7 +52,7 @@ class EccEngine:
     @property
     def ber_limit(self) -> float:
         """Maximum raw BER the engine can reliably correct."""
-        return self.derating * self.correctable_bits / self.codeword_bits
+        return self._ber_limit
 
     def codewords_per_page(self, page_size_bytes: int) -> int:
         if page_size_bytes % self.codeword_bytes:
@@ -60,9 +67,9 @@ class EccEngine:
 
     def correctable(self, ber: float) -> bool:
         """Whether a page read at raw BER ``ber`` decodes successfully."""
-        return ber <= self.ber_limit
+        return ber <= self._ber_limit
 
     def margin(self, ber: float) -> float:
         """Remaining correction headroom, normalized (1 = fresh, 0 = at
         the limit, negative = uncorrectable)."""
-        return 1.0 - ber / self.ber_limit
+        return 1.0 - ber / self._ber_limit

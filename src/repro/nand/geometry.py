@@ -22,13 +22,19 @@ Addressing conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterator, NamedTuple, Tuple
 
 from repro.nand.errors import AddressError
 
 
-@dataclass(frozen=True)
-class WLAddress:
+# The two address records are built once per flash operation (every GC
+# migration read decodes a PPN), so they are named tuples: immutable,
+# with the fields, equality, hash and repr a frozen dataclass would
+# have, at a fraction of the construction cost.  Unlike a dataclass they
+# also compare equal to a plain tuple of the same values.
+
+
+class WLAddress(NamedTuple):
     """Address of a word line within a block: (h-layer, wl-in-layer)."""
 
     layer: int
@@ -38,8 +44,7 @@ class WLAddress:
         return (self.layer, self.wl)
 
 
-@dataclass(frozen=True)
-class PageAddress:
+class PageAddress(NamedTuple):
     """Fully qualified physical page address within one chip."""
 
     block: int
@@ -171,6 +176,10 @@ class SSDGeometry:
         object.__setattr__(self, "_n_chips", n_chips)
         object.__setattr__(self, "_pages_per_chip", pages_per_chip)
         object.__setattr__(self, "_total_pages", n_chips * pages_per_chip)
+        # the block shape as plain ints, for the per-page PPN arithmetic
+        object.__setattr__(self, "_pages_per_block", self.block.pages_per_block)
+        object.__setattr__(self, "_pages_per_wl", self.block.pages_per_wl)
+        object.__setattr__(self, "_wls_per_layer", self.block.wls_per_layer)
 
     @property
     def n_chips(self) -> int:
@@ -224,22 +233,23 @@ class SSDGeometry:
         page of a WL computes the base once instead of re-flattening the
         full address per page.
         """
-        if not 0 <= chip_id < self.n_chips:
+        if not 0 <= chip_id < self._n_chips:
             raise AddressError(f"chip id {chip_id} out of range")
         if not 0 <= block < self.blocks_per_chip:
             raise AddressError(f"block {block} out of range")
         self.block.check_wl(layer, wl)
         return (
-            chip_id * self.pages_per_chip
-            + block * self.block.pages_per_block
-            + (layer * self.block.wls_per_layer + wl) * self.block.pages_per_wl
+            chip_id * self._pages_per_chip
+            + block * self._pages_per_block
+            + (layer * self._wls_per_layer + wl) * self._pages_per_wl
         )
 
     def ppn_to_address(self, ppn: int) -> Tuple[int, PageAddress]:
         """Inverse of :meth:`ppn`: return (chip_id, page address)."""
-        if not 0 <= ppn < self.total_pages:
+        if not 0 <= ppn < self._total_pages:
             raise AddressError(f"PPN {ppn} out of range")
-        chip_id, rest = divmod(ppn, self.pages_per_chip)
-        block, block_page = divmod(rest, self.block.pages_per_block)
-        layer, wl, page = self.block.page_from_index(block_page)
+        chip_id, rest = divmod(ppn, self._pages_per_chip)
+        block, rest = divmod(rest, self._pages_per_block)
+        wl_index, page = divmod(rest, self._pages_per_wl)
+        layer, wl = divmod(wl_index, self._wls_per_layer)
         return chip_id, PageAddress(block, layer, wl, page)

@@ -146,6 +146,10 @@ class VerifyPlan:
         for start in self.start_loops:
             if start < 1:
                 raise ValueError("verify start loops must be >= 1")
+        # read on every program; the plan is frozen, so decide it once
+        object.__setattr__(
+            self, "_skips_verifies", any(start > 1 for start in self.start_loops)
+        )
 
     @classmethod
     def default(cls, n_states: int = TLC_STATES) -> "VerifyPlan":
@@ -168,6 +172,12 @@ class VerifyPlan:
     @property
     def n_states(self) -> int:
         return len(self.start_loops)
+
+    @property
+    def skips_verifies(self) -> bool:
+        """Whether any state starts verifying after loop 1 (a follower
+        plan; the PS-unaware default skips nothing)."""
+        return self._skips_verifies
 
     def skipped_before(self, state: int) -> int:
         """Number of verifies skipped for ``state`` relative to the
@@ -197,6 +207,10 @@ class ProgramParams:
 
     @classmethod
     def default(cls, n_states: int = TLC_STATES) -> "ProgramParams":
+        """The conservative PS-unaware parameters.  Immutable, so one
+        instance per cell type is shared by every leader program."""
+        if 0 < n_states <= len(_DEFAULT_PARAMS):
+            return _DEFAULT_PARAMS[n_states - 1]
         return cls(verify_plan=VerifyPlan.default(n_states))
 
     @property
@@ -220,6 +234,14 @@ class ProgramParams:
         return (V_FINAL_DEFAULT_MV - self.v_final_mv) + (
             self.v_start_mv - V_START_DEFAULT_MV
         )
+
+
+#: the shared :meth:`ProgramParams.default` of 1..15 programmed states
+#: (SLC to QLC); an immutable tuple, built once at import
+_DEFAULT_PARAMS: Tuple[ProgramParams, ...] = tuple(
+    ProgramParams(verify_plan=VerifyPlan.default(n_states))
+    for n_states in range(1, 16)
+)
 
 
 @dataclass(frozen=True)
@@ -298,6 +320,7 @@ class IsppEngine:
         self._profile_cache: dict = {}
         self._effective_cache: dict = {}
         self._simulate_cache: dict = {}
+        self._follower_cache: dict = {}
 
     # ------------------------------------------------------------------
     # profiles
@@ -459,6 +482,12 @@ class IsppEngine:
         """
         if window_squeeze_mv < 0:
             raise ValueError("window_squeeze_mv must be >= 0")
+        # called once per monitored h-layer, but the (profile, squeeze)
+        # inputs repeat across h-layers: share the frozen result
+        key = (monitored, window_squeeze_mv, start_fraction, guard, dv_ispp_mv)
+        cached = self._follower_cache.get(key)
+        if cached is not None:
+            return cached
         start_mv = int(round(window_squeeze_mv * start_fraction / dv_ispp_mv)) * dv_ispp_mv
         final_mv = (
             int(round(window_squeeze_mv * (1.0 - start_fraction) / dv_ispp_mv))
@@ -471,12 +500,14 @@ class IsppEngine:
             verify_plan=VerifyPlan.default(monitored.n_states),
         )
         expected = self.effective_profile(monitored, params_window)
-        return ProgramParams(
+        params = ProgramParams(
             v_start_mv=params_window.v_start_mv,
             v_final_mv=params_window.v_final_mv,
             dv_ispp_mv=dv_ispp_mv,
             verify_plan=VerifyPlan.from_profile(expected, guard=guard),
         )
+        self._follower_cache[key] = params
+        return params
 
 
 def require_valid_window(v_start_mv: int, v_final_mv: int, dv_ispp_mv: int) -> None:

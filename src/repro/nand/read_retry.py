@@ -59,6 +59,10 @@ class ReadParams:
             raise ValueError(f"offset_hint must be in [0, {MAX_OFFSET}]")
 
 
+#: the nominal (offset 0) read, shared by every read that passes no hint
+NOMINAL_READ = ReadParams()
+
+
 class ReadRetryModel:
     """Maps (location, aging, read instance) to required retry counts."""
 

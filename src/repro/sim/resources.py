@@ -29,6 +29,10 @@ class FifoResource:
         self.name = name
         self._queue: Deque[Tuple[Job, Optional[Done]]] = deque()
         self._busy = False
+        # the one job in service (single server): its completion
+        # callback and payload, delivered by _complete
+        self._on_done: Optional[Done] = None
+        self._payload: Any = None
         self._busy_time = 0.0
         self._service_count = 0
         #: optional :class:`~repro.obs.device.ResourceTelemetry` hook
@@ -103,14 +107,18 @@ class FifoResource:
         self._service_count += 1
         if self.telemetry is not None:
             self.telemetry.record_service(duration)
+        self._on_done = on_done
+        self._payload = payload
+        self.engine.schedule(duration, self._complete)
 
-        def _complete() -> None:
-            # free the server first so completion callbacks observe a
-            # consistent state, then deliver the payload, then continue
-            self._busy = False
-            if on_done is not None:
-                on_done(payload)
-            if not self._busy and self._queue:
-                self._start_next()
-
-        self.engine.schedule(duration, _complete)
+    def _complete(self) -> None:
+        """The job in service finished: free the server first so the
+        completion callback observes a consistent state, then deliver
+        the payload, then continue with the queue."""
+        on_done, payload = self._on_done, self._payload
+        self._on_done = self._payload = None
+        self._busy = False
+        if on_done is not None:
+            on_done(payload)
+        if not self._busy and self._queue:
+            self._start_next()

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.core.opm import OptimalParameterManager
+from repro.core.ort import OptimalReadTable
 from repro.core.safety import SafetyVerdict
 from repro.nand.chip import NandChip
+from repro.nand.read_retry import MAX_OFFSET
 from repro.nand.reliability import AgingState
 
 
@@ -111,6 +113,21 @@ class TestReadSide:
         assert hint == first.final_offset
         second = quiet_chip.read_page(0, 30, 0, 1, opm.read_params(0, 0, 30))
         assert second.num_retry <= first.num_retry
+
+    def test_every_learned_offset_is_served(self, opm):
+        for offset in range(MAX_OFFSET + 1):
+            opm.ort.update(0, 0, 5, offset)
+            assert opm.read_params(0, 0, 5).offset_hint == offset
+
+    @pytest.mark.parametrize("default_offset", [-1, MAX_OFFSET + 1])
+    def test_out_of_range_hint_raises(self, quiet_chip, default_offset):
+        # a negative hint must not index the shared per-offset params
+        # from the end: it is refused like any invalid ReadParams
+        opm = OptimalParameterManager(
+            quiet_chip.ispp, ort=OptimalReadTable(default_offset=default_offset)
+        )
+        with pytest.raises(ValueError, match="offset_hint"):
+            opm.read_params(0, 0, 5)
 
 
 class TestInvalidation:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.ftl.mapping import UNMAPPED, PageMapper
 from repro.nand.geometry import BlockGeometry, SSDGeometry
+from repro.ssd.config import SSDConfig
 
 
 @pytest.fixture
@@ -88,6 +89,94 @@ class TestBlockAccounting:
         mapper.bind(1, 11)
         mapper.invalidate_lpn(0)
         assert mapper.mapped_lpn_count() == 1
+
+
+def _small_mapper():
+    config = SSDConfig.small()
+    return PageMapper(config.geometry, config.logical_pages)
+
+
+class TestQueryBounds:
+    """numpy indexing, and the memoryviews over the tables, wrap a
+    negative index onto the last entries; every query refuses it, as
+    lookup and bind do, instead of reading another page or block."""
+
+    @pytest.fixture
+    def mapper(self):
+        mapper = _small_mapper()
+        mapper.bind(5, mapper.geometry.total_pages - 1)
+        return mapper
+
+    def test_lpn_of_rejects_negative_ppn(self, mapper):
+        with pytest.raises(IndexError, match="-1"):
+            mapper.lpn_of(-1)
+
+    def test_is_valid_rejects_negative_ppn(self, mapper):
+        with pytest.raises(IndexError, match="-1"):
+            mapper.is_valid(-1)
+
+    def test_valid_count_rejects_negative_block(self, mapper):
+        with pytest.raises(IndexError, match="-1"):
+            mapper.valid_count(1, -1)
+
+    def test_valid_count_rejects_negative_chip(self, mapper):
+        with pytest.raises(IndexError, match="-1"):
+            mapper.valid_count(-1, 0)
+
+    def test_valid_pages_of_block_rejects_negative_block(self, mapper):
+        with pytest.raises(IndexError, match="-1"):
+            mapper.valid_pages_of_block(1, -1)
+
+    def test_ppn_past_the_end_rejected(self, mapper):
+        total = mapper.geometry.total_pages
+        with pytest.raises(IndexError, match=str(total)):
+            mapper.lpn_of(total)
+        with pytest.raises(IndexError, match=str(total)):
+            mapper.is_valid(total)
+
+    def test_block_past_the_end_rejected(self, mapper):
+        # a flat per-block index must not spill into the next chip
+        blocks = mapper.geometry.blocks_per_chip
+        with pytest.raises(IndexError, match=str(blocks)):
+            mapper.valid_count(0, blocks)
+        with pytest.raises(IndexError, match=str(blocks)):
+            mapper.valid_pages_of_block(0, blocks)
+
+    def test_last_entries_still_readable(self, mapper):
+        last = mapper.geometry.total_pages - 1
+        assert mapper.lpn_of(last) == 5
+        assert mapper.is_valid(last)
+        n_chips = mapper.geometry.n_chips
+        last_block = mapper.geometry.blocks_per_chip - 1
+        assert mapper.valid_count(n_chips - 1, last_block) == 1
+        assert mapper.valid_pages_of_block(n_chips - 1, last_block) == [(last, 5)]
+
+
+class TestRestoredTables:
+    def test_writes_after_load_state_dict_reach_the_tables(self):
+        """load_state_dict replaces the arrays; single-entry writes made
+        after it must land in the new arrays, where state_dict, the
+        block counts and the audit read them."""
+        source = _small_mapper()
+        source.bind(3, 40)
+        source.bind(4, 41)
+        mapper = _small_mapper()
+        mapper.load_state_dict(source.state_dict())
+        mapper.bind(5, 42)
+        mapper.invalidate_lpn(3)
+        state = mapper.state_dict()
+        assert state["l2p"][5] == 42
+        assert state["l2p"][3] == UNMAPPED
+        assert state["p2l"][42] == 5
+        assert state["p2l"][40] == UNMAPPED
+        assert state["valid"][42] and not state["valid"][40]
+        assert state["valid_count"][0, 0] == 2
+        assert mapper.valid_count(0, 0) == 2
+        assert mapper.lookup(5) == 42
+        assert mapper.audit() is None
+        # the source kept its own tables
+        assert source.lookup(3) == 40
+        assert source.valid_count(0, 0) == 2
 
 
 @settings(max_examples=50, deadline=None)

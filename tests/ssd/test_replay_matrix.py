@@ -7,7 +7,10 @@ clock, every (time, seq) entry the engine popped, and the accounting
 payload of every segment barrier.  The digests in
 ``golden/replay_matrix.json`` were generated before the replay modes
 shared one driver, so a match shows the driver dispatches the same
-events in the same order as the loops it replaced.
+events in the same order as the loops it replaced.  The
+``closed-aged-faults`` case runs an aged device under the ``heavy``
+fault campaign, so the program-fail rewrite, read recovery and block
+retirement paths are pinned too.
 
 Regenerate them only after an intentional model change::
 
@@ -23,6 +26,8 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro.faults.campaign import get_campaign
+from repro.nand.reliability import AgingState
 from repro.persist.driver import capture_state, restore_state
 from repro.specs import TenantSpec, WorkloadSpec
 from repro.ssd.config import SSDConfig
@@ -52,11 +57,19 @@ CASES = (
     "ncq-warmup-max-events",
     "segmented",
     "segmented-resumed",
+    "closed-aged-faults",
 )
+#: the aged, faulty device of the ``closed-aged-faults`` case
+AGING = AgingState(pe_cycles=2000, retention_months=12.0)
+FAULTS = "heavy"
 
 
 def _config():
     return SSDConfig.small()
+
+
+def _aged_faulty_config():
+    return _config().with_aging(AGING).with_faults(get_campaign(FAULTS))
 
 
 def _trace(config):
@@ -129,8 +142,11 @@ def _fingerprint(sim, stats, popped, barriers):
     }
 
 
-def _replay_case(ftl, mode, *, tenants=False, **kwargs):
-    config = _config()
+def _replay_case(ftl, mode, *, tenants=False, config=None, results=None,
+                 **kwargs):
+    """One replay's fingerprint; its result dict is appended to
+    ``results`` when one is given."""
+    config = config or _config()
     trace = _tenant_trace(config) if tenants else _trace(config)
     if mode != "unbounded":
         kwargs.setdefault("queue_depth", QUEUE_DEPTH)
@@ -138,6 +154,8 @@ def _replay_case(ftl, mode, *, tenants=False, **kwargs):
     sim = _sim(config, ftl)
     with _recording_pops(popped):
         stats = replay(sim, trace, mode=mode, **kwargs)
+    if results is not None:
+        results.append(stats.to_dict())
     return _fingerprint(sim, stats, popped, [])
 
 
@@ -189,8 +207,10 @@ def _segmented_cases(ftl):
     return {"segmented": straight, "segmented-resumed": resumed}
 
 
-def fingerprints():
-    """Every case's fingerprint, keyed ``<ftl>/<case>``."""
+def fingerprints(aged_results=None):
+    """Every case's fingerprint, keyed ``<ftl>/<case>``.  When
+    ``aged_results`` is a dict, it receives each FTL's
+    ``closed-aged-faults`` result dict."""
     out = {}
     for ftl in FTLS:
         cases = {}
@@ -210,14 +230,26 @@ def fingerprints():
             ftl, "ncq", warmup_requests=40, max_events=1200
         )
         cases.update(_segmented_cases(ftl))
+        results = []
+        cases["closed-aged-faults"] = _replay_case(
+            ftl, "closed", config=_aged_faulty_config(), results=results
+        )
+        if aged_results is not None:
+            aged_results[ftl] = results[0]
         for case, fingerprint in cases.items():
             out[f"{ftl}/{case}"] = fingerprint
     return out
 
 
 @pytest.fixture(scope="module")
-def current():
-    return fingerprints()
+def matrix():
+    aged_results = {}
+    return fingerprints(aged_results), aged_results
+
+
+@pytest.fixture(scope="module")
+def current(matrix):
+    return matrix[0]
 
 
 @pytest.fixture(scope="module")
@@ -236,3 +268,14 @@ def test_every_case_is_pinned(current, golden):
 def test_replay_matches_golden(current, golden, ftl, case):
     key = f"{ftl}/{case}"
     assert current[key] == golden[key]
+
+
+@pytest.mark.parametrize("ftl", FTLS)
+def test_aged_faults_case_reaches_recovery(matrix, ftl):
+    """The aged, faulty case must keep erasing, retrying reads, failing
+    programs and recovering reads, or its digest pins nothing of them."""
+    result = matrix[1][ftl]
+    assert result["counters"]["erases"] > 0
+    assert result["counters"]["read_retries"] > 0
+    assert result["recovery"]["program_fails"] > 0
+    assert result["recovery"]["recovered_reads"] > 0
