@@ -15,7 +15,8 @@ import pytest
 from benchmarks.conftest import BENCH_QUEUE_DEPTH, emit
 from repro.analysis.tables import format_table
 from repro.ssd.controller import SSDSimulation
-from repro.workloads import make_workload
+from repro.ssd.host import replay
+from repro.workloads import build_workload
 
 COUNTS = (1, 2, 4)
 N_REQUESTS = 6000
@@ -31,8 +32,9 @@ def active_block_sweep(bench_ssd_config):
         )
         sim = SSDSimulation(config, ftl="cube")
         sim.prefill(0.9)
-        trace = make_workload("OLTP", config.logical_pages, N_REQUESTS, seed=7)
-        stats = sim.run(
+        trace = build_workload("OLTP", config.logical_pages, N_REQUESTS, seed=7)
+        stats = replay(
+            sim,
             trace, queue_depth=BENCH_QUEUE_DEPTH, warmup_requests=WARMUP
         )
         results[count] = (stats, sim.ftl.opm.memory_bytes())

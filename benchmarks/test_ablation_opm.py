@@ -18,7 +18,8 @@ from benchmarks.conftest import BENCH_QUEUE_DEPTH, BENCH_REQUESTS, BENCH_WARMUP,
 from repro.analysis.tables import format_table
 from repro.nand.reliability import AgingState
 from repro.ssd.controller import SSDSimulation
-from repro.workloads import make_workload
+from repro.ssd.host import replay
+from repro.workloads import build_workload
 
 VARIANTS = {
     "pageFTL (none)": dict(ftl="page"),
@@ -37,8 +38,9 @@ def _run(config, workload, aging, variant_kwargs):
     ftl = kwargs.pop("ftl")
     sim = SSDSimulation(config.with_aging(aging), ftl=ftl, **kwargs)
     sim.prefill(0.9)
-    trace = make_workload(workload, sim.config.logical_pages, BENCH_REQUESTS, seed=7)
-    return sim.run(
+    trace = build_workload(workload, sim.config.logical_pages, BENCH_REQUESTS, seed=7)
+    return replay(
+        sim,
         trace, queue_depth=BENCH_QUEUE_DEPTH, warmup_requests=BENCH_WARMUP
     )
 

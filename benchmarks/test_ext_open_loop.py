@@ -16,6 +16,7 @@ import pytest
 from benchmarks.conftest import emit
 from repro.analysis.tables import format_table
 from repro.ssd.controller import SSDSimulation
+from repro.ssd.host import replay
 from repro.workloads.base import with_arrivals
 from repro.workloads.synthetic import uniform_random_trace
 
@@ -37,7 +38,7 @@ def open_loop(bench_ssd_config):
         stamped = with_arrivals(
             trace, rate_iops=RATE_IOPS, burstiness=BURSTINESS, seed=12
         )
-        results[ftl] = sim.run_open_loop(stamped)
+        results[ftl] = replay(sim, stamped, mode="unbounded")
     return results
 
 

@@ -20,6 +20,7 @@ from repro.faults import CAMPAIGNS
 from repro.nand.geometry import BlockGeometry, SSDGeometry
 from repro.ssd.config import SSDConfig
 from repro.ssd.controller import SSDSimulation
+from repro.ssd.host import replay
 from repro.workloads.synthetic import uniform_random_trace
 
 N_REQUESTS = 5000
@@ -54,7 +55,7 @@ def _run(campaign_name):
         seed=11,
         region=hot_region,
     )
-    stats = sim.run(trace, queue_depth=32, warmup_requests=1000)
+    stats = replay(sim, trace, queue_depth=32, warmup_requests=1000)
     sim.ftl.mapper.check_invariants()
     return stats
 

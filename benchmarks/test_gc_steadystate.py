@@ -21,6 +21,7 @@ from repro.analysis.tables import format_table
 from repro.nand.geometry import BlockGeometry, SSDGeometry
 from repro.ssd.config import SSDConfig
 from repro.ssd.controller import SSDSimulation
+from repro.ssd.host import replay
 from repro.workloads.synthetic import uniform_random_trace
 
 N_REQUESTS = 6000
@@ -53,7 +54,7 @@ def _run(ftl):
         seed=11,
         region=hot_region,
     )
-    stats = sim.run(trace, queue_depth=32, warmup_requests=1500)
+    stats = replay(sim, trace, queue_depth=32, warmup_requests=1500)
     sim.ftl.mapper.check_invariants()
     return stats
 

@@ -113,7 +113,6 @@ def spec_from_kwargs(
     metrics_interval: Optional[float] = None,
     telemetry: bool = False,
     profile: bool = False,
-    open_loop: bool = False,
     max_events: Optional[int] = None,
     check=None,
     checkpoint_every: Optional[int] = None,
@@ -125,19 +124,12 @@ def spec_from_kwargs(
 ) -> SimulationSpec:
     """The :class:`~repro.specs.SimulationSpec` equivalent of the legacy
     flat-kwarg :func:`run_simulation` call -- the back-compat mapping,
-    pinned in one place.
-
-    ``open_loop=True`` maps to an *unbounded* open-loop
-    :class:`~repro.specs.HostSpec` (``queue_depth=None``), preserving
-    the historical ``run_open_loop`` semantics; NCQ replay (finite
-    depth + arrivals) is spec-form only.
+    pinned in one place.  The flat form replays closed-loop; open-loop
+    replay (NCQ or unbounded) is spec-form only.
     """
     if isinstance(workload, str):
         workload = WorkloadSpec(workload, n_requests=n_requests)
-    host = HostSpec(
-        queue_depth=None if open_loop else queue_depth,
-        open_loop=open_loop,
-    )
+    host = HostSpec(queue_depth=queue_depth)
     options = RunOptions(
         trace=trace,
         metrics_interval=metrics_interval,
@@ -178,7 +170,6 @@ def run_simulation(
     metrics_interval: Optional[float] = None,
     telemetry: bool = False,
     profile: bool = False,
-    open_loop: bool = False,
     max_events: Optional[int] = None,
     check=None,
     checkpoint_every: Optional[int] = None,
@@ -225,9 +216,6 @@ def run_simulation(
     profile:
         Attach a :class:`~repro.obs.profile.WallClockProfiler` and
         return its section attribution in ``result.profile``.
-    open_loop:
-        Replay at recorded arrival times instead of closed-loop at
-        ``queue_depth`` (the trace must carry arrivals).
     check:
         ``None`` disables runtime invariant checking (the default; the
         simulation is bit-for-bit the unchecked run).  ``True`` /
@@ -240,18 +228,27 @@ def run_simulation(
         :class:`~repro.check.InvariantViolation`.
     checkpoint_every:
         Write a checkpoint every N completed host requests into
-        ``checkpoint_dir`` (required together).  The run replays in
-        quiescent segments of N requests (a deterministic scheduling
+        ``checkpoint_dir`` (required together; ``checkpoint_dir``
+        without a cadence is refused unless resuming).  The run replays
+        in quiescent segments of N requests (a deterministic scheduling
         change; see docs/PERSISTENCE.md) and can be resumed
-        byte-identically from any checkpoint.  Incompatible with
-        ``trace``, ``profile``, ``metrics_interval``, ``open_loop``
-        and ``max_events``.
+        byte-identically from any checkpoint.  Composes with ``trace``,
+        ``profile``, ``telemetry`` and ``check``; incompatible with
+        ``metrics_interval``, ``max_events`` and ``artifact_dir``,
+        whose recurring sampling or event cap cannot cross a drained
+        barrier.
     resume_from:
-        Path to a checkpoint directory to resume from.  ``config``,
-        ``ftl``, ``workload`` and ``seed`` must match the original
-        run (validated against the checkpoint header); ``queue_depth``,
-        ``warmup_requests``, ``checkpoint_every`` and the check level
-        are taken from the header.
+        Path to a checkpoint directory to resume from; the run goes
+        through the same pipeline, restoring the checkpoint where a
+        fresh run prefills.  ``config``, ``ftl``, ``workload`` and
+        ``seed`` must match the original run (validated against the
+        checkpoint header); ``queue_depth``, ``warmup_requests``,
+        ``checkpoint_every`` and the check level are taken from the
+        header.  Further checkpoints go to ``checkpoint_dir`` (default:
+        the directory holding ``resume_from``).  A resumed ``trace``
+        numbers requests on from the checkpoint, so it is a byte suffix
+        of the straight run's trace.  ``telemetry`` is refused: its
+        registry is not saved in the checkpoint.
     artifact_dir:
         Write a self-contained run-artifact directory under this base
         path (``<artifact_dir>/<run_id>/``; see
@@ -285,7 +282,6 @@ def run_simulation(
             metrics_interval=metrics_interval,
             telemetry=telemetry,
             profile=profile,
-            open_loop=open_loop,
             max_events=max_events,
             check=check,
             checkpoint_every=checkpoint_every,
@@ -301,49 +297,64 @@ def run_simulation(
 def run_spec(spec: SimulationSpec) -> SimulationResult:
     """Execute one :class:`~repro.specs.SimulationSpec`.
 
-    The single executor behind both :func:`run_simulation` call forms:
-    every option lives on the spec, so the kwarg shim cannot drift from
-    the spec path.
+    The single executor behind both :func:`run_simulation` call forms,
+    and the only code that builds and runs a simulation: every option
+    lives on the spec, so the kwarg shim cannot drift from the spec
+    path.  A checkpointed run replays in segments with
+    :func:`repro.persist.driver.checkpoint_hook` as the barrier hook; a
+    resumed run takes the same path and restores the checkpoint where a
+    fresh run prefills.
     """
     from repro.check import InvariantChecker, parse_check_level
+    from repro.ssd.host import check_segmentable, replay
 
     config = spec.config
     host = spec.host
     options = spec.options
-    if options.checkpoint_every is not None or options.resume_from is not None:
-        incompatible = {
-            "trace": options.trace,
-            "profile": options.profile or None,
-            "metrics_interval": options.metrics_interval,
-            "open_loop": host.mode if host.mode != "closed" else None,
-            "max_events": options.max_events,
-            "tenants": host.tenants or None,
-            "artifact_dir": options.artifact_dir,
-        }
-        bad = sorted(key for key, value in incompatible.items() if value)
-        if bad:
-            raise ValueError(
-                f"checkpointing is incompatible with {', '.join(bad)} "
-                "(see docs/PERSISTENCE.md)"
-            )
-        from repro.persist import run_checkpointed
-
-        return run_checkpointed(
-            config,
-            spec.workload,
-            spec.ftl,
-            queue_depth=host.queue_depth,
-            warmup_requests=spec.warmup_requests,
-            prefill=spec.prefill,
-            seed=spec.seed,
-            telemetry=options.telemetry,
-            check=options.check,
-            checkpoint_every=options.checkpoint_every,
-            checkpoint_dir=options.checkpoint_dir,
-            resume_from=options.resume_from,
-            spec=spec,
-            **spec.ftl_kwargs,
+    segmented = (
+        options.checkpoint_every is not None or options.resume_from is not None
+    )
+    # refuse before anything is built or any file is written
+    if segmented:
+        check_segmentable(
+            host.mode,
+            max_events=options.max_events,
+            tenants=host.tenants,
+            metrics_interval=options.metrics_interval,
+            timeseries=options.artifact_dir is not None,
         )
+        if options.resume_from is not None and options.telemetry:
+            raise ValueError(
+                "resume is incompatible with telemetry (the telemetry "
+                "registry is not saved in the checkpoint); re-run "
+                "straight through instead"
+            )
+    elif options.checkpoint_dir is not None:
+        raise ValueError(
+            "checkpoint_dir without checkpoint_every writes no "
+            "checkpoint; set checkpoint_every (or resume_from)"
+        )
+    profiler = WallClockProfiler() if options.profile else None
+    if profiler is not None:
+        profiler.push("setup")
+    trace = spec.build_trace()
+    queue_depth = host.queue_depth
+    warmup_requests = spec.warmup_requests
+    check = options.check
+    header = state = None
+    if segmented:
+        from repro.persist.driver import (
+            checkpoint_hook,
+            checkpoint_plan,
+            restore_state,
+        )
+
+        header, out_dir, state = checkpoint_plan(spec, trace)
+        # the header is authoritative for the run parameters, so a
+        # resume cannot diverge from the original run
+        queue_depth = header["queue_depth"]
+        warmup_requests = header["warmup_requests"]
+        check = header["check"]
 
     artifacts = options.artifact_dir is not None
     tracer: Optional[Tracer] = None
@@ -353,7 +364,11 @@ def run_spec(spec: SimulationSpec) -> SimulationResult:
             InMemorySink() if options.trace == "memory"
             else JsonlSink(options.trace)
         )
-        tracer = Tracer(sink)
+        # a resumed trace numbers requests on from the barrier
+        tracer = Tracer(
+            sink,
+            first_request=state["accounting"]["completed"] if state else 0,
+        )
     exemplars = None
     if artifacts:
         from repro.obs.exemplars import ExemplarRecorder
@@ -372,9 +387,8 @@ def run_spec(spec: SimulationSpec) -> SimulationResult:
     registry = (
         TelemetryRegistry() if (options.telemetry or artifacts) else None
     )
-    profiler = WallClockProfiler() if options.profile else None
     checker = None
-    check_config = parse_check_level(options.check)
+    check_config = parse_check_level(check)
     if check_config is not None:
         # the data-integrity oracle reads content tags back; forcing
         # store_tags on changes only what the chips *remember*, never
@@ -383,14 +397,14 @@ def run_spec(spec: SimulationSpec) -> SimulationResult:
         if not config.store_tags:
             config = replace(config, store_tags=True)
         checker = InvariantChecker(check_config)
+        # checkpoints pickle this context: a checkpointed run names the
+        # workload as its header does
         checker.context.update(
-            ftl=spec.ftl,
-            workload=spec.workload_name,
-            seed=spec.seed,
             check=check_config.level,
+            ftl=spec.ftl,
+            workload=trace.name if segmented else spec.workload_name,
+            seed=spec.seed,
         )
-    if profiler is not None:
-        profiler.push("setup")
     sim = SSDSimulation(
         config,
         ftl=spec.ftl,
@@ -420,22 +434,27 @@ def run_spec(spec: SimulationSpec) -> SimulationResult:
     progress_sink = get_progress_sink()
     if progress_sink is not None:
         sim.progress = make_progress_hook(progress_sink)
-    if spec.prefill > 0:
+    if state is not None:
+        # the checkpoint carries the full media state: no prefill
+        restore_state(sim, state)
+    elif spec.prefill > 0:
         sim.prefill(spec.prefill)
-    trace = spec.build_trace()
     if profiler is not None:
         profiler.pop()
-    from repro.ssd.host import replay
-
     try:
         stats = replay(
             sim,
             trace,
             mode=host.mode,
-            queue_depth=host.queue_depth,
-            warmup_requests=spec.warmup_requests,
+            queue_depth=queue_depth,
+            warmup_requests=warmup_requests,
             max_events=options.max_events,
             metrics_interval_us=options.metrics_interval,
+            segment_requests=header["checkpoint_every"] if segmented else None,
+            on_barrier=(
+                checkpoint_hook(sim, header, out_dir) if segmented else None
+            ),
+            resume_accounting=state["accounting"] if state else None,
         )
     finally:
         if tracer is not None:

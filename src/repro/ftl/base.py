@@ -173,6 +173,10 @@ class BaseFTL:
         self._inflight_programs: Dict[int, int] = {
             chip: 0 for chip in range(geometry.n_chips)
         }
+        #: programs submitted but not landed, per (chip, block): a block
+        #: stays ACTIVE until its last program lands, so GC never takes
+        #: it as a victim before that program's pages are bound
+        self._block_programs: Dict[Tuple[int, int], int] = {}
         self._gc_jobs: Dict[int, Optional[_GCJob]] = {
             chip: None for chip in range(geometry.n_chips)
         }
@@ -495,6 +499,7 @@ class BaseFTL:
         if oob is not None:
             oob += [None] * (pages_per_wl - len(oob))
         self._inflight_programs[chip_id] += 1
+        self._program_submitted(chip_id, allocation.block)
 
         tracer = self.tracer
         trace_ctx = None
@@ -618,6 +623,7 @@ class BaseFTL:
         gc_payload: Optional[List[Tuple[int, object, int]]],
     ) -> None:
         self._inflight_programs[chip_id] -= 1
+        self._program_landed(chip_id, allocation.block)
         self.counters.program_time_us += result.t_prog_us
         self.counters.vfy_skipped += result.ispp.vfy_skipped
         if is_gc:
@@ -679,6 +685,7 @@ class BaseFTL:
         already-written pages are migrated by prioritized GC and the
         block is then retired."""
         self._inflight_programs[chip_id] -= 1
+        self._program_landed(chip_id, allocation.block)
         self.recovery.program_fails += 1
         self.note_program_fail(chip_id, allocation.block)
         if is_gc:
@@ -735,11 +742,31 @@ class BaseFTL:
                 continue
             self.mapper.bind(lpn, base_ppn + page_index)
 
+    def _program_submitted(self, chip_id: int, block: int) -> None:
+        key = (chip_id, block)
+        self._block_programs[key] = self._block_programs.get(key, 0) + 1
+
+    def _program_landed(self, chip_id: int, block: int) -> None:
+        key = (chip_id, block)
+        left = self._block_programs[key] - 1
+        if left:
+            self._block_programs[key] = left
+        else:
+            del self._block_programs[key]
+
     def _maybe_mark_full(self, chip_id: int, block: int) -> None:
         """A block leaves the active set once its cursor is exhausted; the
         cursor structures drop exhausted blocks themselves, so here we
-        only flip the lifecycle state when all WLs are programmed."""
+        only flip the lifecycle state when all WLs are programmed.
+
+        A program into the block that is still outstanding defers the
+        flip to its own landing: the die may start a queued program
+        (counting its WL as programmed) inside another program's
+        completion, and a FULL block is a GC candidate whose valid pages
+        would be snapshotted before that program's pages are bound."""
         if self.blocks.state(chip_id, block) is not BlockState.ACTIVE:
+            return
+        if (chip_id, block) in self._block_programs:
             return
         chip = self.controller.chip(chip_id)
         if chip.programmed_wl_count(block) == self.geometry.block.wls_per_block:

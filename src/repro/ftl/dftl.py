@@ -478,6 +478,7 @@ class DFTL(PageFTL):
             oob = [(-(tvpn + 1), seq)]
             oob += [None] * (pages_per_wl - 1)
         self._inflight_trans_programs += 1
+        self._program_submitted(chip_id, allocation.block)
 
         def job():
             params, _squeeze = self.program_params(chip_id, allocation)
@@ -496,6 +497,7 @@ class DFTL(PageFTL):
 
         def on_done(result) -> None:
             self._inflight_trans_programs -= 1
+            self._program_landed(chip_id, allocation.block)
             if result is None:
                 self.dftl_stats.trans_program_fails += 1
                 self.note_program_fail(chip_id, allocation.block)
@@ -651,6 +653,7 @@ class DFTL(PageFTL):
             oob = [(-(tvpn + 1), seq)]
             oob += [None] * (pages_per_wl - 1)
         self._inflight_trans_programs += 1
+        self._program_submitted(chip_id, allocation.block)
 
         def job():
             params, _squeeze = self.program_params(chip_id, allocation)
@@ -669,6 +672,7 @@ class DFTL(PageFTL):
 
         def on_done(result) -> None:
             self._inflight_trans_programs -= 1
+            self._program_landed(chip_id, allocation.block)
             if result is None:
                 self.dftl_stats.trans_program_fails += 1
                 self.note_program_fail(chip_id, allocation.block)

@@ -174,12 +174,17 @@ class Tracer:
 
     __slots__ = ("sink", "exemplars", "_next_request", "_admits")
 
-    def __init__(self, sink: Optional[TraceSink] = None) -> None:
+    def __init__(
+        self, sink: Optional[TraceSink] = None, first_request: int = 0
+    ) -> None:
         self.sink = sink if sink is not None else InMemorySink()
         #: optional :class:`~repro.obs.exemplars.ExemplarRecorder` fed
         #: out-of-band page context via :meth:`annotate`
         self.exemplars = None
-        self._next_request = 0
+        #: id of the first request; a run resumed at a checkpoint
+        #: barrier starts at the barrier's completed count (every issued
+        #: request has completed there, and ids follow issue order)
+        self._next_request = first_request
         #: (request, lpn) -> buffer-admission time, open until dispatch
         self._admits: Dict[Tuple[int, int], float] = {}
 

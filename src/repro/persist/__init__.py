@@ -4,9 +4,11 @@ Three independent layers (see docs/PERSISTENCE.md):
 
 - **Checkpoint/restore** (:mod:`repro.persist.checkpoint`,
   :mod:`repro.persist.driver`): versioned on-disk snapshots of a running
-  simulation at quiescent barriers, with byte-identical resume --
-  surfaced as ``run_simulation(checkpoint_every=..., resume_from=...)``
-  and ``repro-ssd simulate --checkpoint/--resume``.
+  simulation at quiescent barriers, with byte-identical resume.  The
+  run itself is :func:`repro.api.run_spec`'s, with checkpointing as the
+  replay's barrier hook, so it composes with tracing, profiling and
+  checking -- surfaced as ``run_simulation(checkpoint_every=...,
+  resume_from=...)`` and ``repro-ssd simulate --checkpoint/--resume``.
 - **SPOR** (:mod:`repro.persist.spor`): sudden-power-off injection at a
   simulated instant plus OOB-based FTL recovery, verified end-to-end by
   the shadow-store oracle.
@@ -26,11 +28,7 @@ from repro.persist.checkpoint import (
     validate_header,
     write_checkpoint,
 )
-from repro.persist.driver import (
-    capture_state,
-    restore_state,
-    run_checkpointed,
-)
+from repro.persist.driver import capture_state, restore_state
 from repro.persist.manifest import (
     MANIFEST_SCHEMA_VERSION,
     ManifestMismatch,
@@ -55,7 +53,6 @@ __all__ = [
     "load_manifest",
     "read_header",
     "restore_state",
-    "run_checkpointed",
     "run_shards_resumable",
     "run_spor_campaign",
     "shard_result_path",

@@ -1,23 +1,25 @@
-"""Segmented checkpoint/resume driver for :func:`repro.api.run_simulation`.
+"""Checkpoint state and headers for segmented runs of
+:func:`repro.api.run_spec`.
 
-Checkpointing is the barrier hook of the host replay loop,
-:func:`repro.ssd.host.replay` with ``segment_requests=`` and
-``on_barrier=``: the trace is replayed ``checkpoint_every`` host
-requests at a time, each segment runs to full event-queue drain, and the
-drained instant between segments is where every component's
-``state_dict()`` is captured -- no in-flight programs, no pending host
-writes, no active GC, empty FIFO queues.  The component ``state_dict()``
-methods *assert* that quiescence, so a checkpoint can never silently
-capture a half-finished operation.
+A checkpointed run is an ordinary ``run_spec`` run whose replay
+(:func:`repro.ssd.host.replay`) is segmented: the trace is replayed
+``checkpoint_every`` host requests at a time, each segment runs to full
+event-queue drain, and :func:`checkpoint_hook` is the ``on_barrier``
+hook that writes a checkpoint at the drained instant between segments.
+There every component's ``state_dict()`` is captured -- no in-flight
+programs, no pending host writes, no active GC, empty FIFO queues.  The
+component ``state_dict()`` methods *assert* that quiescence, so a
+checkpoint can never silently capture a half-finished operation.
 
-Resume builds a fresh simulation (skipping prefill -- the chips' full
-media state is in the checkpoint), loads every component, and continues
-the remaining segments with the carried-over accounting
-(``resume_accounting=``).  Because both the straight-through
-checkpointing run and the resumed run drain at the same request
-boundaries, they replay the identical event sequence: results and
-``state_digest`` are byte-identical (the resume-equivalence property
-pinned by ``tests/persist``).
+A resumed run takes the same path: :func:`checkpoint_plan` loads the
+checkpoint and checks its header against the spec, the simulation is
+built with every observer the spec asks for, :func:`restore_state`
+takes the place of prefill, and the replay continues with the
+carried-over accounting (``resume_accounting=``).  Because both the
+straight-through checkpointing run and the resumed run drain at the
+same request boundaries, they replay the identical event sequence:
+results and ``state_digest`` are byte-identical (the resume-equivalence
+property pinned by ``tests/persist``).
 
 The segment drains themselves are a (deterministic) scheduling change
 relative to an un-segmented run, so resume equivalence is defined
@@ -28,8 +30,7 @@ bit-identical to builds without this module entirely.
 from __future__ import annotations
 
 import os
-from dataclasses import replace
-from typing import Optional, Union
+from typing import Callable, Optional, Tuple
 
 from repro.persist.checkpoint import (
     CHECKPOINT_SCHEMA_VERSION,
@@ -38,31 +39,12 @@ from repro.persist.checkpoint import (
     load_checkpoint,
     write_checkpoint,
 )
-from repro.specs import SimulationSpec, SpecError, WorkloadSpec
-from repro.ssd.config import SSDConfig
+from repro.specs import SimulationSpec, SpecError, check_level_name
 from repro.ssd.controller import SSDSimulation
-from repro.ssd.host import replay
-from repro.workloads import build_workload
 from repro.workloads.base import Trace
 
-
-def _build_workload_arg(
-    workload: Union[str, Trace, WorkloadSpec],
-    config: SSDConfig,
-    n_requests: int,
-    seed: int,
-) -> Trace:
-    """Materialize a checkpointable workload argument.
-
-    Accepts the legacy name / pre-built-trace forms plus a
-    :class:`~repro.specs.WorkloadSpec` (the spec-form path through
-    :func:`repro.api.run_spec`).
-    """
-    if isinstance(workload, WorkloadSpec):
-        return workload.build(config, default_seed=seed)
-    if isinstance(workload, str):
-        return build_workload(workload, config.logical_pages, n_requests, seed=seed)
-    return workload
+#: header keys that record where in the run a checkpoint was taken
+_PROGRESS_KEYS = ("segment", "completed", "clock_us")
 
 
 def capture_state(sim: SSDSimulation, accounting: dict) -> dict:
@@ -123,245 +105,113 @@ def restore_state(sim: SSDSimulation, state: dict) -> None:
         sim.checker.load_state_dict(state["checker"])
 
 
-def _replay_checkpointed(
-    sim, trace, base_header, out_dir, resume_accounting=None
-):
-    """Replay ``trace`` closed-loop in ``checkpoint_every``-request
-    segments, writing one checkpoint at every barrier."""
-    every = base_header["checkpoint_every"]
-
-    def on_barrier(accounting: dict) -> None:
-        header = dict(base_header)
-        header["segment"] = accounting["completed"] // every
-        header["completed"] = accounting["completed"]
-        header["clock_us"] = float(sim.controller.engine.now)
-        write_checkpoint(out_dir, header, capture_state(sim, accounting))
-
-    return replay(
-        sim,
-        trace,
-        queue_depth=base_header["queue_depth"],
-        warmup_requests=base_header["warmup_requests"],
-        segment_requests=every,
-        on_barrier=on_barrier,
-        resume_accounting=resume_accounting,
-    )
-
-
-def check_level_of(check) -> Optional[str]:
-    """Normalize a ``check=`` argument to its level string (or None).
-
-    Checkpoint headers persist the *level*, not the config object, so a
-    resumed run rebuilds the checker through
-    :func:`repro.check.parse_check_level`.
-    """
-    if check is None or check is False:
-        return None
-    if check is True:
-        return "on"
-    if isinstance(check, str):
-        return check
-    level = getattr(check, "level", None)
-    if not isinstance(level, str):
-        raise ValueError(
-            "checkpointing supports check=None/True/'on'/'strict' or a "
-            "CheckConfig with a level attribute"
-        )
-    return level
-
-
-def _build_sim(config, ftl, check_level, registry, ftl_kwargs, context):
-    from repro.check import InvariantChecker, parse_check_level
-
-    checker = None
-    check_config = parse_check_level(check_level)
-    if check_config is not None:
-        if not config.store_tags:
-            config = replace(config, store_tags=True)
-        checker = InvariantChecker(check_config)
-        checker.context.update(check=check_config.level, **context)
-    sim = SSDSimulation(
-        config, ftl=ftl, telemetry=registry, checker=checker, **ftl_kwargs
-    )
-    return sim, checker
-
-
-def run_checkpointed(
-    config: SSDConfig,
-    workload: Union[str, Trace, WorkloadSpec],
-    ftl: str = "cube",
-    *,
-    queue_depth: int = 32,
-    warmup_requests: int = 0,
-    prefill: float = 0.9,
-    n_requests: int = 8000,
-    seed: int = 7,
-    telemetry: bool = False,
-    check=None,
-    checkpoint_every: Optional[int] = None,
-    checkpoint_dir: Optional[str] = None,
-    resume_from: Optional[str] = None,
-    spec: Optional[SimulationSpec] = None,
-    **ftl_kwargs,
-):
-    """Run one simulation with checkpointing and/or from a checkpoint.
-
-    With ``resume_from=None``: a fresh run that writes one checkpoint
-    directory under ``checkpoint_dir`` after every ``checkpoint_every``
-    completed host requests (never after the final segment -- the run's
-    result *is* the final state).
-
-    With ``resume_from=PATH``: rebuild from that checkpoint and run the
-    remaining requests.  The header is authoritative for ``queue_depth``,
-    ``warmup_requests``, ``checkpoint_every`` and the check level (they
-    must match the original run for resume equivalence); ``config``,
-    ``ftl``, ``workload``, ``seed`` and ``n_requests`` must match the
-    header and are validated.  Further checkpoints continue into
-    ``checkpoint_dir`` (default: the directory containing
-    ``resume_from``).  ``**ftl_kwargs`` are not persisted and must be
-    re-passed verbatim.
-
-    ``spec`` (when the call came through :func:`repro.api.run_spec`) is
-    embedded in every checkpoint header under the ``"spec"`` key, so a
-    checkpoint directory is self-describing: ``repro-ssd simulate
-    --spec`` can resume it without re-stating the run parameters.
-    """
-    from repro.api import SimulationResult
-    from repro.obs.registry import TelemetryRegistry
-
-    if resume_from is not None:
-        return _resume(
-            config,
-            workload,
-            ftl,
-            n_requests=n_requests,
-            seed=seed,
-            telemetry=telemetry,
-            checkpoint_dir=checkpoint_dir,
-            resume_from=resume_from,
-            ftl_kwargs=ftl_kwargs,
-        )
-
-    if checkpoint_every is None or checkpoint_every < 1:
+def _new_header(spec: SimulationSpec, trace: Trace) -> dict:
+    """The run identity and parameters every checkpoint of a fresh run
+    carries.  The fingerprint is of ``spec.config`` as given, before a
+    checker forces ``store_tags`` on."""
+    options = spec.options
+    if options.checkpoint_every is None or options.checkpoint_every < 1:
         raise ValueError("checkpoint_every must be an integer >= 1")
-    if checkpoint_dir is None:
+    if options.checkpoint_dir is None:
         raise ValueError("checkpoint_dir is required when checkpointing")
-    check_level = check_level_of(check)
-    trace = _build_workload_arg(workload, config, n_requests, seed)
-    registry = TelemetryRegistry() if telemetry else None
-    context = {
-        "ftl": ftl,
-        "workload": trace.name,
-        "seed": seed,
-    }
-    sim, checker = _build_sim(
-        config, ftl, check_level, registry, ftl_kwargs, context
-    )
-    if prefill > 0:
-        sim.prefill(prefill)
-    base_header = {
+    header = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
-        "config_fingerprint": config_fingerprint(config),
-        "ftl": ftl,
+        "config_fingerprint": config_fingerprint(spec.config),
+        "ftl": spec.ftl,
         "workload": trace.name,
-        "seed": seed,
+        "seed": spec.seed,
         "n_requests": len(trace),
-        "queue_depth": queue_depth,
-        "warmup_requests": warmup_requests,
-        "checkpoint_every": checkpoint_every,
-        "check": check_level,
+        "queue_depth": spec.host.queue_depth,
+        "warmup_requests": spec.warmup_requests,
+        "checkpoint_every": options.checkpoint_every,
+        # the level, not a CheckConfig: a resume rebuilds the checker
+        # through repro.check.parse_check_level
+        "check": check_level_name(options.check),
     }
-    if spec is not None:
-        try:
-            base_header["spec"] = spec.to_dict()
-        except SpecError:
-            # in-code constructions (pre-built Trace, custom timing or
-            # campaign objects) have no file form; the header simply
-            # stays spec-less as it was before the spec API existed
-            pass
-
-    stats = _replay_checkpointed(sim, trace, base_header, checkpoint_dir)
-    check_report = checker.finalize() if checker is not None else None
-    return SimulationResult(
-        stats=stats,
-        telemetry=registry.snapshot() if registry is not None else None,
-        check=check_report,
-    )
+    try:
+        # a self-describing checkpoint: `repro-ssd simulate --spec` can
+        # resume it without re-stating the run parameters
+        header["spec"] = spec.to_dict()
+    except SpecError:
+        # in-code constructions (pre-built Trace, custom timing or
+        # campaign objects) have no file form; the header stays spec-less
+        pass
+    return header
 
 
-def _resume(
-    config: SSDConfig,
-    workload: Union[str, Trace, WorkloadSpec],
-    ftl: str,
-    *,
-    n_requests: int,
-    seed: int,
-    telemetry: bool,
-    checkpoint_dir: Optional[str],
-    resume_from: str,
-    ftl_kwargs: dict,
-):
-    from repro.api import SimulationResult
-
-    if telemetry:
-        raise ValueError(
-            "telemetry is not supported on resume (registry collectors "
-            "are not serializable); re-run straight-through instead"
-        )
-    header, state = load_checkpoint(resume_from)
-    fingerprint = config_fingerprint(config)
+def _check_header(
+    header: dict, spec: SimulationSpec, trace: Trace, path: str
+) -> None:
+    """Raise :class:`CheckpointError` unless the checkpoint at ``path``
+    was taken by a run of the same device, FTL, seed and workload."""
+    fingerprint = config_fingerprint(spec.config)
     if header["config_fingerprint"] != fingerprint:
         raise CheckpointError(
-            f"{resume_from}: config fingerprint mismatch "
+            f"{path}: config fingerprint mismatch "
             f"(checkpoint {header['config_fingerprint'][:12]}..., "
             f"passed config {fingerprint[:12]}...)"
         )
-    if header["ftl"] != ftl:
+    if header["ftl"] != spec.ftl:
         raise CheckpointError(
-            f"{resume_from}: checkpoint is for ftl={header['ftl']!r}, "
-            f"got {ftl!r}"
+            f"{path}: checkpoint is for ftl={header['ftl']!r}, "
+            f"got {spec.ftl!r}"
         )
-    if isinstance(workload, (str, WorkloadSpec)):
-        if seed != header["seed"]:
-            raise CheckpointError(
-                f"{resume_from}: checkpoint seed {header['seed']} != "
-                f"passed seed {seed}"
-            )
-        if isinstance(workload, WorkloadSpec):
-            trace = workload.build(config, default_seed=header["seed"])
-        else:
-            trace = build_workload(
-                workload,
-                config.logical_pages,
-                header["n_requests"],
-                seed=header["seed"],
-            )
-    else:
-        trace = workload
+    # a pre-built trace carries its own stream; the seed only names a
+    # generated one
+    if not isinstance(spec.workload, Trace) and spec.seed != header["seed"]:
+        raise CheckpointError(
+            f"{path}: checkpoint seed {header['seed']} != "
+            f"passed seed {spec.seed}"
+        )
     if trace.name != header["workload"] or len(trace) != header["n_requests"]:
         raise CheckpointError(
-            f"{resume_from}: checkpoint is for workload "
+            f"{path}: checkpoint is for workload "
             f"{header['workload']!r} x {header['n_requests']}, got "
             f"{trace.name!r} x {len(trace)}"
         )
-    out_dir = checkpoint_dir or os.path.dirname(os.path.abspath(resume_from))
-    context = {
-        "ftl": ftl,
-        "workload": trace.name,
-        "seed": header["seed"],
-    }
-    sim, checker = _build_sim(
-        config, ftl, header["check"], None, ftl_kwargs, context
+
+
+def checkpoint_plan(
+    spec: SimulationSpec, trace: Trace
+) -> Tuple[dict, str, Optional[dict]]:
+    """What a checkpointed or resumed run of ``spec`` needs:
+    ``(header, out_dir, state)``.
+
+    ``header`` holds the run parameters every checkpoint records; on
+    resume it is the loaded one, authoritative for ``queue_depth``,
+    ``warmup_requests``, ``checkpoint_every`` and the check level.
+    ``out_dir`` is where checkpoints go (on resume by default the
+    directory holding ``resume_from``).  ``state`` is the snapshot to
+    restore in place of prefill, or ``None`` on a fresh run.
+    """
+    options = spec.options
+    if options.resume_from is None:
+        return _new_header(spec, trace), options.checkpoint_dir, None
+    header, state = load_checkpoint(options.resume_from)
+    _check_header(header, spec, trace, options.resume_from)
+    out_dir = options.checkpoint_dir or os.path.dirname(
+        os.path.abspath(options.resume_from)
     )
-    # no prefill: the checkpoint carries the full media state
-    restore_state(sim, state)
-    base_header = {
-        key: header[key]
-        for key in header
-        if key not in ("segment", "completed", "clock_us")
+    return header, out_dir, state
+
+
+def checkpoint_hook(
+    sim: SSDSimulation, header: dict, out_dir: str
+) -> Callable[[dict], None]:
+    """The replay ``on_barrier`` hook: write one checkpoint of ``sim``
+    under ``out_dir`` at every barrier, stamped with ``header`` plus
+    the barrier's progress."""
+    base = {
+        key: value for key, value in header.items()
+        if key not in _PROGRESS_KEYS
     }
-    stats = _replay_checkpointed(
-        sim, trace, base_header, out_dir, state["accounting"]
-    )
-    check_report = checker.finalize() if checker is not None else None
-    return SimulationResult(stats=stats, check=check_report)
+    every = base["checkpoint_every"]
+
+    def on_barrier(accounting: dict) -> None:
+        stamped = dict(base)
+        stamped["segment"] = accounting["completed"] // every
+        stamped["completed"] = accounting["completed"]
+        stamped["clock_us"] = float(sim.controller.engine.now)
+        write_checkpoint(out_dir, stamped, capture_state(sim, accounting))
+
+    return on_barrier

@@ -35,6 +35,7 @@ from typing import Optional, Union
 
 from repro.ssd.config import SSDConfig
 from repro.ssd.controller import SSDSimulation
+from repro.ssd.host import replay
 from repro.workloads import build_workload
 from repro.workloads.base import Trace
 
@@ -175,19 +176,19 @@ def run_spor_campaign(
     recovery = sim2.ftl.spor_recover()
 
     if lost_writes:
-        replay = Trace(
+        journal = Trace(
             name=trace.name,
             logical_pages=trace.logical_pages,
             requests=lost_writes,
         )
-        sim2.run(replay, queue_depth=queue_depth)
+        replay(sim2, journal, queue_depth=queue_depth)
     if remaining:
         rest = Trace(
             name=trace.name,
             logical_pages=trace.logical_pages,
             requests=remaining,
         )
-        sim2.run(rest, queue_depth=queue_depth)
+        replay(sim2, rest, queue_depth=queue_depth)
 
     audit = sim2.ftl.mapper.audit()
     report = checker2.finalize()

@@ -241,7 +241,7 @@ class HostSpec:
       (backpressure), and the reported latency includes that wait.
     - **unbounded open loop** (``open_loop=True``,
       ``queue_depth=None``): every request issues exactly at its
-      arrival time (infinite queue -- the legacy ``run_open_loop``).
+      arrival time (infinite queue).
 
     Open-loop replay needs arrival timestamps: either the trace carries
     them (``trace:`` CSV references, pre-stamped traces, tenant mixes)

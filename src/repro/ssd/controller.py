@@ -25,8 +25,7 @@ from repro.obs.log import get_logger, log_event
 from repro.sim.engine import Engine
 from repro.sim.resources import FifoResource
 from repro.ssd.config import SSDConfig
-from repro.ssd.stats import SimulationStats
-from repro.workloads.base import IORequest, Trace
+from repro.workloads.base import IORequest
 
 logger = get_logger(__name__)
 
@@ -126,7 +125,8 @@ class SSDController:
 
 
 class SSDSimulation:
-    """Front end: build an SSD, prefill it, replay traces."""
+    """Front end: build an SSD and prefill it; :func:`repro.ssd.host.replay`
+    replays traces through it."""
 
     def __init__(
         self,
@@ -308,43 +308,3 @@ class SSDSimulation:
         from repro.obs.metrics import MetricsSampler
 
         return MetricsSampler(self.ftl, interval_us, completed_fn=completed_fn)
-
-    def run(
-        self,
-        trace: Trace,
-        queue_depth: int = 32,
-        warmup_requests: int = 0,
-        max_events: Optional[int] = None,
-        metrics_interval_us: Optional[float] = None,
-    ) -> SimulationStats:
-        """Replay a trace closed-loop: :func:`repro.ssd.host.replay` in
-        ``"closed"`` mode."""
-        from repro.ssd.host import replay
-
-        return replay(
-            self,
-            trace,
-            mode="closed",
-            queue_depth=queue_depth,
-            warmup_requests=warmup_requests,
-            max_events=max_events,
-            metrics_interval_us=metrics_interval_us,
-        )
-
-    def run_open_loop(
-        self,
-        trace: Trace,
-        max_events: Optional[int] = None,
-        metrics_interval_us: Optional[float] = None,
-    ) -> SimulationStats:
-        """Replay an arrival-stamped trace open-loop with unlimited
-        slots: :func:`repro.ssd.host.replay` in ``"unbounded"`` mode."""
-        from repro.ssd.host import replay
-
-        return replay(
-            self,
-            trace,
-            mode="unbounded",
-            max_events=max_events,
-            metrics_interval_us=metrics_interval_us,
-        )

@@ -36,7 +36,8 @@ The open-loop modes take their arrivals from one lazy cursor
 the event heap stays as deep as the device's in-flight work instead of
 the trace's length.  Closed-loop replay can also run in drained
 segments with a barrier hook between them, which is how
-:mod:`repro.persist` checkpoints a run.
+:mod:`repro.persist` checkpoints a run; :func:`check_segmentable` is
+the one rule for what such a replay refuses.
 """
 
 from __future__ import annotations
@@ -79,6 +80,44 @@ def _require_arrivals(trace: Trace, mode: str) -> None:
             f"{mode} replay needs arrival times on every request; "
             "stamp the trace with workloads.base.with_arrivals (or load "
             "a recorded trace that carries timestamps)"
+        )
+
+
+def check_segmentable(
+    mode: str,
+    *,
+    max_events: Optional[int],
+    tenants,
+    metrics_interval: Optional[float],
+    timeseries: bool,
+) -> None:
+    """Raise ``ValueError`` unless a replay with these settings can run
+    in drained segments (checkpointing).
+
+    A barrier is the drained instant between segments.  Open-loop
+    arrivals are pinned to trace times, so no drained instant exists
+    between them; ``max_events`` stops a segment before it drains; the
+    barrier payload carries no per-tenant slices; and a recurring
+    observer (the metrics sampler, the artifact time-series recorder)
+    holds every drain open until its next tick, which moves the barriers
+    and changes the results.  The message names each conflict by its
+    run option.
+    """
+    conflicts = [
+        name
+        for name, conflict in (
+            (f"open_loop ({mode} replay)", mode != "closed"),
+            ("max_events", max_events is not None),
+            ("tenants", bool(tenants)),
+            ("metrics_interval", metrics_interval is not None),
+            ("artifact_dir (time-series recorder)", timeseries),
+        )
+        if conflict
+    ]
+    if conflicts:
+        raise ValueError(
+            "checkpointing (segmented replay) is incompatible with "
+            f"{', '.join(conflicts)} (see docs/PERSISTENCE.md)"
         )
 
 
@@ -130,12 +169,13 @@ def replay(
 ) -> SimulationStats:
     """Replay a trace through a simulation under one host model.
 
-    ``segment_requests`` (closed mode only) replays the trace that many
-    requests at a time, each segment run until the event queue drains,
-    so between segments the whole stack is quiescent.  At every drained
-    instant but the last, ``on_barrier(accounting)`` receives the
-    completed count, measurement window and latency samples a resumed
-    run needs; :mod:`repro.persist` checkpoints there.
+    ``segment_requests`` replays the trace that many requests at a
+    time, each segment run until the event queue drains, so between
+    segments the whole stack is quiescent; :func:`check_segmentable`
+    states what it refuses.  At every drained instant but the last,
+    ``on_barrier(accounting)`` receives the completed count,
+    measurement window and latency samples a resumed run needs;
+    :mod:`repro.persist` checkpoints there.
     ``resume_accounting`` is such a payload, loaded from a checkpoint:
     the requests it counts as completed are skipped and its accounting
     carries on.  The drains shape scheduling, so a segmented run equals
@@ -145,6 +185,16 @@ def replay(
         raise ValueError(f"mode must be one of {REPLAY_MODES}")
     if trace.logical_pages > sim.config.logical_pages:
         raise ValueError("trace logical space exceeds the SSD's")
+    if segment_requests is not None:
+        if segment_requests < 1:
+            raise ValueError("segment_requests must be >= 1")
+        check_segmentable(
+            mode,
+            max_events=max_events,
+            tenants=trace.tenants,
+            metrics_interval=metrics_interval_us,
+            timeseries=getattr(sim, "timeseries", None) is not None,
+        )
     if mode == "unbounded":
         _require_arrivals(trace, "open-loop")
         queue_depth, warmup_requests = math.inf, 0
@@ -155,14 +205,6 @@ def replay(
             raise ValueError("warmup_requests must be < len(trace)")
         if mode == "ncq":
             _require_arrivals(trace, "NCQ")
-    if segment_requests is not None:
-        if segment_requests < 1:
-            raise ValueError("segment_requests must be >= 1")
-        if mode != "closed" or max_events is not None or trace.tenants:
-            raise ValueError(
-                "segmented replay is closed-loop, runs every segment to "
-                "drain (no max_events) and keeps no per-tenant accounting"
-            )
 
     engine = sim.controller.engine
     stats = _new_stats(sim, trace)
@@ -289,4 +331,4 @@ def replay(
     return stats
 
 
-__all__ = ["REPLAY_MODES", "replay"]
+__all__ = ["REPLAY_MODES", "check_segmentable", "replay"]

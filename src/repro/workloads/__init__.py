@@ -18,7 +18,6 @@ blktrace-style), anything else through the native
 :func:`repro.workloads.traceio.load_trace` text format.
 """
 
-import warnings
 
 from repro.workloads.base import IORequest, Trace, trace_summary, with_arrivals
 from repro.workloads.blocktrace import BlockTraceError, load_block_trace
@@ -112,26 +111,6 @@ def build_workload(
     return generator(logical_pages, n_requests, seed=seed, **params)
 
 
-def make_workload(
-    name: str, logical_pages: int, n_requests: int = None, seed: int = 1, **params
-) -> Trace:
-    """Deprecated positional shim kept for old call sites.
-
-    .. deprecated::
-        Use :meth:`repro.specs.WorkloadSpec.build` (declarative,
-        serializes into spec files) or :func:`build_workload` (the
-        imperative core) instead.
-    """
-    warnings.warn(
-        "make_workload(name, logical_pages, n_requests, seed) is "
-        "deprecated; build workloads through repro.specs.WorkloadSpec "
-        "(or repro.workloads.build_workload)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return build_workload(name, logical_pages, n_requests, seed=seed, **params)
-
-
 __all__ = [
     "IORequest",
     "Trace",
@@ -157,5 +136,4 @@ __all__ = [
     "available_workloads",
     "is_trace_path",
     "build_workload",
-    "make_workload",
 ]

@@ -25,6 +25,7 @@ from repro.faults.campaign import FaultCampaign
 from repro.ftl.mapping import UNMAPPED
 from repro.ssd.config import SSDConfig
 from repro.ssd.controller import SSDSimulation
+from repro.ssd.host import replay
 from repro.workloads.base import IORequest, Trace
 
 
@@ -44,7 +45,7 @@ def _checked_sim(faults=None, cmt_capacity=4):
 def _run_some(sim, n_requests=300, seed=11):
     sim.prefill(0.4)
     trace = random_trace(sim.config.logical_pages, n_requests, seed)
-    sim.run(trace, queue_depth=8)
+    replay(sim, trace, queue_depth=8)
 
 
 def _uncached_mapped_lpn(sim):
@@ -89,7 +90,7 @@ class TestUnreadableTranslationPage:
         )
         # the strict oracle verifies the returned tag: a stale mapping
         # served from the dead page would raise data_integrity here
-        sim.run(reads, queue_depth=1)
+        replay(sim, reads, queue_depth=1)
         assert sim.ftl.dftl_stats.trans_recovered_pages == before + 1
         # the unreadable page was replaced, not left as the GTD target
         assert sim.ftl.tmapper.lookup(tvpn) != old_tppn
@@ -113,7 +114,8 @@ class TestUnreadableTranslationPage:
         )
         # overwrite then read back through the translation miss path:
         # the answer must be the *new* content
-        sim.run(
+        replay(
+            sim,
             Trace(
                 "rmw", sim.config.logical_pages,
                 [IORequest("W", lpn), IORequest("R", lpn)],

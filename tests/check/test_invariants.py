@@ -20,7 +20,8 @@ from repro.obs.registry import TelemetryRegistry
 from repro.obs.trace import InMemorySink, Tracer
 from repro.ssd.config import SSDConfig
 from repro.ssd.controller import SSDSimulation
-from repro.workloads import make_workload
+from repro.ssd.host import replay
+from repro.workloads import build_workload
 from repro.workloads.base import IORequest, Trace
 
 
@@ -40,10 +41,10 @@ def _checked_sim(ftl="cube", *, tracer=None, telemetry=None, config=None,
 
 def _run_some(sim, n_requests=150, seed=11):
     sim.prefill(0.4)
-    trace = make_workload(
+    trace = build_workload(
         "OLTP", sim.config.logical_pages, n_requests, seed=seed
     )
-    sim.run(trace, queue_depth=8)
+    replay(sim, trace, queue_depth=8)
 
 
 class TestCheckConfig:
@@ -258,7 +259,7 @@ class TestOracleEndToEnd:
             "readback", sim.config.logical_pages, [IORequest("R", lpn)]
         )
         with pytest.raises(InvariantViolation) as caught:
-            sim.run(reads, queue_depth=1)
+            replay(sim, reads, queue_depth=1)
         violation = caught.value
         assert violation.invariant == "data_integrity"
         assert violation.lpn == lpn
@@ -277,7 +278,7 @@ class TestOracleEndToEnd:
             "readback", sim.config.logical_pages, [IORequest("R", lpn)]
         )
         with pytest.raises(InvariantViolation) as caught:
-            sim.run(reads, queue_depth=1)
+            replay(sim, reads, queue_depth=1)
         assert caught.value.invariant == "data_integrity"
         assert "mapping lost" in caught.value.message
 

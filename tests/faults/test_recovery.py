@@ -17,6 +17,7 @@ from repro.nand.errors import EraseFailError
 from repro.nand.reliability import AgingState
 from repro.ssd.config import SSDConfig
 from repro.ssd.controller import SSDSimulation
+from repro.ssd.host import replay
 from repro.workloads.synthetic import uniform_random_trace
 
 
@@ -37,7 +38,7 @@ class TestProgramFailRecovery:
         trace = uniform_random_trace(
             config.logical_pages, 400, read_fraction=0.2, seed=5
         )
-        stats = sim.run(trace, queue_depth=8)
+        stats = replay(sim, trace, queue_depth=8)
         recovery = sim.ftl.recovery
         assert recovery.program_fails >= 1
         assert recovery.blocks_retired >= 1
@@ -55,7 +56,7 @@ class TestProgramFailRecovery:
         trace = uniform_random_trace(
             config.logical_pages, 400, read_fraction=0.2, seed=5
         )
-        stats = sim.run(trace, queue_depth=8)
+        stats = replay(sim, trace, queue_depth=8)
         assert stats.recovery is sim.ftl.recovery
         assert "recovery" in stats.to_dict()
         assert "recovery" in stats.summary()
@@ -72,7 +73,7 @@ class TestEraseFailRecovery:
         trace = uniform_random_trace(
             config.logical_pages, 1200, read_fraction=0.2, seed=5
         )
-        stats = sim.run(trace, queue_depth=8)
+        stats = replay(sim, trace, queue_depth=8)
         recovery = sim.ftl.recovery
         assert stats.counters.erases > 0
         assert recovery.erase_fails >= 1
@@ -110,7 +111,7 @@ class TestReadRecovery:
         trace = uniform_random_trace(
             config.logical_pages, 400, read_fraction=0.8, seed=5
         )
-        stats = sim.run(trace, queue_depth=8)
+        stats = replay(sim, trace, queue_depth=8)
         recovery = sim.ftl.recovery
         # low-margin reads were refreshed in the background ...
         assert recovery.scrubs >= 1
@@ -135,7 +136,7 @@ class TestReadRecovery:
         warmup = uniform_random_trace(
             config.logical_pages, 300, read_fraction=1.0, seed=2
         )
-        sim.run(warmup, queue_depth=8)
+        replay(sim, warmup, queue_depth=8)
         entries = dict(sim.ftl.opm.ort._entries)
         assert entries, "warmup must learn ORT entries"
         for chip_id, block, layer in entries:
@@ -143,7 +144,7 @@ class TestReadRecovery:
         trace = uniform_random_trace(
             config.logical_pages, 300, read_fraction=1.0, seed=4
         )
-        stats = sim.run(trace, queue_depth=8)
+        stats = replay(sim, trace, queue_depth=8)
         recovery = sim.ftl.recovery
         assert recovery.ort_invalidations >= 1
         assert recovery.recovered_reads >= recovery.ort_invalidations
@@ -164,7 +165,7 @@ class TestAcceptanceCampaign:
         trace = uniform_random_trace(
             config.logical_pages, 3000, read_fraction=0.3, seed=3
         )
-        stats = sim.run(trace, queue_depth=8)
+        stats = replay(sim, trace, queue_depth=8)
         recovery = sim.ftl.recovery
         assert recovery.any()
         assert recovery.blocks_retired >= 1
@@ -185,7 +186,7 @@ class TestDeterminismAndEquivalence:
         trace = uniform_random_trace(
             config.logical_pages, 1000, read_fraction=0.3, seed=3
         )
-        stats = sim.run(trace, queue_depth=8)
+        stats = replay(sim, trace, queue_depth=8)
         return json.dumps(stats.to_dict(), sort_keys=True)
 
     def test_identical_campaign_runs_are_byte_identical(self):

@@ -25,6 +25,7 @@ from repro.check import InvariantChecker, parse_check_level
 from repro.check.fuzz import random_trace
 from repro.ssd.config import SSDConfig
 from repro.ssd.controller import SSDSimulation
+from repro.ssd.host import replay
 
 CONFIG = SSDConfig.small(logical_fraction=0.4)
 # the strict checker's data-integrity oracle reads content tags back
@@ -43,7 +44,7 @@ def _drive(seed, cmt_capacity, ops=200, prefill=0.4):
     if prefill:
         sim.prefill(prefill)
     trace = random_trace(CONFIG.logical_pages, ops, seed)
-    sim.run(trace, queue_depth=8)
+    replay(sim, trace, queue_depth=8)
     return sim, checker.finalize()
 
 
@@ -67,7 +68,7 @@ def test_cmt_never_exceeds_capacity(seed, capacity):
     sim.ftl._cmt_evict_overflow = spy
     sim.prefill(0.4)
     trace = random_trace(CONFIG.logical_pages, 150, seed)
-    sim.run(trace, queue_depth=8)
+    replay(sim, trace, queue_depth=8)
     checker.finalize()
     assert high_water["max"] <= capacity
     assert len(sim.ftl._cmt) <= capacity

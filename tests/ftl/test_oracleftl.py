@@ -5,6 +5,7 @@ import pytest
 from repro.ftl import OracleFTL, make_ftl
 from repro.ssd.config import SSDConfig
 from repro.ssd.controller import SSDController, SSDSimulation
+from repro.ssd.host import replay
 from repro.workloads.synthetic import uniform_random_trace
 
 
@@ -55,7 +56,7 @@ class TestOracleFTL:
             trace = uniform_random_trace(
                 sim.config.logical_pages, 500, read_fraction=0.0, seed=3
             )
-            results[ftl] = sim.run(trace, queue_depth=8)
+            results[ftl] = replay(sim, trace, queue_depth=8)
         assert (
             results["oracle"].counters.mean_t_prog_us
             <= results["cube"].counters.mean_t_prog_us + 1.0

@@ -4,6 +4,7 @@
 from repro.ftl.blockmgr import BlockManager, BlockState
 from repro.ssd.config import SSDConfig
 from repro.ssd.controller import SSDSimulation
+from repro.ssd.host import replay
 from repro.workloads.synthetic import uniform_random_trace
 
 
@@ -58,7 +59,7 @@ class TestEndToEndRetirement:
         from repro.ftl.blockmgr import OutOfSpaceError
 
         try:
-            sim.run(trace, queue_depth=8)
+            replay(sim, trace, queue_depth=8)
         except OutOfSpaceError:
             pass
         counters = sim.ftl.counters

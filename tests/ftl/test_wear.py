@@ -8,6 +8,7 @@ from repro.ftl.wear import chip_wear_stats, min_wear_selector, wear_imbalance
 from repro.nand.chip import NandChip
 from repro.ssd.config import SSDConfig
 from repro.ssd.controller import SSDSimulation
+from repro.ssd.host import replay
 from repro.workloads.synthetic import uniform_random_trace
 
 
@@ -70,7 +71,7 @@ class TestWearAwareSelection:
             trace = uniform_random_trace(
                 config.logical_pages, 2500, read_fraction=0.1, seed=5
             )
-            stats = sim.run(trace, queue_depth=8)
+            stats = replay(sim, trace, queue_depth=8)
             assert stats.counters.erases > 0
             spreads[wear_aware] = wear_imbalance(sim.controller.chips)
         assert spreads[True] <= spreads[False]

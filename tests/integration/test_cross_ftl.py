@@ -11,7 +11,8 @@ import pytest
 from repro.nand.reliability import AgingState
 from repro.ssd.config import SSDConfig
 from repro.ssd.controller import SSDSimulation
-from repro.workloads import make_workload
+from repro.ssd.host import replay
+from repro.workloads import build_workload
 from repro.workloads.base import IORequest, Trace
 from repro.workloads.synthetic import uniform_random_trace
 
@@ -42,8 +43,8 @@ class TestLogicalEquivalence:
         for ftl in ALL_FTLS:
             config = SSDConfig.small(store_tags=True, env_shift_prob=0.0)
             sim = SSDSimulation(config, ftl=ftl)
-            trace = make_workload(workload, config.logical_pages, 400, seed=13)
-            sim.run(trace, queue_depth=8)
+            trace = build_workload(workload, config.logical_pages, 400, seed=13)
+            replay(sim, trace, queue_depth=8)
             sim.ftl.mapper.check_invariants()
             views[ftl] = _final_data_view(sim)
         reference = views["page"]
@@ -57,7 +58,7 @@ class TestLogicalEquivalence:
         trace = uniform_random_trace(
             config.logical_pages, 400, read_fraction=0.3, seed=17
         )
-        sim.run(trace, queue_depth=8)
+        replay(sim, trace, queue_depth=8)
         for lpn, tag in _final_data_view(sim).items():
             assert tag == lpn
 
@@ -76,7 +77,7 @@ class TestLogicalEquivalence:
             trace = uniform_random_trace(
                 config.logical_pages, 2200, read_fraction=0.1, seed=19
             )
-            stats = sim.run(trace, queue_depth=8)
+            stats = replay(sim, trace, queue_depth=8)
             views[ftl] = _final_data_view(sim)
             erased[ftl] = stats.counters.erases
         assert erased["page"] > 0 and erased["cube"] > 0
@@ -88,7 +89,7 @@ class TestLogicalEquivalence:
         trace = uniform_random_trace(
             config.logical_pages, 600, read_fraction=0.2, seed=23
         )
-        stats = sim.run(trace, queue_depth=8)
+        stats = replay(sim, trace, queue_depth=8)
         assert stats.counters.reprograms > 0
         for lpn, tag in _final_data_view(sim).items():
             assert tag == lpn
@@ -105,6 +106,6 @@ class TestAgedEquivalence:
             trace = Trace("w", config.logical_pages, [
                 IORequest("W", lpn, 1) for lpn in range(120)
             ])
-            sim.run(trace, queue_depth=4)
+            replay(sim, trace, queue_depth=4)
             views[retention] = _final_data_view(sim)
         assert views[0.0] == views[12.0]

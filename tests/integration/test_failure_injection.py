@@ -4,6 +4,7 @@
 
 from repro.ssd.config import SSDConfig
 from repro.ssd.controller import SSDSimulation
+from repro.ssd.host import replay
 from repro.workloads.base import IORequest, Trace
 from repro.workloads.synthetic import sequential_trace, uniform_random_trace
 
@@ -17,7 +18,7 @@ class TestEnvironmentalStress:
         trace = uniform_random_trace(
             config.logical_pages, 500, read_fraction=0.2, seed=31
         )
-        stats = sim.run(trace, queue_depth=8)
+        stats = replay(sim, trace, queue_depth=8)
         assert stats.completed_requests == 500
         assert stats.counters.reprograms > 10
         sim.ftl.mapper.check_invariants()
@@ -28,7 +29,7 @@ class TestEnvironmentalStress:
         config = SSDConfig.small(env_shift_prob=0.5)
         sim = SSDSimulation(config, ftl="cube")
         trace = sequential_trace(config.logical_pages, 150, n_pages=3, seed=1)
-        stats = sim.run(trace, queue_depth=4)
+        stats = replay(sim, trace, queue_depth=4)
         total_programs = stats.counters.flash_programs
         # every reprogram is one extra program; bounded well below 2x
         assert stats.counters.reprograms < total_programs
@@ -44,7 +45,7 @@ class TestTinyResources:
         trace = uniform_random_trace(
             config.logical_pages, 300, read_fraction=0.0, seed=2
         )
-        stats = sim.run(trace, queue_depth=8)
+        stats = replay(sim, trace, queue_depth=8)
         assert stats.completed_requests == 300
 
     def test_queue_depth_one(self):
@@ -53,7 +54,7 @@ class TestTinyResources:
         trace = uniform_random_trace(
             config.logical_pages, 120, read_fraction=0.5, seed=3
         )
-        stats = sim.run(trace, queue_depth=1)
+        stats = replay(sim, trace, queue_depth=1)
         assert stats.completed_requests == 120
 
     def test_single_inflight_program(self):
@@ -62,7 +63,7 @@ class TestTinyResources:
         trace = uniform_random_trace(
             config.logical_pages, 200, read_fraction=0.3, seed=4
         )
-        stats = sim.run(trace, queue_depth=8)
+        stats = replay(sim, trace, queue_depth=8)
         assert stats.completed_requests == 200
 
     def test_one_active_block_per_chip(self):
@@ -71,7 +72,7 @@ class TestTinyResources:
         trace = uniform_random_trace(
             config.logical_pages, 200, read_fraction=0.0, seed=5
         )
-        stats = sim.run(trace, queue_depth=8)
+        stats = replay(sim, trace, queue_depth=8)
         assert stats.completed_requests == 200
 
 
@@ -82,7 +83,7 @@ class TestWorkloadEdges:
         trace = uniform_random_trace(
             config.logical_pages, 300, read_fraction=0.0, seed=6
         )
-        stats = sim.run(trace, queue_depth=8)
+        stats = replay(sim, trace, queue_depth=8)
         assert len(stats.read_latency) == 0
         assert len(stats.write_latency) == 300
 
@@ -93,7 +94,7 @@ class TestWorkloadEdges:
         trace = uniform_random_trace(
             config.logical_pages, 200, read_fraction=1.0, seed=7
         )
-        stats = sim.run(trace, queue_depth=8)
+        stats = replay(sim, trace, queue_depth=8)
         assert stats.completed_requests == 200
         assert stats.counters.flash_reads == 0
 
@@ -102,7 +103,7 @@ class TestWorkloadEdges:
         sim = SSDSimulation(config, ftl="cube")
         trace = Trace("hammer", config.logical_pages,
                       [IORequest("W", 7, 1)] * 100)
-        stats = sim.run(trace, queue_depth=16)
+        stats = replay(sim, trace, queue_depth=16)
         assert stats.completed_requests == 100
         assert sim.ftl.buffer.coalesced_writes > 0
         sim.ftl.mapper.check_invariants()
@@ -115,5 +116,5 @@ class TestWorkloadEdges:
             IORequest("R", 0, 64),
             IORequest("W", 64, 64),
         ])
-        stats = sim.run(trace, queue_depth=2)
+        stats = replay(sim, trace, queue_depth=2)
         assert stats.completed_requests == 3

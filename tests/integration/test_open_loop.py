@@ -4,6 +4,7 @@ import pytest
 
 from repro.ssd.config import SSDConfig
 from repro.ssd.controller import SSDSimulation
+from repro.ssd.host import replay
 from repro.workloads.base import IORequest, with_arrivals
 from repro.workloads.synthetic import uniform_random_trace
 
@@ -56,7 +57,7 @@ class TestOpenLoopReplay:
             config.logical_pages, 60, read_fraction=0.0, seed=3
         )
         stamped = with_arrivals(trace, rate_iops=200, seed=4)  # ~5 ms apart
-        stats = sim.run_open_loop(stamped)
+        stats = replay(sim, stamped, mode="unbounded")
         assert stats.completed_requests == 60
         assert stats.write_latency.percentile(50) < 1200
 
@@ -68,7 +69,9 @@ class TestOpenLoopReplay:
             trace = uniform_random_trace(
                 config.logical_pages, 150, read_fraction=0.0, seed=5
             )
-            stats = sim.run_open_loop(with_arrivals(trace, rate_iops=rate, seed=6))
+            stats = replay(
+                sim, with_arrivals(trace, rate_iops=rate, seed=6), mode="unbounded"
+            )
             results[rate] = stats.write_latency.percentile(90)
         assert results[100_000] > 2 * results[500]
 
@@ -77,7 +80,7 @@ class TestOpenLoopReplay:
         sim = SSDSimulation(config, ftl="page")
         trace = uniform_random_trace(config.logical_pages, 5, seed=1)
         with pytest.raises(ValueError):
-            sim.run_open_loop(trace)
+            replay(sim, trace, mode="unbounded")
 
     def test_ps_aware_ftl_beats_baseline_under_bursts(self):
         """Bursty open-loop writes: the PS-aware FTL's tail latency stays
@@ -92,6 +95,6 @@ class TestOpenLoopReplay:
             stamped = with_arrivals(
                 trace, rate_iops=25_000, burstiness=6.0, seed=8
             )
-            stats = sim.run_open_loop(stamped)
+            stats = replay(sim, stamped, mode="unbounded")
             tails[ftl] = stats.write_latency.percentile(95)
         assert tails["cube"] < tails["page"]

@@ -3,6 +3,7 @@
 
 from repro.ssd.config import SSDConfig
 from repro.ssd.controller import SSDSimulation
+from repro.ssd.host import replay
 from repro.workloads.synthetic import uniform_random_trace
 
 
@@ -27,7 +28,7 @@ class TestPaperScale:
         trace = uniform_random_trace(
             config.logical_pages, 400, read_fraction=0.3, seed=3
         )
-        stats = sim.run(trace, queue_depth=16)
+        stats = replay(sim, trace, queue_depth=16)
         assert stats.completed_requests == 400
         assert stats.iops > 0
         sim.ftl.mapper.check_invariants()

@@ -4,6 +4,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.ssd.config import SSDConfig
 from repro.ssd.controller import SSDSimulation
+from repro.ssd.host import replay
 from repro.workloads.base import IORequest, Trace
 
 LOGICAL_LIMIT = 512  # keep traces inside a small prefix of the space
@@ -33,7 +34,7 @@ def test_any_trace_completes_with_consistent_state(requests, ftl):
     config = SSDConfig.small(store_tags=True, env_shift_prob=0.0)
     sim = SSDSimulation(config, ftl=ftl)
     trace = Trace("prop", config.logical_pages, requests)
-    stats = sim.run(trace, queue_depth=4)
+    stats = replay(sim, trace, queue_depth=4)
     assert stats.completed_requests == len(requests)
     mapper = sim.ftl.mapper
     mapper.check_invariants()

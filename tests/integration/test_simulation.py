@@ -7,6 +7,7 @@ import pytest
 from repro.nand.reliability import AgingState
 from repro.ssd.config import SSDConfig
 from repro.ssd.controller import SSDSimulation
+from repro.ssd.host import replay
 from repro.workloads.base import WRITE, IORequest, Trace
 from repro.workloads.synthetic import uniform_random_trace
 
@@ -25,7 +26,7 @@ class TestBasicLifecycle:
         trace = uniform_random_trace(
             sim.config.logical_pages, 300, read_fraction=0.5, seed=1
         )
-        stats = sim.run(trace, queue_depth=8)
+        stats = replay(sim, trace, queue_depth=8)
         assert stats.completed_requests == 300
         assert stats.duration_us > 0
         assert stats.iops > 0
@@ -69,7 +70,7 @@ class TestDataIntegrity:
         n = 60
         writes = Trace("w", config.logical_pages,
                        [IORequest(WRITE, lpn, 1) for lpn in range(n)])
-        sim.run(writes, queue_depth=4)
+        replay(sim, writes, queue_depth=4)
 
         checked = {"count": 0}
         original_after_read = sim.ftl.after_read
@@ -97,7 +98,7 @@ class TestDataIntegrity:
             IORequest(WRITE, 5, 1),
             IORequest(WRITE, 5, 1),
         ])
-        sim.run(trace, queue_depth=1)
+        replay(sim, trace, queue_depth=1)
         sim.ftl.mapper.check_invariants()
         assert sim.ftl.mapper.lookup(5) != -1
 
@@ -115,7 +116,7 @@ class TestGarbageCollection:
         trace = uniform_random_trace(
             config.logical_pages, 2500, read_fraction=0.1, seed=3
         )
-        stats = sim.run(trace, queue_depth=8)
+        stats = replay(sim, trace, queue_depth=8)
         assert stats.counters.erases > 0
         assert stats.counters.gc_programs > 0
         sim.ftl.mapper.check_invariants()
@@ -128,7 +129,7 @@ class TestGarbageCollection:
         trace = uniform_random_trace(
             config.logical_pages, 2000, read_fraction=0.0, seed=4
         )
-        stats = sim.run(trace, queue_depth=8)
+        stats = replay(sim, trace, queue_depth=8)
         assert stats.counters.erases > 0
         mapper = sim.ftl.mapper
         mapper.check_invariants()
@@ -147,11 +148,13 @@ class TestAgedBehaviour:
         for sim in (fresh_sim, aged_sim):
             sim.prefill(0.5)
         trace_args = dict(read_fraction=0.8, seed=5)
-        fresh = fresh_sim.run(
+        fresh = replay(
+            fresh_sim,
             uniform_random_trace(fresh_sim.config.logical_pages, 600, **trace_args),
             queue_depth=8,
         )
-        aged = aged_sim.run(
+        aged = replay(
+            aged_sim,
             uniform_random_trace(aged_sim.config.logical_pages, 600, **trace_args),
             queue_depth=8,
         )
@@ -168,7 +171,7 @@ class TestAgedBehaviour:
             trace = uniform_random_trace(
                 sim.config.logical_pages, 800, read_fraction=0.7, n_pages=3, seed=6
             )
-            results[ftl] = sim.run(trace, queue_depth=8)
+            results[ftl] = replay(sim, trace, queue_depth=8)
         assert results["cube"].iops > results["page"].iops
         assert (
             results["cube"].counters.mean_num_retry
@@ -183,7 +186,7 @@ class TestSafetyPath:
         trace = uniform_random_trace(
             config.logical_pages, 800, read_fraction=0.2, seed=7
         )
-        stats = sim.run(trace, queue_depth=8)
+        stats = replay(sim, trace, queue_depth=8)
         assert stats.completed_requests == 800
         assert stats.counters.reprograms > 0
         sim.ftl.mapper.check_invariants()
@@ -193,7 +196,7 @@ class TestWarmup:
     def test_warmup_excluded_from_stats(self):
         sim = SSDSimulation(small_config(), ftl="page")
         trace = uniform_random_trace(sim.config.logical_pages, 400, seed=8)
-        stats = sim.run(trace, queue_depth=4, warmup_requests=100)
+        stats = replay(sim, trace, queue_depth=4, warmup_requests=100)
         assert stats.completed_requests == 300
         assert len(stats.read_latency) + len(stats.write_latency) == 300
 
@@ -201,7 +204,7 @@ class TestWarmup:
         sim = SSDSimulation(small_config(), ftl="page")
         trace = uniform_random_trace(sim.config.logical_pages, 10, seed=8)
         with pytest.raises(ValueError):
-            sim.run(trace, warmup_requests=10)
+            replay(sim, trace, warmup_requests=10)
 
 
 class TestFollowerAccounting:
@@ -212,7 +215,7 @@ class TestFollowerAccounting:
             trace = uniform_random_trace(
                 sim.config.logical_pages, 600, read_fraction=0.0, seed=9
             )
-            results[ftl] = sim.run(trace, queue_depth=8)
+            results[ftl] = replay(sim, trace, queue_depth=8)
         assert results["page"].counters.follower_programs == 0
         assert results["cube"].counters.follower_programs > 0
         assert (
@@ -227,7 +230,7 @@ class TestFollowerAccounting:
             trace = uniform_random_trace(
                 sim.config.logical_pages, 500, read_fraction=0.0, seed=10
             )
-            results[ftl] = sim.run(trace, queue_depth=8)
+            results[ftl] = replay(sim, trace, queue_depth=8)
         page_t = results["page"].counters.mean_t_prog_us
         vert_t = results["vert"].counters.mean_t_prog_us
         reduction = 1.0 - vert_t / page_t

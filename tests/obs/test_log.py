@@ -68,6 +68,7 @@ class TestStallEvent:
     def test_stall_emits_structured_event(self, caplog):
         from repro.ssd.config import SSDConfig
         from repro.ssd.controller import SimulationStalledError, SSDSimulation
+        from repro.ssd.host import replay
         from repro.workloads.synthetic import uniform_random_trace
 
         # ensure the repro root propagates to pytest's capture handler
@@ -78,7 +79,7 @@ class TestStallEvent:
         trace = uniform_random_trace(sim.config.logical_pages, 10, seed=1)
         with caplog.at_level(logging.ERROR, logger="repro"):
             with pytest.raises(SimulationStalledError):
-                sim.run(trace, queue_depth=4)
+                replay(sim, trace, queue_depth=4)
         stalls = [
             parse_line(f"{PREFIX} level=ERROR logger=x {record.getMessage()}")
             for record in caplog.records

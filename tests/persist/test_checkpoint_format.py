@@ -1,12 +1,13 @@
 """The checkpoint container: header schema, atomicity, and the
 validation a resume performs before trusting a checkpoint."""
 
+import dataclasses
 import json
 import os
 
 import pytest
 
-from repro.api import run_simulation
+from repro.api import run_simulation, spec_from_kwargs
 from repro.persist import (
     CHECKPOINT_SCHEMA_VERSION,
     CheckpointError,
@@ -18,6 +19,7 @@ from repro.persist import (
     validate_header,
     write_checkpoint,
 )
+from repro.specs import HostSpec, TenantSpec, WorkloadSpec
 from repro.ssd.config import SSDConfig
 
 
@@ -160,23 +162,59 @@ class TestApiGuards:
         with pytest.raises(ValueError, match="checkpoint_dir"):
             run_simulation(SSDConfig.small(), "OLTP", checkpoint_every=10)
 
+    def test_checkpoint_dir_without_cadence_raises(self, tmp_path):
+        """A checkpoint directory alone would run to the end and write
+        no checkpoint at all."""
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="checkpoint_every"):
+            run_simulation(
+                SSDConfig.small(), "OLTP", n_requests=120, prefill=0.4,
+                checkpoint_dir=str(out),
+            )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"trace": "memory"},
-            {"profile": True},
+            {"artifact_dir": "runs"},
+            {
+                "host": HostSpec(
+                    queue_depth=8,
+                    tenants=(
+                        TenantSpec(
+                            "a", WorkloadSpec("OLTP", n_requests=40),
+                            rate_iops=5000.0,
+                        ),
+                    ),
+                ),
+            },
             {"metrics_interval": 100.0},
-            {"open_loop": True},
+            {"host": HostSpec(queue_depth=8, open_loop=True, rate_iops=5000.0)},
             {"max_events": 10},
         ],
     )
-    def test_incompatible_options_raise(self, tmp_path, kwargs):
-        with pytest.raises(ValueError, match="incompatible"):
-            run_simulation(
-                SSDConfig.small(), "OLTP",
-                checkpoint_every=10, checkpoint_dir=str(tmp_path),
-                **kwargs,
+    def test_incompatible_options_raise(self, tmp_path, monkeypatch, kwargs):
+        """Each option segmented replay cannot honour is refused by name
+        before the simulation is built or any file is written."""
+        monkeypatch.chdir(tmp_path)
+        kwargs = dict(kwargs)
+        host = kwargs.pop("host", None)
+        spec = spec_from_kwargs(
+            SSDConfig.small(), "OLTP", n_requests=40,
+            checkpoint_every=10, checkpoint_dir="ckpts", **kwargs,
+        )
+        if host is None:
+            option = next(iter(kwargs))
+        else:
+            option = "tenants" if host.tenants else "open_loop"
+            spec = dataclasses.replace(
+                spec, host=host,
+                workload=None if host.tenants else spec.workload,
             )
+        with pytest.raises(ValueError, match="incompatible") as error:
+            run_simulation(spec)
+        assert option in str(error.value)
+        assert os.listdir(tmp_path) == []
 
     def test_telemetry_on_resume_raises(self, tmp_path):
         config = SSDConfig.small()
@@ -190,6 +228,20 @@ class TestApiGuards:
             run_simulation(
                 config, "OLTP", ftl="cube", seed=9, n_requests=120,
                 telemetry=True, resume_from=checkpoint,
+            )
+
+    def test_metrics_interval_on_resume_raises(self, tmp_path):
+        config = SSDConfig.small()
+        run_simulation(
+            config, "OLTP", ftl="cube", n_requests=120, seed=9,
+            prefill=0.4, checkpoint_every=40,
+            checkpoint_dir=str(tmp_path / "out"),
+        )
+        checkpoint = latest_checkpoint(str(tmp_path / "out"))
+        with pytest.raises(ValueError, match="incompatible.*metrics_interval"):
+            run_simulation(
+                config, "OLTP", ftl="cube", seed=9, n_requests=120,
+                metrics_interval=100.0, resume_from=checkpoint,
             )
 
     def test_telemetry_allowed_straight_through(self, tmp_path):

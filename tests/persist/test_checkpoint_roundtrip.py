@@ -8,6 +8,7 @@ canonical JSON of the schema-v2 result *and* on the checker's
 """
 
 import json
+import os
 
 import pytest
 
@@ -104,6 +105,57 @@ class TestResumeEquivalence:
         assert _key(resumed) == _key(straight)
 
 
+def _state_bytes(out_dir):
+    states = []
+    for checkpoint in list_checkpoints(str(out_dir)):
+        with open(os.path.join(checkpoint, "state.pkl"), "rb") as fh:
+            states.append(fh.read())
+    return states
+
+
+class TestObservedCheckpointing:
+    """Checkpointing is a barrier hook of the one run pipeline, so the
+    observers compose with it: they change neither the run nor what a
+    checkpoint holds, and a resumed trace continues the straight one."""
+
+    @pytest.mark.parametrize(
+        "ftl,aged,faults",
+        [
+            ("page", False, None),
+            ("cube", False, None),
+            ("dftl", False, None),
+            ("cube", True, "default"),
+        ],
+    )
+    def test_observers_compose_with_checkpoint_and_resume(
+        self, tmp_path, ftl, aged, faults
+    ):
+        config = _config(aged, faults)
+        plain = _run(config, ftl, tmp_path / "plain")
+        observed = _run(
+            config, ftl, tmp_path / "observed",
+            trace="memory", profile=True, telemetry=True,
+        )
+        assert observed.spans
+        assert observed.profile is not None
+        assert observed.telemetry is not None
+        assert _key(observed) == _key(plain)
+        states = _state_bytes(tmp_path / "observed")
+        assert len(states) == (REQUESTS - 1) // EVERY
+        assert states == _state_bytes(tmp_path / "plain")
+        for checkpoint in list_checkpoints(str(tmp_path / "observed")):
+            resumed = _run(
+                config, ftl, tmp_path / "resumed",
+                resume_from=checkpoint, trace="memory",
+            )
+            assert _key(resumed) == _key(plain)
+            spans = resumed.spans
+            assert spans == observed.spans[-len(spans):]
+            # request ids carry on from the barrier's completed count
+            first = min(span.request for span in spans if span.request is not None)
+            assert first == read_header(checkpoint)["completed"]
+
+
 class TestGcAndFlushHeavyBarriers:
     def test_tiny_segments_through_gc_pressure(self, tmp_path):
         """A near-full device with single-digit segments forces barrier
@@ -132,12 +184,12 @@ class TestGcAndFlushHeavyBarriers:
         staged host writes) must be impossible: state_dict() raises
         instead of capturing a torn snapshot."""
         from repro.ssd.controller import SSDSimulation
-        from repro.workloads import make_workload
+        from repro.workloads import build_workload
 
         config = SSDConfig.small()
         sim = SSDSimulation(config, ftl="cube")
         sim.prefill(0.5)
-        trace = make_workload("OLTP", config.logical_pages, 400, seed=11)
+        trace = build_workload("OLTP", config.logical_pages, 400, seed=11)
         engine = sim.controller.engine
         state = {"outstanding": 0}
         iterator = iter(trace.requests)

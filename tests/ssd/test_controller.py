@@ -105,6 +105,7 @@ class TestDeterminism:
     def test_same_seed_same_simulation(self):
         """Two identical simulations produce identical results."""
         results = []
+        from repro.ssd.host import replay
         from repro.workloads.synthetic import uniform_random_trace
 
         for _ in range(2):
@@ -113,7 +114,7 @@ class TestDeterminism:
             trace = uniform_random_trace(
                 sim.config.logical_pages, 300, read_fraction=0.5, seed=9
             )
-            stats = sim.run(trace, queue_depth=8)
+            stats = replay(sim, trace, queue_depth=8)
             results.append((stats.duration_us, stats.iops,
                             stats.counters.flash_programs,
                             stats.counters.read_retries))

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.obs.registry import TelemetryRegistry
+from repro.obs.timeseries import TimeSeriesRecorder
 from repro.ssd.config import SSDConfig
 from repro.ssd.controller import SSDSimulation
 from repro.ssd.host import REPLAY_MODES, replay
-from repro.workloads.base import with_arrivals
+from repro.workloads.base import Trace, with_arrivals
 from repro.workloads.synthetic import uniform_random_trace
 
 
@@ -56,6 +58,46 @@ class TestReplayValidation:
         trace = uniform_random_trace(config.logical_pages * 2, 5, seed=1)
         with pytest.raises(ValueError, match="logical space"):
             replay(sim, trace, mode="closed")
+
+    @pytest.mark.parametrize(
+        "conflict",
+        [
+            "ncq", "unbounded", "ncq-unstamped", "max_events", "tenants",
+            "metrics_interval", "timeseries",
+        ],
+    )
+    def test_segmented_replay_refuses_each_conflict(self, conflict):
+        """Segments end at drained barriers; whatever cannot cross one is
+        refused by the option's name, before the arrival-time check."""
+        config = SSDConfig.small()
+        sim = SSDSimulation(config, ftl="page")
+        trace = uniform_random_trace(config.logical_pages, 20, seed=1)
+        kwargs = {}
+        name = conflict
+        if conflict in ("ncq", "unbounded"):
+            trace = _stamped(config, 20, rate_iops=1000)
+            kwargs["mode"] = conflict
+            name = "open_loop"
+        elif conflict == "ncq-unstamped":
+            kwargs["mode"] = "ncq"
+            name = "open_loop"
+        elif conflict == "max_events":
+            kwargs["max_events"] = 100
+        elif conflict == "tenants":
+            trace = Trace(
+                "mix", trace.logical_pages,
+                [request.tagged("a") for request in trace],
+            )
+        elif conflict == "metrics_interval":
+            kwargs["metrics_interval_us"] = 500.0
+        else:
+            sim.timeseries = TimeSeriesRecorder(
+                TelemetryRegistry(), sim.controller.engine
+            )
+            name = "artifact_dir"
+        with pytest.raises(ValueError, match=f"incompatible.*{name}"):
+            replay(sim, trace, segment_requests=5, **kwargs)
+        assert sim.controller.engine.now == 0.0
 
 
 class TestNCQ:
@@ -136,20 +178,3 @@ class TestNCQ:
         trace = _stamped(config, 50, rate_iops=200)  # ~5 ms apart
         stats = replay(sim, trace, mode="ncq", queue_depth=8)
         assert stats.write_latency.percentile(50) < 1200
-
-
-class TestClosedDelegation:
-    def test_run_still_closed_loop(self):
-        """SSDSimulation.run keeps its historical behavior through the
-        host-module delegation."""
-        config = SSDConfig.small()
-        sim = SSDSimulation(config, ftl="page")
-        trace = uniform_random_trace(config.logical_pages, 40, seed=2)
-        stats = sim.run(trace, queue_depth=4)
-        assert stats.completed_requests == 40
-
-    def test_run_open_loop_still_unbounded(self):
-        config = SSDConfig.small()
-        sim = SSDSimulation(config, ftl="page")
-        stats = sim.run_open_loop(_stamped(config, 30, rate_iops=10_000))
-        assert stats.completed_requests == 30

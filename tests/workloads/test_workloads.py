@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.workloads import WORKLOAD_GENERATORS, make_workload
+from repro.workloads import WORKLOAD_GENERATORS, build_workload
 from repro.workloads.base import READ, WRITE, IORequest, Trace, trace_summary
 from repro.workloads.synthetic import (
     ZipfSampler,
@@ -114,26 +114,26 @@ class TestSyntheticGenerators:
 class TestPaperWorkloads:
     @pytest.mark.parametrize("name", sorted(WORKLOAD_GENERATORS))
     def test_generators_produce_valid_traces(self, name):
-        trace = make_workload(name, LOGICAL_PAGES, 1500, seed=5)
+        trace = build_workload(name, LOGICAL_PAGES, 1500, seed=5)
         assert trace.name == name
         assert len(trace) >= 1500 * 0.95
         assert all(0 <= r.lpn and r.end_lpn <= LOGICAL_PAGES for r in trace)
 
     @pytest.mark.parametrize("name", sorted(WORKLOAD_GENERATORS))
     def test_generators_deterministic(self, name):
-        a = make_workload(name, LOGICAL_PAGES, 300, seed=9)
-        b = make_workload(name, LOGICAL_PAGES, 300, seed=9)
+        a = build_workload(name, LOGICAL_PAGES, 300, seed=9)
+        b = build_workload(name, LOGICAL_PAGES, 300, seed=9)
         assert list(a) == list(b)
 
     def test_unknown_workload(self):
         with pytest.raises(ValueError):
-            make_workload("nope", LOGICAL_PAGES, 10)
+            build_workload("nope", LOGICAL_PAGES, 10)
 
     def test_read_write_mixes_match_personalities(self):
         """The documented mix of each personality (Section 6.1)."""
         mixes = {}
         for name in WORKLOAD_GENERATORS:
-            trace = make_workload(name, LOGICAL_PAGES, 4000, seed=11)
+            trace = build_workload(name, LOGICAL_PAGES, 4000, seed=11)
             mixes[name] = trace_summary(trace)["read_fraction"]
         assert mixes["Web"] > 0.85            # read-dominant
         assert 0.6 <= mixes["Proxy"] <= 0.85  # read-mostly
@@ -147,7 +147,7 @@ class TestPaperWorkloads:
         from repro.workloads import PAPER_WORKLOADS
 
         fractions = {
-            name: trace_summary(make_workload(name, LOGICAL_PAGES, 4000, seed=2))[
+            name: trace_summary(build_workload(name, LOGICAL_PAGES, 4000, seed=2))[
                 "read_fraction"
             ]
             for name in PAPER_WORKLOADS
@@ -155,7 +155,7 @@ class TestPaperWorkloads:
         assert min(fractions, key=fractions.get) == "OLTP"
 
     def test_oltp_writes_arrive_in_bursts(self):
-        trace = make_workload("OLTP", LOGICAL_PAGES, 4000, seed=2)
+        trace = build_workload("OLTP", LOGICAL_PAGES, 4000, seed=2)
         ops = [r.is_write for r in trace]
         runs = []
         current = 0
@@ -168,11 +168,11 @@ class TestPaperWorkloads:
         assert max(runs) >= 8
 
     def test_rocks_has_compaction_bursts(self):
-        trace = make_workload("Rocks", LOGICAL_PAGES, 4000, seed=2)
+        trace = build_workload("Rocks", LOGICAL_PAGES, 4000, seed=2)
         large_writes = [r for r in trace if r.is_write and r.n_pages >= 8]
         assert large_writes
 
     def test_proxy_reads_whole_objects(self):
-        trace = make_workload("Proxy", LOGICAL_PAGES, 4000, seed=2)
+        trace = build_workload("Proxy", LOGICAL_PAGES, 4000, seed=2)
         summary = trace_summary(trace)
         assert summary["mean_read_pages"] >= 3.0
