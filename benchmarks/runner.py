@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import os
 from typing import Dict
 
 from benchmarks.conftest import BENCH_QUEUE_DEPTH, BENCH_REQUESTS, BENCH_WARMUP
-from repro.api import run_simulation
+from repro.api import run_many
 from repro.nand.reliability import AgingState
+from repro.parallel import RunSpec
 from repro.ssd.config import SSDConfig
 from repro.ssd.stats import SimulationStats
 
@@ -22,34 +24,6 @@ WORKLOADS = ["Mail", "Web", "Proxy", "OLTP", "Rocks", "Mongo"]
 FTLS = ["page", "vert", "cube"]
 
 
-def run_one(
-    config: SSDConfig,
-    ftl: str,
-    workload: str,
-    aging: AgingState,
-    seed: int = 7,
-    prefill: float = 0.9,
-    n_requests: int = None,
-    warmup: int = None,
-    queue_depth: int = None,
-) -> SimulationStats:
-    """Prefill an SSD and replay one workload against one FTL."""
-    n_requests = n_requests if n_requests is not None else BENCH_REQUESTS
-    warmup = warmup if warmup is not None else BENCH_WARMUP
-    queue_depth = queue_depth if queue_depth is not None else BENCH_QUEUE_DEPTH
-    result = run_simulation(
-        config.with_aging(aging),
-        workload,
-        ftl=ftl,
-        queue_depth=queue_depth,
-        warmup_requests=warmup,
-        prefill=prefill,
-        n_requests=n_requests,
-        seed=seed,
-    )
-    return result.stats
-
-
 def run_matrix(
     config: SSDConfig,
     aging: AgingState,
@@ -57,13 +31,41 @@ def run_matrix(
     workloads=None,
     seed: int = 7,
 ) -> Dict[str, Dict[str, SimulationStats]]:
-    """workload -> ftl-name -> stats, for one aging condition."""
+    """workload -> ftl-name -> stats, for one aging condition.
+
+    Each (workload, ftl) cell prefills the aged SSD to 0.9 and replays
+    the workload closed-loop.  The cells run in one worker process per
+    CPU; :func:`~repro.api.run_many` makes the results independent of
+    the worker count.
+    """
     ftls = ftls if ftls is not None else FTLS
     workloads = workloads if workloads is not None else WORKLOADS
+    aged = config.with_aging(aging)
+    specs = [
+        RunSpec(
+            name=f"{workload}/{ftl}",
+            config=aged,
+            workload=workload,
+            ftl=ftl,
+            queue_depth=BENCH_QUEUE_DEPTH,
+            warmup_requests=BENCH_WARMUP,
+            prefill=0.9,
+            n_requests=BENCH_REQUESTS,
+            seed=seed,
+        )
+        for workload in workloads
+        for ftl in ftls
+    ]
+    batch = run_many(specs, jobs=os.cpu_count() or 1)
+    if batch.errors:
+        raise RuntimeError(
+            "\n".join(
+                f"bench cell {name} failed:\n{error}"
+                for name, error in batch.errors.items()
+            )
+        )
     results: Dict[str, Dict[str, SimulationStats]] = {}
-    for workload in workloads:
-        results[workload] = {}
-        for ftl in ftls:
-            stats = run_one(config, ftl, workload, aging, seed=seed)
-            results[workload][stats.ftl_name] = stats
+    for spec, result in zip(specs, batch.results):
+        stats = result.stats
+        results.setdefault(spec.workload, {})[stats.ftl_name] = stats
     return results

@@ -64,6 +64,10 @@ def test_active_blocks_tradeoff(benchmark, active_block_sweep):
              "OPM memory (B)"],
             rows,
         ),
+        runs={
+            f"{count} active blocks": stats
+            for count, (stats, _memory) in results.items()
+        },
     )
     # two active blocks already capture most of the benefit over one ...
     assert results[2][0].iops >= results[1][0].iops * 0.98

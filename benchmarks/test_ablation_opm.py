@@ -85,7 +85,9 @@ def _render(fresh, aged):
 
 def test_ablation_opm_mechanisms(benchmark, ablation):
     fresh, aged = benchmark.pedantic(lambda: ablation, rounds=1, iterations=1)
-    emit("ablation_opm", _render(fresh, aged))
+    runs = {f"OLTP fresh/{name}": stats for name, stats in fresh.items()}
+    runs.update({f"Proxy 2K+1yr/{name}": stats for name, stats in aged.items()})
+    emit("ablation_opm", _render(fresh, aged), runs=runs)
 
     base = fresh["pageFTL (none)"].iops
     skip_gain = fresh["vfy-skip only"].iops / base

@@ -63,6 +63,7 @@ def test_open_loop_burst_absorption(benchmark, open_loop):
              "read p90 us"],
             rows,
         ),
+        runs={stats.ftl_name: stats for stats in results.values()},
     )
     page = results["page"].write_latency
     cube = results["cube"].write_latency

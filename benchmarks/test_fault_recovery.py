@@ -91,6 +91,7 @@ def test_fault_recovery(benchmark, fault_results):
             ],
             rows,
         ),
+        runs=results,
     )
     none, default, heavy = (results[name] for name in CAMPAIGN_ORDER)
     # every campaign completed the whole workload

@@ -35,6 +35,15 @@ def _render(results, label):
     return f"Fig 17 {label} -- IOPS normalized over pageFTL:\n{table}"
 
 
+def _runs(results):
+    """workload/ftl label -> stats, for the run digests."""
+    return {
+        f"{workload}/{ftl}": stats
+        for workload, per_ftl in results.items()
+        for ftl, stats in per_ftl.items()
+    }
+
+
 def _norm(results, workload, ftl):
     per_ftl = results[workload]
     return per_ftl[ftl].iops / per_ftl["pageFTL"].iops
@@ -52,7 +61,11 @@ def test_fig17a_fresh(benchmark, fig17):
     results = benchmark.pedantic(
         lambda: fig17["fresh (0K P/E)"], rounds=1, iterations=1
     )
-    emit("fig17a_iops_fresh", _render(results, "(a) fresh"))
+    emit(
+        "fig17a_iops_fresh",
+        _render(results, "(a) fresh"),
+        runs=_runs(results),
+    )
     for workload in results:
         # cubeFTL always wins; vertFTL gain modest
         assert _norm(results, workload, "cubeFTL") > 1.0
@@ -70,7 +83,11 @@ def test_fig17b_one_month(benchmark, fig17):
     results = benchmark.pedantic(
         lambda: fig17["2K P/E + 1-month"], rounds=1, iterations=1
     )
-    emit("fig17b_iops_1month", _render(results, "(b) 2K P/E + 1-month"))
+    emit(
+        "fig17b_iops_1month",
+        _render(results, "(b) 2K P/E + 1-month"),
+        runs=_runs(results),
+    )
     for workload in results:
         assert _norm(results, workload, "cubeFTL") > 1.0
 
@@ -80,7 +97,11 @@ def test_fig17c_one_year(benchmark, fig17):
     results = benchmark.pedantic(
         lambda: fig17["2K P/E + 1-year"], rounds=1, iterations=1
     )
-    emit("fig17c_iops_1year", _render(results, "(c) 2K P/E + 1-year"))
+    emit(
+        "fig17c_iops_1year",
+        _render(results, "(c) 2K P/E + 1-year"),
+        runs=_runs(results),
+    )
     gains = {w: _norm(results, w, "cubeFTL") for w in results}
     for workload, gain in gains.items():
         assert gain > 1.0

@@ -14,7 +14,7 @@ writes), even though no read retries occur fresh.
 import pytest
 
 from benchmarks.conftest import emit
-from benchmarks.runner import run_one
+from benchmarks.runner import run_matrix
 from repro.analysis.tables import format_table
 from repro.nand.reliability import AgingState
 
@@ -24,10 +24,10 @@ PERCENTILES = (50, 80, 90, 95, 99)
 
 @pytest.fixture(scope="module")
 def fig18(bench_ssd_config):
-    return {
-        ftl: run_one(bench_ssd_config, ftl, "Rocks", AgingState(0, 0.0))
-        for ftl in FTLS
-    }
+    """ftl-name -> stats of the fresh Rocks runs."""
+    return run_matrix(
+        bench_ssd_config, AgingState(0, 0.0), ftls=FTLS, workloads=["Rocks"]
+    )["Rocks"]
 
 
 def _render(results):
@@ -51,10 +51,14 @@ def _render(results):
 
 def test_fig18_latency_cdfs(benchmark, fig18):
     results = benchmark.pedantic(lambda: fig18, rounds=1, iterations=1)
-    emit("fig18_latency_cdf", _render(results))
-    page_w = results["page"].write_latency
-    cube_w = results["cube"].write_latency
-    cube_minus_w = results["cube-"].write_latency
+    emit(
+        "fig18_latency_cdf",
+        _render(results),
+        runs={f"Rocks/{ftl}": stats for ftl, stats in results.items()},
+    )
+    page_w = results["pageFTL"].write_latency
+    cube_w = results["cubeFTL"].write_latency
+    cube_minus_w = results["cubeFTL-"].write_latency
 
     # cubeFTL's p90 write latency is far below pageFTL's (paper: ~1.53x)
     assert page_w.percentile(90) / cube_w.percentile(90) > 1.15
@@ -64,8 +68,8 @@ def test_fig18_latency_cdfs(benchmark, fig18):
     # both PS-aware variants beat the PS-unaware baselines everywhere
     for p in (50, 80, 90):
         assert cube_w.percentile(p) < page_w.percentile(p)
-        assert cube_w.percentile(p) < results["vert"].write_latency.percentile(p)
+        assert cube_w.percentile(p) < results["vertFTL"].write_latency.percentile(p)
     # reads improve too (less blocking behind slow writes)
-    assert results["cube"].read_latency.percentile(90) <= (
-        results["page"].read_latency.percentile(90)
+    assert results["cubeFTL"].read_latency.percentile(90) <= (
+        results["pageFTL"].read_latency.percentile(90)
     )

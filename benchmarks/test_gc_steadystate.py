@@ -86,6 +86,7 @@ def test_gc_steady_state(benchmark, gc_results):
             ["FTL", "IOPS", "erases", "GC programs", "write amp", "tPROG us"],
             rows,
         ),
+        runs={stats.ftl_name: stats for stats in results.values()},
     )
     page, cube = results["page"], results["cube"]
     # GC genuinely ran for both

@@ -1,12 +1,8 @@
 """Cross-run metric diffing with tolerance verdicts.
 
-The primitives here started life in ``tools/bench_compare.py`` (which
-now imports them, keeping its output byte-identical): :func:`pct`
-delta formatting, :class:`SchemaDriftError`, the named-path
-:func:`metric` fetch, and the per-case gating of :func:`compare_case`.
-On top of them, :func:`compare_artifacts` diffs two *run artifact*
-directories (see :mod:`repro.obs.artifact`) metric-by-metric, giving
-every row a verdict:
+:func:`compare_artifacts` diffs two *run artifact* directories (see
+:mod:`repro.obs.artifact`) metric-by-metric, with :func:`pct` delta
+formatting, giving every row a verdict:
 
 ``same``
     exactly equal (the expected outcome for an identical spec+seed --
@@ -23,13 +19,11 @@ from __future__ import annotations
 
 import json
 import os
-from typing import List, Optional
+from typing import List
 
 __all__ = [
     "SchemaDriftError",
     "pct",
-    "metric",
-    "compare_case",
     "compare_artifacts",
     "format_artifact_diff",
 ]
@@ -45,71 +39,13 @@ def pct(new: float, old: float) -> str:
 
 
 class SchemaDriftError(Exception):
-    """A snapshot lacks a key this comparator gates on.
+    """A directory handed to :func:`compare_artifacts` is not a readable
+    run artifact.
 
-    Snapshot generations can drift (fields added, renamed, dropped); the
-    comparator must *name* the missing key and the snapshot it came
-    from, not die with a KeyError traceback -- a crashed CI diff is
+    The comparator must *name* the missing file and the directory it
+    was expected in, not die with a traceback -- a crashed diff is
     indistinguishable from a broken comparator."""
 
-
-def metric(case: dict, source: str, *path: str):
-    """Fetch a (possibly nested) metric, naming any missing key."""
-    value = case
-    walked = []
-    for key in path:
-        walked.append(key)
-        if not isinstance(value, dict) or key not in value:
-            name = case.get("name", "?") if isinstance(case, dict) else "?"
-            raise SchemaDriftError(
-                f"case {name!r} in {source} is missing metric "
-                f"{'.'.join(walked)!r} (bench schema drift -- regenerate "
-                f"the baseline or pin matching bench generations)"
-            )
-        value = value[key]
-    return value
-
-
-def compare_case(
-    old: dict,
-    new: dict,
-    tolerance: float,
-    wall_tolerance: Optional[float],
-    old_source: str = "<old>",
-    new_source: str = "<new>",
-) -> List[str]:
-    """Regression messages for one matched bench case (empty when clean).
-
-    Raises :class:`SchemaDriftError` when a gated metric is absent from
-    either snapshot."""
-    problems = []
-    old_iops = metric(old, old_source, "iops")
-    new_iops = metric(new, new_source, "iops")
-    if new_iops < old_iops * (1.0 - tolerance):
-        problems.append(
-            f"{new['name']}: IOPS regressed {old_iops:.0f} -> "
-            f"{new_iops:.0f} ({pct(new_iops, old_iops)})"
-        )
-    for block in ("read_latency", "write_latency"):
-        old_p99 = metric(old, old_source, block, "p99_us")
-        new_p99 = metric(new, new_source, block, "p99_us")
-        if new_p99 > old_p99 * (1.0 + tolerance):
-            problems.append(
-                f"{new['name']}: {block} p99 regressed {old_p99:.1f} -> "
-                f"{new_p99:.1f} us ({pct(new_p99, old_p99)})"
-            )
-    if wall_tolerance is not None:
-        old_wall = metric(old, old_source, "wall_clock_s")
-        new_wall = metric(new, new_source, "wall_clock_s")
-        if new_wall > old_wall * (1.0 + wall_tolerance):
-            problems.append(
-                f"{new['name']}: wall-clock regressed {old_wall:.2f} -> "
-                f"{new_wall:.2f} s ({pct(new_wall, old_wall)})"
-            )
-    return problems
-
-
-# -- run-artifact diffing ----------------------------------------------
 
 #: gated scalar metrics: (dotted path, good direction)
 _GATED = (

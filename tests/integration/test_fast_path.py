@@ -19,7 +19,7 @@ from repro.sim.engine import Engine
 from repro.ssd.config import SSDConfig
 from tests.helpers.determinism import assert_files_identical
 
-ALL_FTLS = ["page", "vert", "cube", "oracle"]
+ALL_FTLS = ["page", "vert", "cube", "oracle", "dftl"]
 
 AGING = {
     "fresh": AgingState(),

@@ -1,17 +1,15 @@
 #!/usr/bin/env python
 """Validate a ``repro-ssd simulate --json`` result file (schema v2),
-optionally a ``--trace`` JSONL span file, a ``tools/bench.py``
-snapshot (``--bench``), a checkpoint directory's headers
-(``--checkpoint``, see ``docs/PERSISTENCE.md``), a SimulationSpec
-file (``--spec``, see ``docs/WORKLOADS.md``), and/or a run-artifact
-directory written with ``--artifacts`` (``--run-artifact``, see
-``docs/OBSERVABILITY.md``).
+optionally a ``--trace`` JSONL span file, a checkpoint directory's
+headers (``--checkpoint``, see ``docs/PERSISTENCE.md``), a
+SimulationSpec file (``--spec``, see ``docs/WORKLOADS.md``), and/or a
+run-artifact directory written with ``--artifacts``
+(``--run-artifact``, see ``docs/OBSERVABILITY.md``).
 
 Used by the CI smoke steps to catch schema drift and tiling-contract
 regressions on a tiny simulation::
 
     python tools/check_schema.py out.json --trace trace.jsonl
-    python tools/check_schema.py --bench BENCH_0.json
     PYTHONPATH=src python tools/check_schema.py --checkpoint /tmp/ckpts
     PYTHONPATH=src python tools/check_schema.py --run-artifact runs/<run_id>
 
@@ -70,6 +68,9 @@ REQUIRED_COUNTERS = {
     "mean_num_retry": (int, float),
 }
 
+#: device instruments a ``--telemetry`` result must carry
+REQUIRED_INSTRUMENTS = ["ftl_counter", "chip_busy_us", "nand_ops"]
+
 
 def check_stats(document: dict) -> List[str]:
     errors: List[str] = []
@@ -104,69 +105,16 @@ def check_stats(document: dict) -> List[str]:
             for key in ("t_us", "completed_requests", "buffer_utilization"):
                 if key not in sample:
                     errors.append(f"metrics sample missing {key!r}")
-    return errors
-
-
-REQUIRED_BENCH_CASE_KEYS = [
-    "name",
-    "ftl",
-    "workload",
-    "requests",
-    "iops",
-    "read_latency",
-    "write_latency",
-    "wall_clock_s",
-    "peak_rss_kb",
-    "counters",
-    "telemetry",
-]
-
-REQUIRED_BENCH_LATENCY_KEYS = [
-    "count",
-    "mean_us",
-    "p50_us",
-    "p90_us",
-    "p99_us",
-    "max_us",
-]
-
-
-def check_bench(document: dict) -> List[str]:
-    errors: List[str] = []
-    if document.get("bench_schema_version") != 1:
-        errors.append(
-            f"bench_schema_version is "
-            f"{document.get('bench_schema_version')!r}, expected 1"
-        )
-    for key in ("smoke", "seed", "host", "cases"):
-        if key not in document:
-            errors.append(f"missing top-level key {key!r}")
-    cases = document.get("cases")
-    if not isinstance(cases, list) or not cases:
-        errors.append("cases must be a non-empty list")
-        return errors
-    for index, case in enumerate(cases):
-        where = f"cases[{index}]"
-        for key in REQUIRED_BENCH_CASE_KEYS:
-            if key not in case:
-                errors.append(f"{where} missing {key!r}")
-        for block_name in ("read_latency", "write_latency"):
-            block = case.get(block_name)
-            if not isinstance(block, dict):
-                continue
-            for key in REQUIRED_BENCH_LATENCY_KEYS:
-                if key not in block:
-                    errors.append(f"{where}.{block_name} missing {key!r}")
-        telemetry = case.get("telemetry")
-        if isinstance(telemetry, dict):
-            for instrument in ("ftl_counter", "chip_busy_us", "nand_ops"):
+    if "telemetry" in document:
+        telemetry = document["telemetry"]
+        if not isinstance(telemetry, dict):
+            errors.append("telemetry must be a registry snapshot object")
+        else:
+            for instrument in REQUIRED_INSTRUMENTS:
                 if instrument not in telemetry:
                     errors.append(
-                        f"{where}.telemetry missing instrument {instrument!r}"
+                        f"telemetry missing instrument {instrument!r}"
                     )
-    names = [case.get("name") for case in cases]
-    if len(names) != len(set(names)):
-        errors.append("case names must be unique")
     return errors
 
 
@@ -275,9 +223,6 @@ def main(argv=None) -> int:
         "--trace", default=None, help="simulate --trace JSONL file to validate"
     )
     parser.add_argument(
-        "--bench", default=None, help="tools/bench.py snapshot to validate"
-    )
-    parser.add_argument(
         "--checkpoint",
         default=None,
         help="checkpoint directory (one ckpt_<n> or a parent of several) "
@@ -299,13 +244,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if (
         args.stats_json is None
-        and args.bench is None
         and args.checkpoint is None
         and args.spec is None
         and args.run_artifact is None
     ):
         parser.error(
-            "give a stats_json file, --bench, --checkpoint, --spec, "
+            "give a stats_json file, --checkpoint, --spec, "
             "and/or --run-artifact"
         )
 
@@ -317,11 +261,6 @@ def main(argv=None) -> int:
         errors += check_stats(document)
     if args.trace is not None:
         errors += check_trace(args.trace)
-    bench_doc = None
-    if args.bench is not None:
-        with open(args.bench) as handle:
-            bench_doc = json.load(handle)
-        errors += [f"{args.bench}: {error}" for error in check_bench(bench_doc)]
     if args.checkpoint is not None:
         errors += check_checkpoint(args.checkpoint)
     if args.spec is not None:
@@ -343,11 +282,6 @@ def main(argv=None) -> int:
         print(
             f"OK: schema v{document['schema_version']}, "
             f"{document['completed_requests']} requests, {n_spans} spans"
-        )
-    if bench_doc is not None:
-        print(
-            f"OK: bench schema v{bench_doc['bench_schema_version']}, "
-            f"{len(bench_doc['cases'])} case(s)"
         )
     if args.checkpoint is not None:
         print(f"OK: checkpoint header(s) valid under {args.checkpoint}")
