@@ -32,14 +32,16 @@ why the spec API exists).
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from time import process_time
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.parallel import RunSpec
 
 from repro.obs.metrics import MetricsSample
-from repro.obs.profile import WallClockProfiler
+from repro.obs.profile import sampling
 from repro.obs.registry import TelemetryRegistry
 from repro.obs.trace import InMemorySink, JsonlSink, Span, Tracer
 from repro.specs import HostSpec, RunOptions, SimulationSpec, WorkloadSpec
@@ -62,7 +64,8 @@ class SimulationResult:
     trace_path: Optional[str] = None
     #: registry snapshot when ``telemetry=True`` was requested, else None
     telemetry: Optional[dict] = None
-    #: wall-clock section attribution when ``profile=True``, else None
+    #: host CPU time per layer (:mod:`repro.obs.profile`) when
+    #: ``profile=True`` and sampling could run here, else None
     profile: Optional[dict] = None
     #: invariant-checker report when ``check=`` was requested, else None
     #: (violation counts, oracle stats, and the ``state_digest`` of the
@@ -214,8 +217,9 @@ def run_simulation(
         in ``result.telemetry``.  Off by default; an untelemetered run
         is bit-for-bit the plain run.
     profile:
-        Attach a :class:`~repro.obs.profile.WallClockProfiler` and
-        return its section attribution in ``result.profile``.
+        Sample the replay's host CPU time per layer into
+        ``result.profile`` (:func:`repro.obs.profile.sampling`; ``None``
+        where it cannot run).
     check:
         ``None`` disables runtime invariant checking (the default; the
         simulation is bit-for-bit the unchecked run).  ``True`` /
@@ -334,9 +338,7 @@ def run_spec(spec: SimulationSpec) -> SimulationResult:
             "checkpoint_dir without checkpoint_every writes no "
             "checkpoint; set checkpoint_every (or resume_from)"
         )
-    profiler = WallClockProfiler() if options.profile else None
-    if profiler is not None:
-        profiler.push("setup")
+    started = process_time()
     trace = spec.build_trace()
     queue_depth = host.queue_depth
     warmup_requests = spec.warmup_requests
@@ -410,7 +412,6 @@ def run_spec(spec: SimulationSpec) -> SimulationResult:
         ftl=spec.ftl,
         tracer=tracer,
         telemetry=registry,
-        profiler=profiler,
         checker=checker,
         **spec.ftl_kwargs,
     )
@@ -439,30 +440,32 @@ def run_spec(spec: SimulationSpec) -> SimulationResult:
         restore_state(sim, state)
     elif spec.prefill > 0:
         sim.prefill(spec.prefill)
-    if profiler is not None:
-        profiler.pop()
+    setup_s = process_time() - started
     try:
-        stats = replay(
-            sim,
-            trace,
-            mode=host.mode,
-            queue_depth=queue_depth,
-            warmup_requests=warmup_requests,
-            max_events=options.max_events,
-            metrics_interval_us=options.metrics_interval,
-            segment_requests=header["checkpoint_every"] if segmented else None,
-            on_barrier=(
-                checkpoint_hook(sim, header, out_dir) if segmented else None
-            ),
-            resume_accounting=state["accounting"] if state else None,
-        )
+        with sampling() if options.profile else nullcontext() as host_profile:
+            stats = replay(
+                sim,
+                trace,
+                mode=host.mode,
+                queue_depth=queue_depth,
+                warmup_requests=warmup_requests,
+                max_events=options.max_events,
+                metrics_interval_us=options.metrics_interval,
+                segment_requests=header["checkpoint_every"] if segmented else None,
+                on_barrier=(
+                    checkpoint_hook(sim, header, out_dir) if segmented else None
+                ),
+                resume_accounting=state["accounting"] if state else None,
+            )
     finally:
         if tracer is not None:
             tracer.close()
     # finalize before the telemetry snapshot so collected gauges include
     # the end-of-run deep audit
     check_report = checker.finalize() if checker is not None else None
-    profile_report = profiler.to_dict() if profiler is not None else None
+    profile = None
+    if host_profile is not None:
+        profile = host_profile.to_dict(setup_s, process_time() - started)
     artifact_path = None
     if artifacts:
         from repro.obs.artifact import write_artifact
@@ -474,7 +477,7 @@ def run_spec(spec: SimulationSpec) -> SimulationResult:
             timeseries=recorder,
             exemplars=exemplars,
             telemetry=registry.snapshot(),
-            profile=profile_report,
+            profile=profile,
             check=check_report,
         )
     return SimulationResult(
@@ -491,7 +494,7 @@ def run_spec(spec: SimulationSpec) -> SimulationResult:
             if registry is not None and options.telemetry
             else None
         ),
-        profile=profile_report,
+        profile=profile,
         check=check_report,
         artifact=artifact_path,
     )

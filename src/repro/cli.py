@@ -200,8 +200,8 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--profile",
         action="store_true",
-        help="attribute host wall-clock time to subsystems (FTL, NAND "
-        "model, event queue, tracing) and print the table",
+        help="sample the replay's host CPU time per layer (ftl.gc, "
+        "nand.chip, sim.engine, ...) with SIGPROF and print the table",
     )
     simulate.add_argument(
         "--checkpoint",
@@ -694,10 +694,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print()
         print(result.telemetry_report())
     if args.profile:
-        from repro.obs.profile import profile_report
+        from repro.obs.profile import profile_report, unavailable_reason
 
         print()
-        print(profile_report(result.profile))
+        if result.profile is None:
+            print(f"profile unavailable: {unavailable_reason()}")
+        else:
+            print(profile_report(result.profile))
     if args.check is not None and result.check is not None:
         oracle = result.check["oracle"]
         print(

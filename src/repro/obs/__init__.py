@@ -22,9 +22,9 @@ package provides that attribution in three parts:
   :class:`TelemetryRegistry` of named, labelled counters / gauges /
   histograms; :mod:`repro.obs.device` attaches the per-die /
   per-channel / per-h-layer device instruments to a built simulation.
-- :mod:`repro.obs.profile` -- an opt-in :class:`WallClockProfiler`
-  attributing *host* time to subsystems (FTL, NAND model, event
-  queue, tracing).
+- :mod:`repro.obs.profile` -- opt-in :func:`sampling`, a ``SIGPROF``
+  frame sampler charging *host* CPU time to layers (FTL write/read/GC,
+  NAND model, event engine, ...).
 - :mod:`repro.obs.log` -- structured ``REPRO key=value`` diagnostics
   on :mod:`logging` (:func:`configure_logging`, :func:`log_event`).
 - :mod:`repro.obs.artifact` / :mod:`repro.obs.timeseries` /
@@ -59,7 +59,7 @@ from repro.obs.log import configure_logging, get_logger, log_event
 from repro.obs.metrics import MetricsSample, MetricsSampler
 from repro.obs.report import render_html, render_report
 from repro.obs.timeseries import TimeSeriesRecorder
-from repro.obs.profile import WallClockProfiler
+from repro.obs.profile import sampling
 from repro.obs.registry import Counter, Gauge, Histogram, TelemetryRegistry
 from repro.obs.trace import (
     InMemorySink,
@@ -86,7 +86,6 @@ __all__ = [
     "TimeSeriesRecorder",
     "TraceSink",
     "Tracer",
-    "WallClockProfiler",
     "compare_artifacts",
     "configure_logging",
     "format_artifact_diff",
@@ -97,6 +96,7 @@ __all__ = [
     "render_report",
     "run_fingerprint",
     "run_id",
+    "sampling",
     "validate_artifact",
     "write_artifact",
     "write_sweep_manifest",

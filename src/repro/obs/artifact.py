@@ -8,7 +8,7 @@ seeded run produced, laid out as::
                           fingerprint, per-file byte counts + SHA-256,
                           summary counts
         spec.json         the resolved SimulationSpec (artifact knobs
-                          stripped -- see below)
+                          and ``profile`` stripped -- see below)
         result.json       SimulationStats.to_dict() (results schema v2)
         latency.json      101-point quantile tables per op type
         timeseries.jsonl  delta-compressed telemetry windows
@@ -17,18 +17,19 @@ seeded run produced, laid out as::
         exemplars.json    tail + typical request exemplars with
                           histogram tail-bucket links
                           (repro.obs.exemplars)
-        profile.json      optional: wall-clock profiler buckets
-                          (host-dependent, excluded from byte-identity)
+        profile.json      optional: host CPU time per layer (sampled;
+                          host-dependent, excluded from byte-identity)
         check.json        optional: invariant-checker report
 
 The ``run_id`` is the first 16 hex digits of the SHA-256 over the
 canonical JSON of the spec dict -- seed included, artifact knobs
-(``artifact_dir`` / ``artifact_every``) excluded, so *where* you store
-the artifact never changes *which* run it names.  Identical spec+seed
-therefore always maps to the same directory with byte-identical
-deterministic files (everything except ``profile.json`` / ``check.json``
-is wall-clock free), which is what makes results content-addressable
-for caching and for the future job server.
+(``artifact_dir`` / ``artifact_every``) and ``profile`` excluded, so
+*where* you store the artifact, and whether host time was sampled,
+never change *which* run it names.  Identical spec+seed therefore
+always maps to the same directory with byte-identical deterministic
+files (everything except ``profile.json`` / ``check.json`` is
+wall-clock free), which is what makes results content-addressable for
+caching and for the future job server.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ import hashlib
 import json
 import os
 from typing import Dict, List, Optional
+
+from repro.obs.profile import validate_profile
 
 ARTIFACT_SCHEMA_VERSION = 1
 
@@ -52,12 +55,13 @@ def _canonical(data) -> str:
 
 
 def _stripped_spec_dict(spec) -> dict:
-    """Spec dict with the artifact knobs removed (they locate the
-    artifact; they are not part of the simulated run's identity)."""
+    """Spec dict without the artifact knobs and ``profile``: they locate
+    the artifact or sample host time, not part of the run's identity."""
     data = spec.to_dict()
     options = dict(data.get("options", {}))
     options.pop("artifact_dir", None)
     options.pop("artifact_every", None)
+    options.pop("profile", None)
     if options:
         data["options"] = options
     else:
@@ -311,6 +315,11 @@ def validate_artifact(run_dir: str) -> List[str]:
         for key in ("schema_version", "iops", "read_latency", "write_latency"):
             if key not in result:
                 problems.append(f"result.json missing key {key!r}")
+
+    if "profile.json" in files:
+        with open(os.path.join(run_dir, "profile.json")) as handle:
+            profile = json.load(handle)
+        problems += [f"profile.json: {p}" for p in validate_profile(profile)]
     return problems
 
 

@@ -4,10 +4,11 @@
 :func:`repro.obs.artifact.load_artifact`) into an ASCII dashboard:
 header summary, latency CDFs, time-series charts of the most
 interesting telemetry keys, top-K tail exemplars with their span
-breakdowns, and first-to-last telemetry deltas.  Rendering is a pure
-function of the artifact files -- no wall clock, no environment -- so
-the same artifact always renders to the same bytes (asserted by the
-test suite, and what makes ``repro-ssd report`` output diffable).
+breakdowns, the host-time layers of a profiled run, and first-to-last
+telemetry deltas.  Rendering is a pure function of the artifact files
+-- no wall clock, no environment -- so the same artifact always renders
+to the same bytes (asserted by the test suite, and what makes
+``repro-ssd report`` output diffable).
 
 :func:`render_html` wraps the same sections into a single-file static
 page (monospace ``<pre>`` blocks; nothing external to load).
@@ -19,6 +20,7 @@ import html as _html
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.ascii_plot import cdf_chart, series_chart
+from repro.obs.profile import profile_report
 from repro.obs.timeseries import expand_records
 
 #: substrings that promote a telemetry key into the charted selection,
@@ -170,6 +172,14 @@ def _exemplar_section(artifact: dict) -> List[str]:
     return lines
 
 
+def _profile_section(artifact: dict) -> List[str]:
+    """Host CPU time per layer (``profile.json``), layers above 1 %."""
+    profile = artifact.get("profile")
+    if not profile or "layers" not in profile:
+        return []
+    return ["", "host time by layer", profile_report(profile, min_share=0.01)]
+
+
 def _delta_section(artifact: dict) -> List[str]:
     records = artifact.get("timeseries")
     if not records or len(records) < 2:
@@ -196,21 +206,12 @@ def _delta_section(artifact: dict) -> List[str]:
 
 
 def _extras_section(artifact: dict) -> List[str]:
-    lines = []
     check = artifact.get("check")
-    if check is not None:
-        violations = check.get("violations")
-        count = len(violations) if isinstance(violations, list) else violations
-        lines.append(
-            f"check: level={check.get('level')}  violations={_fmt(count)}"
-        )
-    profile = artifact.get("profile")
-    if profile is not None:
-        sections = profile.get("sections_s", {})
-        top = sorted(sections.items(), key=lambda item: (-item[1], item[0]))[:3]
-        rendered = "  ".join(f"{name}={share:.3f}s" for name, share in top)
-        lines.append(f"profile: total={_fmt(profile.get('total_s'))}s  {rendered}")
-    return [""] + lines if lines else []
+    if check is None:
+        return []
+    violations = check.get("violations")
+    count = len(violations) if isinstance(violations, list) else violations
+    return ["", f"check: level={check.get('level')}  violations={_fmt(count)}"]
 
 
 def render_report(artifact: dict) -> str:
@@ -220,6 +221,7 @@ def render_report(artifact: dict) -> str:
     lines += _latency_section(artifact)
     lines += _timeseries_section(artifact)
     lines += _exemplar_section(artifact)
+    lines += _profile_section(artifact)
     lines += _delta_section(artifact)
     lines += _extras_section(artifact)
     return "\n".join(lines)

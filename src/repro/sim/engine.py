@@ -278,23 +278,13 @@ class Engine:
         self._reserved = []
 
     def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-        profiler=None,
+        self, until: Optional[float] = None, max_events: Optional[int] = None
     ) -> None:
         """Run until the queue drains, ``until`` is reached, or
         ``max_events`` have executed.
 
-        When a :class:`~repro.obs.profile.WallClockProfiler` is passed,
-        host wall-clock time is attributed per event: heap maintenance
-        to ``event_queue`` and callback execution to ``dispatch`` (minus
-        any nested sections -- the NAND model and the tracer push their
-        own, so ``dispatch`` is effectively FTL + engine-glue time).
-        The event sequence is identical with or without a profiler.
-
-        The unprofiled loop drains *runs of same-timestamp events* in
-        one iteration: within a batch the clock, the ``until`` bound and
+        The loop drains *runs of same-timestamp events* in one
+        iteration: within a batch the clock, the ``until`` bound and
         the heap head need no re-checking per event.  (time, seq) is a
         strict total order and the batch always pops the minimum, so the
         dispatch sequence -- including zero-delay events a callback
@@ -306,8 +296,6 @@ class Engine:
         (checkpointing) never observes a clock stalled behind ``until``
         by events that will never fire.
         """
-        if profiler is not None:
-            return self._run_profiled(until, max_events, profiler)
         executed = 0
         queue = self._queue
         pop = heapq.heappop
@@ -359,46 +347,4 @@ class Engine:
             and until > self._now
             and (not queue or queue[0][0] > until)
         ):
-            self._now = until
-
-    def _run_profiled(
-        self,
-        until: Optional[float],
-        max_events: Optional[int],
-        profiler,
-    ) -> None:
-        """The :meth:`run` loop with per-event wall-clock attribution."""
-        executed = 0
-        while self._queue:
-            if max_events is not None and executed >= max_events:
-                profiler.push("event_queue")
-                self._drain_corpses(until)
-                profiler.pop()
-                return
-            profiler.push("event_queue")
-            time, _, head = self._queue[0]
-            if head.cancelled:
-                heapq.heappop(self._queue)
-                head.engine = None
-                self._cancelled -= 1
-                profiler.pop()
-                continue
-            if until is not None and time > until:
-                self._now = until
-                profiler.pop()
-                return
-            event = heapq.heappop(self._queue)[2]
-            event.engine = None
-            self._now = time
-            self._processed += 1
-            if self.monitor is not None:
-                self.monitor(time)
-            profiler.pop()
-            profiler.push("dispatch")
-            try:
-                event.callback()
-            finally:
-                profiler.pop()
-            executed += 1
-        if until is not None and until > self._now:
             self._now = until

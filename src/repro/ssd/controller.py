@@ -135,7 +135,6 @@ class SSDSimulation:
         *,
         tracer=None,
         telemetry=None,
-        profiler=None,
         checker=None,
         **ftl_kwargs,
     ) -> None:
@@ -157,21 +156,6 @@ class SSDSimulation:
             from repro.obs.device import attach_device_telemetry
 
             attach_device_telemetry(telemetry, self.controller, self.ftl)
-        #: optional :class:`~repro.obs.profile.WallClockProfiler`; wraps
-        #: the checker's hooks too, so it must attach before the checker
-        #: hands its (then-wrapped) methods to the engine/block manager
-        self.profiler = profiler
-        if profiler is not None:
-            from repro.obs.profile import attach_profiler
-
-            attach_profiler(
-                profiler,
-                self.controller,
-                tracer,
-                checker=checker,
-                telemetry=telemetry,
-                ftl=self.ftl,
-            )
         #: optional :class:`~repro.check.InvariantChecker`; attached
         #: after the FTL exists so it can bind the engine monitor, the
         #: block-lifecycle observer, and the telemetry instruments

@@ -299,7 +299,7 @@ def replay(
             backlog = iter(requests[position:end])
             for request in islice(backlog, queue_depth):
                 issue(request)
-        engine.run(max_events=max_events, profiler=sim.profiler)
+        engine.run(max_events=max_events)
         stalled = dict(pending)
         stalled.update((id(request), request) for request in waiting)
         if stalled and max_events is None:

@@ -28,7 +28,7 @@ AGING = {
 }
 
 
-def _stepped_run(self, until=None, max_events=None, profiler=None):
+def _stepped_run(self, until=None, max_events=None):
     """The pre-batching reference loop: one event per iteration.
 
     Heap entries are ``(time, seq, event)`` tuples.

@@ -2,8 +2,10 @@
 runs, validation, and the artifacts-off metamorphic contract."""
 
 import filecmp
+import hashlib
 import json
 import os
+import signal
 
 import pytest
 
@@ -116,3 +118,55 @@ class TestValidation:
     def test_missing_directory_is_reported(self, tmp_path):
         problems = validate_artifact(str(tmp_path / "nope"))
         assert problems
+
+
+def _rewrite_listed(run_dir, name, document):
+    """Rewrite one listed file and its manifest entry, so validation
+    gets past the hash check to the file's own checks."""
+    path = os.path.join(run_dir, name)
+    with open(path, "w") as handle:
+        json.dump(document, handle)
+    with open(path, "rb") as handle:
+        blob = handle.read()
+    manifest_path = os.path.join(run_dir, "manifest.json")
+    with open(manifest_path) as handle:
+        manifest = json.load(handle)
+    manifest["files"][name] = {
+        "bytes": len(blob),
+        "sha256": hashlib.sha256(blob).hexdigest(),
+    }
+    with open(manifest_path, "w") as handle:
+        json.dump(manifest, handle)
+
+
+@pytest.mark.skipif(
+    not hasattr(signal, "SIGPROF"), reason="SIGPROF sampling is POSIX-only"
+)
+class TestProfileFile:
+    def test_profiled_artifact_validates(self, artifact_run, tmp_path):
+        spec, plain = artifact_run
+        run = run_spec(_spec(artifact_dir=str(tmp_path), profile=True))
+        # profiling names the same run and writes the same deterministic
+        # files, plus profile.json
+        assert os.path.basename(run.artifact) == run_id(spec)
+        names = sorted(os.listdir(plain.artifact))
+        assert sorted(os.listdir(run.artifact)) == sorted(names + ["profile.json"])
+        _, mismatch, _ = filecmp.cmpfiles(
+            plain.artifact, run.artifact, names, shallow=False
+        )
+        assert mismatch == ["manifest.json"]
+        assert load_artifact(run.artifact)["profile"] == run.profile
+        assert validate_artifact(run.artifact) == []
+
+    def test_negative_seconds_are_reported(self, tmp_path):
+        run = run_spec(_spec(artifact_dir=str(tmp_path), profile=True))
+        profile = dict(run.profile)
+        profile["layers"] = dict(
+            profile["layers"], **{"nand.chip": {"samples": 1, "seconds": -0.25}}
+        )
+        _rewrite_listed(run.artifact, "profile.json", profile)
+        problems = validate_artifact(run.artifact)
+        assert problems == [
+            "profile.json: layers['nand.chip'].seconds is -0.25, "
+            "not a non-negative number"
+        ]

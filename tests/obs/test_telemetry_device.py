@@ -1,5 +1,9 @@
-"""Device telemetry, the wall-clock profiler, and the no-perturbation
+"""Device telemetry, the host-time profiler, and the no-perturbation
 contract: attaching either must not change any simulated result."""
+
+import importlib.util
+import math
+import signal
 
 import pytest
 
@@ -92,13 +96,27 @@ class TestNoPerturbation:
 
 
 class TestProfiler:
-    def test_sections_attributed(self):
-        profile = _run(profile=True, trace="memory").profile
-        sections = profile["sections_s"]
-        for name in ("setup", "event_queue", "dispatch", "nand", "tracing"):
-            assert name in sections, name
-            assert sections[name] >= 0.0
-        assert sum(sections.values()) <= profile["total_s"] * 1.5
+    @pytest.mark.skipif(
+        not hasattr(signal, "SIGPROF"), reason="SIGPROF sampling is POSIX-only"
+    )
+    def test_layers_cover_the_replay(self):
+        from repro.obs.profile import FTL_LAYERS, MODULE_LAYERS
+
+        profile = _run(profile=True, trace="memory", n_requests=2000).profile
+        layers = profile["layers"]
+        assert profile["samples"] == sum(
+            layer["samples"] for layer in layers.values()
+        ) > 0
+        assert math.isclose(
+            sum(layer["seconds"] for layer in layers.values()),
+            profile["replay_s"],
+        )
+        assert profile["total_s"] >= profile["setup_s"] > 0.0
+        named = set(FTL_LAYERS) | set(MODULE_LAYERS.values()) | {"check"}
+        for name in layers:
+            assert name in named or importlib.util.find_spec(
+                f"repro.{name}"
+            ), name
 
     def test_result_field_absent_when_disabled(self):
         result = _run()
