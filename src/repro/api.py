@@ -3,10 +3,10 @@
 :func:`run_simulation` is the one call every front end goes through
 (CLI, benchmarks, examples, notebooks): it builds the SSD, prefills it,
 replays a workload, and optionally attaches the :mod:`repro.obs`
-tracer and metrics sampler.  Everything it returns is packed into a
-:class:`SimulationResult`, so callers never reach into the simulation
-objects themselves -- the facade is the compatibility surface; the
-internals behind it are free to move.
+tracer, telemetry registry and time-series recorder.  Everything it
+returns is packed into a :class:`SimulationResult`, so callers never
+reach into the simulation objects themselves -- the facade is the
+compatibility surface; the internals behind it are free to move.
 
 Two call forms, verified byte-identical by the golden-trace suite:
 
@@ -40,9 +40,9 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Unio
 if TYPE_CHECKING:  # pragma: no cover
     from repro.parallel import RunSpec
 
-from repro.obs.metrics import MetricsSample
 from repro.obs.profile import sampling
 from repro.obs.registry import TelemetryRegistry
+from repro.obs.timeseries import TimeSeriesRecorder, metrics_samples
 from repro.obs.trace import InMemorySink, JsonlSink, Span, Tracer
 from repro.specs import HostSpec, RunOptions, SimulationSpec, WorkloadSpec
 from repro.ssd.config import SSDConfig
@@ -59,7 +59,8 @@ class SimulationResult:
     #: recorded spans when ``trace="memory"`` was requested, else None
     spans: Optional[List[Span]] = None
     #: metrics timeline when ``metrics_interval`` was set, else None
-    metrics: Optional[List[MetricsSample]] = None
+    #: (:func:`repro.obs.timeseries.metrics_samples`)
+    metrics: Optional[List[dict]] = None
     #: path of the written JSONL trace when ``trace`` was a path
     trace_path: Optional[str] = None
     #: registry snapshot when ``telemetry=True`` was requested, else None
@@ -122,7 +123,6 @@ def spec_from_kwargs(
     checkpoint_dir: Optional[str] = None,
     resume_from: Optional[str] = None,
     artifact_dir: Optional[str] = None,
-    artifact_every: Optional[float] = None,
     **ftl_kwargs,
 ) -> SimulationSpec:
     """The :class:`~repro.specs.SimulationSpec` equivalent of the legacy
@@ -144,7 +144,6 @@ def spec_from_kwargs(
         checkpoint_dir=checkpoint_dir,
         resume_from=resume_from,
         artifact_dir=artifact_dir,
-        artifact_every=artifact_every,
     )
     return SimulationSpec(
         config=config,
@@ -179,7 +178,6 @@ def run_simulation(
     checkpoint_dir: Optional[str] = None,
     resume_from: Optional[str] = None,
     artifact_dir: Optional[str] = None,
-    artifact_every: Optional[float] = None,
     **ftl_kwargs,
 ) -> SimulationResult:
     """Build, prefill, and run one SSD simulation.
@@ -208,8 +206,11 @@ def run_simulation(
         ``result.spans``, any other string is a path to stream a JSONL
         trace to.
     metrics_interval:
-        Simulated microseconds between metrics snapshots; ``None``
-        disables sampling.
+        Simulated microseconds between metrics snapshots, positive and
+        finite (also an artifact's time-series cadence, default 1000);
+        ``None`` disables sampling.  ``result.metrics`` holds one dict
+        per window of the time-series recorder, which schedules no
+        event, so the run is bit-for-bit the unsampled one.
     telemetry:
         Attach a :class:`~repro.obs.registry.TelemetryRegistry` with
         the device instruments (per-die busy time, queue depths,
@@ -236,11 +237,11 @@ def run_simulation(
         without a cadence is refused unless resuming).  The run replays
         in quiescent segments of N requests (a deterministic scheduling
         change; see docs/PERSISTENCE.md) and can be resumed
-        byte-identically from any checkpoint.  Composes with ``trace``,
-        ``profile``, ``telemetry`` and ``check``; incompatible with
-        ``metrics_interval``, ``max_events`` and ``artifact_dir``,
-        whose recurring sampling or event cap cannot cross a drained
-        barrier.
+        byte-identically from any checkpoint.  Composes with every
+        observer (``trace``, ``profile``, ``telemetry``,
+        ``metrics_interval``, ``artifact_dir``) and with ``check``;
+        incompatible with ``max_events``, whose event cap cannot cross
+        a drained barrier, and with open-loop and multi-tenant hosts.
     resume_from:
         Path to a checkpoint directory to resume from; the run goes
         through the same pipeline, restoring the checkpoint where a
@@ -251,8 +252,11 @@ def run_simulation(
         header.  Further checkpoints go to ``checkpoint_dir`` (default:
         the directory holding ``resume_from``).  A resumed ``trace``
         numbers requests on from the checkpoint, so it is a byte suffix
-        of the straight run's trace.  ``telemetry`` is refused: its
-        registry is not saved in the checkpoint.
+        of the straight run's trace.  The telemetry registry, time-series
+        recorder and exemplars carry on from the checkpoint's observer
+        state, so ``telemetry``, ``metrics`` and the artifact files
+        equal the straight run's; a resume asking for an observer the
+        checkpointed run did not have is refused by option name.
     artifact_dir:
         Write a self-contained run-artifact directory under this base
         path (``<artifact_dir>/<run_id>/``; see
@@ -261,9 +265,6 @@ def run_simulation(
         spans, and a typed manifest.  ``None`` (the default) disables
         artifacts; a run without them is bit-for-bit the plain run.
         The written path lands in ``result.artifact``.
-    artifact_every:
-        Simulated microseconds between telemetry time-series windows in
-        the artifact (default 1000.0).
     """
     if isinstance(config, SimulationSpec):
         if workload is not None or ftl_kwargs:
@@ -292,7 +293,6 @@ def run_simulation(
             checkpoint_dir=checkpoint_dir,
             resume_from=resume_from,
             artifact_dir=artifact_dir,
-            artifact_every=artifact_every,
             **ftl_kwargs,
         )
     )
@@ -321,18 +321,8 @@ def run_spec(spec: SimulationSpec) -> SimulationResult:
     # refuse before anything is built or any file is written
     if segmented:
         check_segmentable(
-            host.mode,
-            max_events=options.max_events,
-            tenants=host.tenants,
-            metrics_interval=options.metrics_interval,
-            timeseries=options.artifact_dir is not None,
+            host.mode, max_events=options.max_events, tenants=host.tenants
         )
-        if options.resume_from is not None and options.telemetry:
-            raise ValueError(
-                "resume is incompatible with telemetry (the telemetry "
-                "registry is not saved in the checkpoint); re-run "
-                "straight through instead"
-            )
     elif options.checkpoint_dir is not None:
         raise ValueError(
             "checkpoint_dir without checkpoint_every writes no "
@@ -348,10 +338,11 @@ def run_spec(spec: SimulationSpec) -> SimulationResult:
         from repro.persist.driver import (
             checkpoint_hook,
             checkpoint_plan,
+            restore_observers,
             restore_state,
         )
 
-        header, out_dir, state = checkpoint_plan(spec, trace)
+        header, out_dir, state, observers = checkpoint_plan(spec, trace)
         # the header is authoritative for the run parameters, so a
         # resume cannot diverge from the original run
         queue_depth = header["queue_depth"]
@@ -359,18 +350,18 @@ def run_spec(spec: SimulationSpec) -> SimulationResult:
         check = header["check"]
 
     artifacts = options.artifact_dir is not None
+    # metrics and artifacts both read the time-series recorder's windows
+    windowed = options.window_us is not None
     tracer: Optional[Tracer] = None
     sink = None
+    # a resumed tracer numbers requests on from the barrier
+    first_request = state["accounting"]["completed"] if state else 0
     if options.trace is not None:
         sink = (
             InMemorySink() if options.trace == "memory"
             else JsonlSink(options.trace)
         )
-        # a resumed trace numbers requests on from the barrier
-        tracer = Tracer(
-            sink,
-            first_request=state["accounting"]["completed"] if state else 0,
-        )
+        tracer = Tracer(sink, first_request=first_request)
     exemplars = None
     if artifacts:
         from repro.obs.exemplars import ExemplarRecorder
@@ -380,14 +371,14 @@ def run_spec(spec: SimulationSpec) -> SimulationResult:
         # tracer over a null sink, and wrap whichever sink is active so
         # the requested trace output is unchanged byte for byte
         if tracer is None:
-            tracer = Tracer(NullSink())
+            tracer = Tracer(NullSink(), first_request=first_request)
         exemplars = ExemplarRecorder(tracer.sink, seed=spec.seed)
         tracer.sink = exemplars
         tracer.exemplars = exemplars
-    # artifacts always embed a telemetry time-series, even when the
-    # caller did not ask for result.telemetry
+    # the recorder snapshots a registry, even when the caller did not
+    # ask for result.telemetry
     registry = (
-        TelemetryRegistry() if (options.telemetry or artifacts) else None
+        TelemetryRegistry() if (options.telemetry or windowed) else None
     )
     checker = None
     check_config = parse_check_level(check)
@@ -416,16 +407,9 @@ def run_spec(spec: SimulationSpec) -> SimulationResult:
         **spec.ftl_kwargs,
     )
     recorder = None
-    if artifacts:
-        from repro.obs.timeseries import (
-            DEFAULT_INTERVAL_US,
-            TimeSeriesRecorder,
-        )
-
+    if windowed:
         recorder = TimeSeriesRecorder(
-            registry,
-            sim.controller.engine,
-            interval_us=options.artifact_every or DEFAULT_INTERVAL_US,
+            registry, sim.controller.engine, interval_us=options.window_us
         )
         sim.timeseries = recorder
     # live progress is independent of artifacts: any run may report to
@@ -438,6 +422,7 @@ def run_spec(spec: SimulationSpec) -> SimulationResult:
     if state is not None:
         # the checkpoint carries the full media state: no prefill
         restore_state(sim, state)
+        restore_observers(sim, observers)
     elif spec.prefill > 0:
         sim.prefill(spec.prefill)
     setup_s = process_time() - started
@@ -450,7 +435,6 @@ def run_spec(spec: SimulationSpec) -> SimulationResult:
                 queue_depth=queue_depth,
                 warmup_requests=warmup_requests,
                 max_events=options.max_events,
-                metrics_interval_us=options.metrics_interval,
                 segment_requests=header["checkpoint_every"] if segmented else None,
                 on_barrier=(
                     checkpoint_hook(sim, header, out_dir) if segmented else None
@@ -460,6 +444,8 @@ def run_spec(spec: SimulationSpec) -> SimulationResult:
     finally:
         if tracer is not None:
             tracer.close()
+    if options.metrics_interval is not None:
+        stats.metrics = metrics_samples(recorder.records, sim.ftl.name)
     # finalize before the telemetry snapshot so collected gauges include
     # the end-of-run deep audit
     check_report = checker.finalize() if checker is not None else None

@@ -188,7 +188,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         dest="metrics_interval",
         help="sample time-sliced metrics every US simulated microseconds "
-        "and print the timeline",
+        "and print the timeline; also the window of --artifacts' "
+        "telemetry time series (default there: 1000)",
     )
     simulate.add_argument(
         "--telemetry",
@@ -234,15 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "latency grids, telemetry time-series, tail exemplars, typed "
         "manifest) under DIR/<run_id>/; inspect it with "
         "'repro-ssd report' and 'repro-ssd diff'",
-    )
-    simulate.add_argument(
-        "--artifact-every",
-        metavar="US",
-        type=float,
-        default=None,
-        dest="artifact_every",
-        help="telemetry time-series window in simulated microseconds "
-        "for the artifact (default: 1000)",
     )
     add_sim_args(simulate)
 
@@ -565,7 +557,6 @@ def _run_options(args: argparse.Namespace) -> dict:
         "checkpoint_dir": checkpoint_dir,
         "resume_from": getattr(args, "resume", None),
         "artifact_dir": getattr(args, "artifacts", None),
-        "artifact_every": getattr(args, "artifact_every", None),
     }
     return {
         key: value

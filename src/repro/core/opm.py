@@ -169,7 +169,7 @@ class OptimalParameterManager:
     @property
     def ort_hit_rate(self) -> float:
         """Fraction of read-offset lookups served by a learned entry
-        (the Fig. 14 signal, exposed for the metrics sampler)."""
+        (the Fig. 14 signal, exposed for the metrics timeline)."""
         return self.ort.hit_rate
 
     def memory_bytes(self) -> int:

@@ -213,7 +213,7 @@ class WLAllocationManager:
     @property
     def follower_fraction(self) -> float:
         """Share of allocations that used fast follower WLs (the
-        burst-absorption signal the metrics sampler tracks)."""
+        burst-absorption signal the metrics timeline tracks)."""
         total = self.leader_allocations + self.follower_allocations
         return self.follower_allocations / total if total else 0.0
 

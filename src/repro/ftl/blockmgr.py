@@ -385,7 +385,7 @@ class BlockManager:
 
     def totals(self) -> Dict[BlockState, int]:
         """Lifecycle-state counts summed over every chip (the
-        metrics sampler's free-block / retirement gauges)."""
+        metrics timeline's free-block / retirement gauges)."""
         result = {state: 0 for state in BlockState}
         for chip_id in self._state:
             for state, count in self.counts(chip_id).items():

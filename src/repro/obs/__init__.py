@@ -11,10 +11,11 @@ package provides that attribution in three parts:
   bus/die FIFOs, NAND operation, read retries, recovery), emitted to a
   pluggable :class:`TraceSink` (in-memory, JSONL file, null).  With no
   tracer attached every hook is a single ``is None`` test.
-- :mod:`repro.obs.metrics` -- a :class:`MetricsSampler` driven by the
-  event engine that periodically snapshots IOPS, buffer utilization
-  (the WAM's mu signal), free-block counts, GC activity, the
-  leader/follower WL mix, VFY-skip savings and the ORT hit rate.
+- :mod:`repro.obs.timeseries` -- a :class:`TimeSeriesRecorder` the
+  engine's batch loop drives: periodic registry windows, projected onto
+  the metrics timeline of IOPS, buffer utilization (the WAM's mu
+  signal), free-block counts, GC activity, the leader/follower WL mix,
+  VFY-skip savings and the ORT hit rate.
 - :mod:`repro.obs.analyze` -- turns a trace into per-stage latency
   breakdowns (queueing vs. NAND vs. retry time) and a metrics timeline
   (ASCII plot + dict).
@@ -56,7 +57,6 @@ from repro.obs.diffing import (
 )
 from repro.obs.exemplars import ExemplarRecorder
 from repro.obs.log import configure_logging, get_logger, log_event
-from repro.obs.metrics import MetricsSample, MetricsSampler
 from repro.obs.report import render_html, render_report
 from repro.obs.timeseries import TimeSeriesRecorder
 from repro.obs.profile import sampling
@@ -77,8 +77,6 @@ __all__ = [
     "Histogram",
     "InMemorySink",
     "JsonlSink",
-    "MetricsSample",
-    "MetricsSampler",
     "NullSink",
     "SchemaDriftError",
     "Span",

@@ -17,7 +17,6 @@ import json
 from collections import defaultdict
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.obs.metrics import MetricsSample
 from repro.obs.trace import Span
 
 #: span stages -> report groups (the acceptance-level decomposition)
@@ -230,8 +229,9 @@ TIMELINE_SERIES = (
 )
 
 
-def metrics_timeline(samples: Sequence[MetricsSample]) -> Dict[str, List[float]]:
-    """Differentiate cumulative samples into per-interval rates.
+def metrics_timeline(samples: Sequence[dict]) -> Dict[str, List[float]]:
+    """Differentiate cumulative samples (``result.metrics``) into
+    per-interval rates.
 
     Returns a dict of aligned series keyed by name; ``t_us`` holds the
     interval end times.  Rates are per second of simulated time.  A run
@@ -244,32 +244,28 @@ def metrics_timeline(samples: Sequence[MetricsSample]) -> Dict[str, List[float]]
         timeline[name] = []
     if len(samples) < 2:
         return timeline
+    rates = (
+        ("iops", "completed_requests"),
+        ("write_pages_per_s", "host_write_pages"),
+        ("read_pages_per_s", "host_read_pages"),
+        ("gc_programs_per_s", "gc_programs"),
+        ("erases_per_s", "erases"),
+    )
     for previous, current in zip(samples, samples[1:]):
-        dt_s = (current.t_us - previous.t_us) / 1e6
+        dt_s = (current["t_us"] - previous["t_us"]) / 1e6
         if dt_s <= 0:
             continue
-        timeline["t_us"].append(current.t_us)
-        timeline["iops"].append(
-            (current.completed_requests - previous.completed_requests) / dt_s
-        )
-        timeline["write_pages_per_s"].append(
-            (current.host_write_pages - previous.host_write_pages) / dt_s
-        )
-        timeline["read_pages_per_s"].append(
-            (current.host_read_pages - previous.host_read_pages) / dt_s
-        )
-        timeline["gc_programs_per_s"].append(
-            (current.gc_programs - previous.gc_programs) / dt_s
-        )
-        timeline["erases_per_s"].append((current.erases - previous.erases) / dt_s)
-        timeline["buffer_utilization"].append(current.buffer_utilization)
-        timeline["free_blocks"].append(float(current.free_blocks))
-        timeline["follower_fraction"].append(current.follower_fraction)
-        timeline["ort_hit_rate"].append(current.ort_hit_rate)
+        timeline["t_us"].append(current["t_us"])
+        for series, key in rates:
+            timeline[series].append((current[key] - previous[key]) / dt_s)
+        timeline["buffer_utilization"].append(current["buffer_utilization"])
+        timeline["free_blocks"].append(float(current["free_blocks"]))
+        timeline["follower_fraction"].append(current["follower_fraction"])
+        timeline["ort_hit_rate"].append(current["ort_hit_rate"])
     return timeline
 
 
-def metrics_report(samples: Sequence[MetricsSample], width: int = 60) -> str:
+def metrics_report(samples: Sequence[dict], width: int = 60) -> str:
     """ASCII timeline of IOPS, buffer utilization and ORT hit rate.
 
     Degrades gracefully on runs shorter than one sampling interval:
@@ -288,11 +284,11 @@ def metrics_report(samples: Sequence[MetricsSample], width: int = 60) -> str:
         return (
             f"(run shorter than one metrics interval: {len(samples)} "
             f"sample(s), no timeline)\n"
-            f"final sample @ {final.t_us:.0f} us: "
-            f"{final.completed_requests} requests, "
-            f"mu={final.buffer_utilization:.2f}, "
-            f"free_blocks={final.free_blocks}, "
-            f"ort_hit_rate={final.ort_hit_rate:.2f}"
+            f"final sample @ {final['t_us']:.0f} us: "
+            f"{final['completed_requests']} requests, "
+            f"mu={final['buffer_utilization']:.2f}, "
+            f"free_blocks={final['free_blocks']}, "
+            f"ort_hit_rate={final['ort_hit_rate']:.2f}"
         )
     parts = []
     parts.append("IOPS per interval:")

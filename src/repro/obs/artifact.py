@@ -7,7 +7,7 @@ seeded run produced, laid out as::
         manifest.json     typed index: schema version, run id, spec
                           fingerprint, per-file byte counts + SHA-256,
                           summary counts
-        spec.json         the resolved SimulationSpec (artifact knobs
+        spec.json         the resolved SimulationSpec (``artifact_dir``
                           and ``profile`` stripped -- see below)
         result.json       SimulationStats.to_dict() (results schema v2)
         latency.json      101-point quantile tables per op type
@@ -22,10 +22,10 @@ seeded run produced, laid out as::
         check.json        optional: invariant-checker report
 
 The ``run_id`` is the first 16 hex digits of the SHA-256 over the
-canonical JSON of the spec dict -- seed included, artifact knobs
-(``artifact_dir`` / ``artifact_every``) and ``profile`` excluded, so
-*where* you store the artifact, and whether host time was sampled,
-never change *which* run it names.  Identical spec+seed therefore
+canonical JSON of the spec dict -- seed and ``metrics_interval`` (the
+time series' cadence) included, ``artifact_dir`` and ``profile``
+excluded, so *where* you store the artifact, and whether host time was
+sampled, never change *which* run it names.  Identical spec+seed therefore
 always maps to the same directory with byte-identical deterministic
 files (everything except ``profile.json`` / ``check.json`` is
 wall-clock free), which is what makes results content-addressable for
@@ -55,12 +55,11 @@ def _canonical(data) -> str:
 
 
 def _stripped_spec_dict(spec) -> dict:
-    """Spec dict without the artifact knobs and ``profile``: they locate
+    """Spec dict without ``artifact_dir`` and ``profile``: they locate
     the artifact or sample host time, not part of the run's identity."""
     data = spec.to_dict()
     options = dict(data.get("options", {}))
     options.pop("artifact_dir", None)
-    options.pop("artifact_every", None)
     options.pop("profile", None)
     if options:
         data["options"] = options

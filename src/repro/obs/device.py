@@ -30,11 +30,17 @@ name                         type       labels                unit
 ``buffer_occupancy``         gauge      ftl                   pages
 ``free_blocks``              gauge      ftl                   blocks
 ``ort_entries``              gauge      ftl                   entries
+``ort_hits``                 gauge      ftl                   lookups
+``ort_misses``               gauge      ftl                   lookups
 ``ort_hit_rate``             gauge      ftl                   fraction
 ``engine_events_processed``  gauge      --                    events
 ``engine_peak_pending``      gauge      --                    events
 ``engine_now_us``            gauge      --                    us
+``host_completed_requests``  gauge      --                    requests
 ===========================  =========  ====================  =========
+
+``host_completed_requests`` is bound by the replay
+(:func:`~repro.obs.registry.bind_host`), not here.
 """
 
 from __future__ import annotations

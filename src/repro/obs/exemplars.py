@@ -185,6 +185,15 @@ class ExemplarRecorder(TraceSink):
             if slot < self.reservoir_size:
                 reservoir[slot] = record
 
+    # -- checkpointing ---------------------------------------------------
+
+    def state_dict(self) -> dict:
+        """Everything but the inner sink, which is wiring."""
+        return {key: value for key, value in vars(self).items() if key != "inner"}
+
+    def load_state_dict(self, state: dict) -> None:
+        vars(self).update(state)
+
     # -- export ---------------------------------------------------------
 
     def to_dict(self) -> dict:

@@ -12,9 +12,9 @@ instrument in a :class:`TelemetryRegistry`:
   blocks).  Gauges may be *collected*: a callback re-reads the live
   value at snapshot time, which is how the pre-existing counter
   dataclasses (:class:`~repro.ftl.base.FTLCounters`,
-  :class:`~repro.faults.counters.RecoveryCounters`) and the
-  :class:`~repro.obs.metrics.MetricsSampler` gauges are migrated onto
-  the registry *behind their existing public APIs*: the hot path keeps
+  :class:`~repro.faults.counters.RecoveryCounters`), the write-buffer,
+  free-block and ORT gauges and the host's completion count are
+  exported *behind their existing public APIs*: the hot path keeps
   bumping plain Python attributes (zero overhead, schema v2 output
   unchanged) and the registry exports them through collector bindings
   -- the Prometheus custom-collector pattern.
@@ -29,10 +29,15 @@ identical snapshots (asserted by the test suite).
 Recording never schedules events and never perturbs simulation state,
 so attaching a registry cannot change any simulated result; with no
 registry attached every hook site is a single ``is None`` test.
+
+A checkpoint carries the registry's counters and histograms
+(:meth:`TelemetryRegistry.state_dict`); every gauge is set by a
+collector from live state, which the checkpoint restores anyway.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 #: hard ceiling on label combinations per instrument -- a guard against
@@ -44,6 +49,9 @@ QUEUE_DEPTH_BUCKETS = (0, 1, 2, 4, 8, 16, 32, 64)
 
 #: default bucket upper edges for retries-per-read histograms
 RETRY_BUCKETS = (0, 1, 2, 3, 4, 6, 8, 12)
+
+#: the attributes holding an instrument's recorded values (checkpoints)
+_VALUE_ATTRS = ("_value", "_counts", "_sum", "_count")
 
 
 class CardinalityError(ValueError):
@@ -113,6 +121,24 @@ class _Instrument:
 
     def _value_fields(self) -> dict:
         raise NotImplementedError
+
+    # -- checkpointing ---------------------------------------------------
+
+    def state_dict(self) -> tuple:
+        """The recorded values: its own and each label combination's."""
+        own = {
+            name: copy.copy(value)
+            for name, value in vars(self).items()
+            if name in _VALUE_ATTRS
+        }
+        children = {key: child.state_dict() for key, child in self._children.items()}
+        return own, children
+
+    def load_state_dict(self, state: tuple) -> None:
+        own, children = state
+        vars(self).update(own)
+        for key, child in children.items():
+            self.labels(**dict(zip(self.labelnames, key))).load_state_dict(child)
 
     def describe(self) -> dict:
         return {
@@ -327,6 +353,25 @@ class TelemetryRegistry:
             for name in sorted(self._instruments)
         }
 
+    # -- checkpointing ---------------------------------------------------
+
+    def state_dict(self) -> dict:
+        """Every counter's and histogram's values, by instrument name
+        (collectors set the gauges from live state)."""
+        return {
+            name: instrument.state_dict()
+            for name, instrument in self._instruments.items()
+            if not isinstance(instrument, Gauge)
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        """Restore a :meth:`state_dict` onto a registry whose
+        instruments are already declared (a freshly built simulation's)."""
+        for name, values in state.items():
+            if name not in self._instruments:
+                raise ValueError(f"no instrument {name!r} to restore")
+            self._instruments[name].load_state_dict(values)
+
 
 # ----------------------------------------------------------------------
 # collector bindings for the pre-existing counter surfaces
@@ -338,11 +383,11 @@ def bind_ftl(registry: TelemetryRegistry, ftl) -> None:
 
     Covers :class:`~repro.ftl.base.FTLCounters` (as
     ``ftl_counter{ftl,counter}``), the fault-recovery counters (as
-    ``ftl_recovery{ftl,event}``), and the gauges the
-    :class:`~repro.obs.metrics.MetricsSampler` samples (buffer
-    utilization / occupancy, free blocks, ORT size and hit rate) -- all
-    read back from the same live objects at snapshot time, so the
-    existing public APIs and the result schema are untouched.
+    ``ftl_recovery{ftl,event}``), and the gauges of the metrics
+    timeline (buffer utilization / occupancy, free blocks, ORT size,
+    hits, misses and hit rate) -- all read back from the same live
+    objects at snapshot time, so the existing public APIs and the
+    result schema are untouched.
     """
     counter_gauge = registry.gauge(
         "ftl_counter", "FTL operation counters (FTLCounters fields)",
@@ -366,6 +411,14 @@ def bind_ftl(registry: TelemetryRegistry, ftl) -> None:
     ort_entries = registry.gauge(
         "ort_entries", "learned ORT entries", labelnames=("ftl",)
     )
+    ort_hits = registry.gauge(
+        "ort_hits", "ORT lookups served from a learned entry",
+        labelnames=("ftl",),
+    )
+    ort_misses = registry.gauge(
+        "ort_misses", "ORT lookups that found no learned entry",
+        labelnames=("ftl",),
+    )
     ort_hit_rate = registry.gauge(
         "ort_hit_rate", "fraction of ORT lookups served from a learned entry",
         labelnames=("ftl",),
@@ -386,6 +439,8 @@ def bind_ftl(registry: TelemetryRegistry, ftl) -> None:
         opm = getattr(ftl, "opm", None)
         ort = opm.ort if opm is not None else None
         ort_entries.labels(ftl=name).set(len(ort) if ort is not None else 0)
+        ort_hits.labels(ftl=name).set(ort.hits if ort is not None else 0)
+        ort_misses.labels(ftl=name).set(ort.misses if ort is not None else 0)
         ort_hit_rate.labels(ftl=name).set(
             ort.hit_rate if ort is not None else 0.0
         )
@@ -412,3 +467,13 @@ def bind_engine(registry: TelemetryRegistry, engine) -> None:
         now.set(engine.now)
 
     registry.add_collector(collect)
+
+
+def bind_host(registry: TelemetryRegistry, completed: Callable[[], int]) -> None:
+    """Export the host's completed-request count (warmup included),
+    read through ``completed`` at snapshot time; the replay binds it."""
+    gauge = registry.gauge(
+        "host_completed_requests", "host requests completed, warmup included",
+        unit="requests",
+    )
+    registry.add_collector(lambda: gauge.set(completed()))

@@ -2,12 +2,14 @@
 
 A :class:`TimeSeriesRecorder` snapshots a
 :class:`~repro.obs.registry.TelemetryRegistry` every ``interval_us`` of
-*simulated* time, riding on :meth:`repro.sim.engine.Engine.every`
-exactly like the :class:`~repro.obs.metrics.MetricsSampler` does: with
-no recorder attached the event sequence is bit-for-bit the run without
-one; with one attached its events only *read* state, and it is stopped
-at the last host completion so the engine clock never advances past the
-real workload.
+*simulated* time.  Its windows are not events: the engine's batch loop
+takes each one before dispatching the events at or after its due time,
+with the clock set to the due time
+(:meth:`repro.sim.engine.Engine._take_windows`).  A window only *reads*
+state, never advances the clock past real work, never holds a drain
+open and never takes a sequence number, so a run with a recorder
+dispatches exactly the events of the run without one; the replay stops
+the recorder at the last host completion.
 
 Each snapshot is flattened to scalar keys
 (:func:`flatten_snapshot`) and stored as a *delta window*: the first
@@ -15,7 +17,8 @@ window carries every key, later windows carry only the keys whose value
 changed.  Long runs over multi-billion-op horizons therefore pay for
 what moved, not for the whole instrument catalog per window.
 :func:`expand_records` inverts the compression for analysis and report
-rendering.
+rendering, and :func:`metrics_samples` projects the windows onto the
+metrics timeline (``result.metrics``).
 
 Determinism is part of the contract (the run-artifact suite asserts
 byte-identical ``timeseries.jsonl`` files for identical seeded runs):
@@ -26,9 +29,10 @@ record.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Tuple
 
-#: default snapshot cadence when ``artifact_every`` is not given (us)
+#: window cadence of an artifact run without ``metrics_interval`` (us)
 DEFAULT_INTERVAL_US = 1000.0
 
 
@@ -81,8 +85,57 @@ def expand_records(records: Iterable[dict]) -> Tuple[List[float], List[Dict[str,
     return times, windows
 
 
+#: ``FTLCounters`` fields a metrics sample carries, in its key order,
+#: split where the derived ``follower_fraction`` goes between them
+_MIX_COUNTERS = (
+    "host_read_pages", "host_write_pages", "flash_reads", "flash_programs",
+    "gc_reads", "gc_programs", "erases", "leader_programs",
+    "follower_programs",
+)
+_CELL_COUNTERS = (
+    "reprograms", "vfy_skipped", "read_retries", "retried_reads",
+    "program_time_us", "read_time_us",
+)
+
+
+def metrics_samples(records: Iterable[dict], ftl: str) -> List[dict]:
+    """The metrics timeline of a run's windows (``result.metrics``).
+
+    One dict per window, keyed ``t_us``, ``completed_requests`` (host
+    completions, warmup included), the write buffer's utilization mu
+    and occupancy, free blocks, the FTL's operation counters, the
+    leader/follower mix and ``follower_fraction``, VFY skips, read
+    retries, die service time, and the ORT's entries, hits, misses and
+    hit rate.  ``ftl`` is the FTL's name, as the registry labels it.
+    Counters are cumulative since the measured run started; gauges are
+    the values at the window's instant.
+    """
+
+    samples = []
+    for t_us, window in zip(*expand_records(records)):
+        sample = {
+            "t_us": t_us,
+            "completed_requests": window["host_completed_requests.value"],
+        }
+        for name in ("buffer_utilization", "buffer_occupancy", "free_blocks"):
+            sample[name] = window[f"{name}{{ftl={ftl}}}.value"]
+        for name in _MIX_COUNTERS:
+            sample[name] = window[f"ftl_counter{{counter={name},ftl={ftl}}}.value"]
+        programs = sample["leader_programs"] + sample["follower_programs"]
+        sample["follower_fraction"] = (
+            sample["follower_programs"] / programs if programs else 0.0
+        )
+        for name in _CELL_COUNTERS:
+            sample[name] = window[f"ftl_counter{{counter={name},ftl={ftl}}}.value"]
+        for name in ("ort_entries", "ort_hits", "ort_misses", "ort_hit_rate"):
+            sample[name] = window[f"{name}{{ftl={ftl}}}.value"]
+        samples.append(sample)
+    return samples
+
+
 class TimeSeriesRecorder:
-    """Engine-driven periodic registry snapshots with delta compression.
+    """Periodic registry snapshots with delta compression, taken by the
+    engine's batch loop.
 
     Parameters
     ----------
@@ -93,55 +146,48 @@ class TimeSeriesRecorder:
     engine:
         The event engine driving simulated time.
     interval_us:
-        Simulated microseconds between windows.
+        Simulated microseconds between windows (positive and finite).
     """
 
     def __init__(self, registry, engine, interval_us: float = DEFAULT_INTERVAL_US) -> None:
-        if interval_us <= 0:
-            raise ValueError("interval_us must be > 0")
+        if not 0 < interval_us < math.inf:
+            raise ValueError("interval_us must be positive and finite")
         self.registry = registry
         self.engine = engine
         self.interval_us = interval_us
         #: delta windows: ``{"t_us": ..., "full": ..., "values": {...}}``
         self.records: List[dict] = []
         self._last: Dict[str, float] = {}
-        self._recurring = None
 
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        """Take the t=start window and begin periodic recording."""
-        self._take()
-        self._recurring = self.engine.every(self.interval_us, self._take)
+        """Hand the next window to the engine's batch loop.  A fresh
+        recorder first takes its t=start window; a restored one carries
+        on one interval after its last window."""
+        if not self.records:
+            self.take()
+        self.engine.recorder = self
+        self.engine.next_window = self.records[-1]["t_us"] + self.interval_us
 
     def stop(self) -> None:
-        """Cancel the pending snapshot event (the engine clock will not
-        advance to it)."""
-        if self._recurring is not None:
-            self._recurring.stop()
-            self._recurring = None
+        """Take no more periodic windows."""
+        self.engine.next_window = math.inf
 
     def finalize(self) -> List[dict]:
         """Stop recording and take the end-of-run window, replacing a
         periodic window that happens to share its timestamp so the final
         window always aligns with the final statistics."""
         self.stop()
-        now = self.engine.now
-        if self.records and self.records[-1]["t_us"] == now:
-            dropped = self.records.pop()
-            # rebuild the "previous" view without the dropped window so
-            # the replacement's delta is computed against the same base
-            self._last = dict(self._last)
-            for key in dropped["values"]:
-                self._last.pop(key, None)
+        if self.records and self.records[-1]["t_us"] == self.engine.now:
+            self.records.pop()
             _, windows = expand_records(self.records)
             self._last = windows[-1] if windows else {}
-        self._take()
+        self.take()
         return self.records
 
-    # ------------------------------------------------------------------
-
-    def _take(self) -> None:
+    def take(self) -> None:
+        """Record one window at the engine's clock."""
         flat = flatten_snapshot(self.registry.snapshot())
         if not self.records:
             delta = flat
@@ -157,3 +203,17 @@ class TimeSeriesRecorder:
             {"t_us": self.engine.now, "full": full, "values": delta}
         )
         self._last = flat
+
+    # -- checkpointing ---------------------------------------------------
+
+    def state_dict(self) -> dict:
+        """The cadence and the windows so far; the next window is due an
+        interval after the last."""
+        return {"interval_us": self.interval_us, "records": self.records}
+
+    def load_state_dict(self, state: dict) -> None:
+        """Restore a :meth:`state_dict` taken at this recorder's cadence
+        (a resume checks that first), before :meth:`start`."""
+        self.records = list(state["records"])
+        _, windows = expand_records(self.records)
+        self._last = windows[-1] if windows else {}

@@ -10,6 +10,11 @@ A checkpoint is a *directory* named ``ckpt_<index:08d>`` holding
   clock).
 - ``state.pkl`` -- the pickled ``state_dict()`` tree of every stateful
   component (engine, chips, resources, FTL, injector, checker).
+- ``observers.pkl`` -- optional: the pickled state of the run's
+  observers (telemetry registry, time-series recorder, exemplar
+  recorder), written only when the run had any.  It is kept out of
+  ``state.pkl`` so that file's bytes do not depend on what watched the
+  run.
 
 The header is the compatibility surface: :func:`validate_header` is the
 schema check (also exposed via ``tools/check_schema.py --checkpoint``)
@@ -42,6 +47,7 @@ CHECKPOINT_SCHEMA_VERSION = 1
 
 HEADER_NAME = "header.json"
 STATE_NAME = "state.pkl"
+OBSERVERS_NAME = "observers.pkl"
 
 _CKPT_RE = re.compile(r"^ckpt_(\d{8})$")
 
@@ -106,8 +112,12 @@ def validate_header(header: dict) -> List[str]:
     return problems
 
 
-def write_checkpoint(parent_dir: str, header: dict, state: dict) -> str:
-    """Atomically publish ``ckpt_<segment>`` under ``parent_dir``.
+def write_checkpoint(
+    parent_dir: str, header: dict, state: dict,
+    observers: Optional[dict] = None,
+) -> str:
+    """Atomically publish ``ckpt_<segment>`` under ``parent_dir``, with
+    ``observers.pkl`` when ``observers`` is given.
 
     Returns the final checkpoint path.  The temporary staging directory
     lives in the same parent so the final :func:`os.replace` stays on
@@ -130,6 +140,9 @@ def write_checkpoint(parent_dir: str, header: dict, state: dict) -> str:
         fh.write("\n")
     with open(os.path.join(tmp_path, STATE_NAME), "wb") as fh:
         pickle.dump(state, fh, protocol=pickle.HIGHEST_PROTOCOL)
+    if observers is not None:
+        with open(os.path.join(tmp_path, OBSERVERS_NAME), "wb") as fh:
+            pickle.dump(observers, fh, protocol=pickle.HIGHEST_PROTOCOL)
     if os.path.exists(final_path):
         shutil.rmtree(final_path)
     os.replace(tmp_path, final_path)
@@ -160,6 +173,15 @@ def load_checkpoint(checkpoint_path: str) -> Tuple[dict, dict]:
     with open(state_path, "rb") as fh:
         state = pickle.load(fh)
     return header, state
+
+
+def load_observers(checkpoint_path: str) -> dict:
+    """The observer state of one checkpoint dir (empty when it has none)."""
+    path = os.path.join(checkpoint_path, OBSERVERS_NAME)
+    if not os.path.isfile(path):
+        return {}
+    with open(path, "rb") as fh:
+        return pickle.load(fh)
 
 
 def list_checkpoints(parent_dir: str) -> List[str]:

@@ -14,8 +14,12 @@ checkpoint can never silently capture a half-finished operation.
 A resumed run takes the same path: :func:`checkpoint_plan` loads the
 checkpoint and checks its header against the spec, the simulation is
 built with every observer the spec asks for, :func:`restore_state`
-takes the place of prefill, and the replay continues with the
-carried-over accounting (``resume_accounting=``).  Because both the
+takes the place of prefill, :func:`restore_observers` carries the
+observers' state on, and the replay continues with the carried-over
+accounting (``resume_accounting=``).  The observers' state (telemetry
+registry, time-series recorder, exemplar recorder) goes into its own
+optional file (:func:`capture_observers`), so ``state.pkl`` holds the
+same bytes whatever watched the run.  Because both the
 straight-through checkpointing run and the resumed run drain at the
 same request boundaries, they replay the identical event sequence:
 results and ``state_digest`` are byte-identical (the resume-equivalence
@@ -37,6 +41,7 @@ from repro.persist.checkpoint import (
     CheckpointError,
     config_fingerprint,
     load_checkpoint,
+    load_observers,
     write_checkpoint,
 )
 from repro.specs import SimulationSpec, SpecError, check_level_name
@@ -103,6 +108,71 @@ def restore_state(sim: SSDSimulation, state: dict) -> None:
         controller.faults.load_state_dict(state["injector"])
     if state["checker"] is not None and sim.checker is not None:
         sim.checker.load_state_dict(state["checker"])
+
+
+def _observers(sim: SSDSimulation) -> dict:
+    """The run's observers that carry state across a checkpoint, by
+    name; an absent observer is ``None``."""
+    tracer = sim.controller.tracer
+    return {
+        "telemetry": sim.telemetry,
+        "timeseries": sim.timeseries,
+        "exemplars": tracer.exemplars if tracer is not None else None,
+    }
+
+
+def capture_observers(sim: SSDSimulation) -> Optional[dict]:
+    """The observers' ``state_dict()`` by name, or ``None`` when the run
+    has none (its checkpoints then carry no observer file)."""
+    states = {
+        name: observer.state_dict()
+        for name, observer in _observers(sim).items()
+        if observer is not None
+    }
+    return states or None
+
+
+def restore_observers(sim: SSDSimulation, state: dict) -> None:
+    """Load :func:`capture_observers` state into the observers ``sim``
+    was built with (:func:`checkpoint_plan` has checked it is there)."""
+    for name, observer in _observers(sim).items():
+        if observer is not None:
+            observer.load_state_dict(state[name])
+
+
+#: the run options whose observers a resume needs checkpointed state
+#: for, each with the observers it attaches
+_OBSERVING_OPTIONS = (
+    ("telemetry", ("telemetry",)),
+    ("metrics_interval", ("telemetry", "timeseries")),
+    ("artifact_dir", ("telemetry", "timeseries", "exemplars")),
+)
+
+
+def _check_observers(observers: dict, spec: SimulationSpec, path: str) -> None:
+    """Raise :class:`CheckpointError` unless the checkpoint at ``path``
+    carries the state of every observer the resume asks for, at the
+    same time-series cadence."""
+    options = spec.options
+    missing = [
+        option
+        for option, needs in _OBSERVING_OPTIONS
+        if getattr(options, option) not in (None, False)
+        and any(observers.get(name) is None for name in needs)
+    ]
+    if missing:
+        raise CheckpointError(
+            f"{path}: the checkpoint carries no observer state for "
+            f"{', '.join(missing)} (the run that wrote it had no such "
+            "observer); resume without it, or re-run straight through"
+        )
+    interval = options.window_us
+    saved = observers.get("timeseries", {}).get("interval_us")
+    if interval is not None and interval != saved:
+        raise CheckpointError(
+            f"{path}: metrics_interval {interval} differs from the "
+            f"checkpointed recorder's window of {saved} us"
+        )
 
 
 def _new_header(spec: SimulationSpec, trace: Trace) -> dict:
@@ -173,26 +243,29 @@ def _check_header(
 
 def checkpoint_plan(
     spec: SimulationSpec, trace: Trace
-) -> Tuple[dict, str, Optional[dict]]:
+) -> Tuple[dict, str, Optional[dict], Optional[dict]]:
     """What a checkpointed or resumed run of ``spec`` needs:
-    ``(header, out_dir, state)``.
+    ``(header, out_dir, state, observers)``.
 
     ``header`` holds the run parameters every checkpoint records; on
     resume it is the loaded one, authoritative for ``queue_depth``,
     ``warmup_requests``, ``checkpoint_every`` and the check level.
     ``out_dir`` is where checkpoints go (on resume by default the
     directory holding ``resume_from``).  ``state`` is the snapshot to
-    restore in place of prefill, or ``None`` on a fresh run.
+    restore in place of prefill and ``observers`` the observer state,
+    both ``None`` on a fresh run.  A resume whose observers the
+    checkpoint holds no state for is refused here, by run option.
     """
     options = spec.options
     if options.resume_from is None:
-        return _new_header(spec, trace), options.checkpoint_dir, None
-    header, state = load_checkpoint(options.resume_from)
-    _check_header(header, spec, trace, options.resume_from)
-    out_dir = options.checkpoint_dir or os.path.dirname(
-        os.path.abspath(options.resume_from)
-    )
-    return header, out_dir, state
+        return _new_header(spec, trace), options.checkpoint_dir, None, None
+    path = options.resume_from
+    header, state = load_checkpoint(path)
+    _check_header(header, spec, trace, path)
+    observers = load_observers(path)
+    _check_observers(observers, spec, path)
+    out_dir = options.checkpoint_dir or os.path.dirname(os.path.abspath(path))
+    return header, out_dir, state, observers
 
 
 def checkpoint_hook(
@@ -212,6 +285,9 @@ def checkpoint_hook(
         stamped["segment"] = accounting["completed"] // every
         stamped["completed"] = accounting["completed"]
         stamped["clock_us"] = float(sim.controller.engine.now)
-        write_checkpoint(out_dir, stamped, capture_state(sim, accounting))
+        write_checkpoint(
+            out_dir, stamped, capture_state(sim, accounting),
+            capture_observers(sim),
+        )
 
     return on_barrier

@@ -7,11 +7,15 @@ order so the simulation is fully deterministic.
 The heap holds ``(time, seq, event)`` tuples.  ``seq`` is unique per
 event, so ``heapq`` orders entries by comparing two numbers in C and
 never reaches the :class:`Event` itself.
+
+A periodic observer (the time-series recorder) is not an event: the
+loops take its windows between batches (:meth:`Engine._take_windows`).
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Callable, List, Optional, Tuple
 
 #: lazy-deletion compaction threshold: the heap is rebuilt (cancelled
@@ -49,46 +53,6 @@ class Event:
             self.engine._note_cancel()
 
 
-class RecurringEvent:
-    """A self-rescheduling periodic callback (metrics sampling).
-
-    The callback re-arms only while *other* events remain queued, so a
-    recurring event can never keep the engine alive on its own or
-    advance the clock past the last real event; :meth:`stop` cancels
-    the pending occurrence without disturbing the queue order.
-    """
-
-    __slots__ = ("engine", "interval", "callback", "event", "stopped")
-
-    def __init__(self, engine: "Engine", interval: float, callback: Callable[[], None]) -> None:
-        if interval <= 0:
-            raise ValueError("interval must be > 0")
-        self.engine = engine
-        self.interval = interval
-        self.callback = callback
-        self.stopped = False
-        self.event = engine.schedule(interval, self._fire)
-
-    def _fire(self) -> None:
-        if self.stopped:
-            return
-        self.callback()
-        # re-arm only while a *live* event remains: ``pending`` counts
-        # cancelled events still in the heap, so gating on it would keep
-        # the sampler alive on a queue of corpses and advance the clock
-        # past the last real event
-        if self.engine.live_pending > 0:
-            self.event = self.engine.schedule(self.interval, self._fire)
-        else:
-            self.event = None
-
-    def stop(self) -> None:
-        self.stopped = True
-        if self.event is not None:
-            self.event.cancel()
-            self.event = None
-
-
 class Engine:
     """Event queue with a monotonically advancing clock."""
 
@@ -107,6 +71,12 @@ class Engine:
         #: every executed event; ``None`` (the default) costs one
         #: pointer test per event.
         self.monitor: Optional[Callable[[float], None]] = None
+        #: optional window recorder: an object with ``interval_us`` and
+        #: ``take()``, set by :class:`~repro.obs.timeseries.TimeSeriesRecorder`
+        self.recorder = None
+        #: due time of the recorder's next window; ``inf`` without one,
+        #: so a run without a recorder pays one float compare per batch
+        self.next_window = math.inf
 
     @property
     def now(self) -> float:
@@ -219,11 +189,25 @@ class Engine:
         self._reserved.append(range(base, base + n))
         return base
 
-    def every(self, interval: float, callback: Callable[[], None]) -> RecurringEvent:
-        """Run ``callback`` every ``interval`` microseconds while other
-        *live* events remain queued (observability hooks ride on this);
-        cancelled events never keep a recurring callback alive."""
-        return RecurringEvent(self, interval, callback)
+    def _take_windows(self, time: float) -> None:
+        """Take every recorder window due at or before ``time``.
+
+        The clock is set to each due time in turn, so a window sees the
+        state from before any event at that time.  A window is not an
+        event: it never advances the clock past real work, never keeps
+        a drained queue alive and never takes a sequence number.
+        """
+        recorder = self.recorder
+        while self.next_window <= time:
+            self._now = self.next_window
+            recorder.take()
+            self.next_window += recorder.interval_us
+
+    def _advance(self, time: float) -> None:
+        """Move the clock to ``time`` with no event there (``until``)."""
+        if time >= self.next_window:
+            self._take_windows(time)
+        self._now = time
 
     def step(self) -> bool:
         """Execute the next event.  Returns False when the queue is empty."""
@@ -233,6 +217,8 @@ class Engine:
             if event.cancelled:
                 self._cancelled -= 1
                 continue
+            if time >= self.next_window:
+                self._take_windows(time)
             self._now = time
             self._processed += 1
             if self.monitor is not None:
@@ -289,7 +275,9 @@ class Engine:
         strict total order and the batch always pops the minimum, so the
         dispatch sequence -- including zero-delay events a callback
         schedules back at the batch timestamp -- is byte-identical to
-        the one-event-at-a-time loop.
+        the one-event-at-a-time loop.  Before a batch at time t, and
+        before the clock moves to ``until``, the recorder's windows due
+        at or before that time are taken; :meth:`step` takes the same.
 
         On the ``max_events`` return path any *leading cancelled
         corpses* are drained first, so a caller running in segments
@@ -310,8 +298,10 @@ class Engine:
                 self._cancelled -= 1
                 continue
             if until is not None and batch_time > until:
-                self._now = until
+                self._advance(until)
                 return
+            if batch_time >= self.next_window:
+                self._take_windows(batch_time)
             self._now = batch_time
             while queue and queue[0][0] == batch_time:
                 event = pop(queue)[2]
@@ -327,7 +317,7 @@ class Engine:
                 if max_events is not None and executed >= max_events:
                     break
         if until is not None and until > self._now:
-            self._now = until
+            self._advance(until)
 
     def _drain_corpses(self, until: Optional[float]) -> None:
         """Pop leading cancelled events off the heap; advance the clock
@@ -347,4 +337,4 @@ class Engine:
             and until > self._now
             and (not queue or queue[0][0] > until)
         ):
-            self._now = until
+            self._advance(until)

@@ -42,6 +42,7 @@ Example::
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -50,6 +51,7 @@ from repro.faults.campaign import CAMPAIGNS, FaultCampaign
 from repro.nand.geometry import BlockGeometry, SSDGeometry
 from repro.nand.reliability import AgingState
 from repro.nand.timing import NandTiming
+from repro.obs.timeseries import DEFAULT_INTERVAL_US
 from repro.ssd.config import SSDConfig
 from repro.workloads import available_workloads, build_workload, is_trace_path
 from repro.workloads.base import Trace
@@ -361,8 +363,25 @@ class RunOptions:
     #: excluded from the run's content fingerprint -- *where* an artifact
     #: lives never changes *which* run it names
     artifact_dir: Optional[str] = None
-    #: telemetry time-series window, simulated us (None: default cadence)
-    artifact_every: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        # the time-series window cadence, refused before anything runs
+        if self.metrics_interval is not None and not (
+            0 < self.metrics_interval < math.inf
+        ):
+            raise SpecError(
+                "metrics_interval must be a positive, finite number of "
+                f"microseconds, got {self.metrics_interval!r}"
+            )
+
+    @property
+    def window_us(self) -> Optional[float]:
+        """The time-series recorder's cadence: ``metrics_interval``, the
+        default for an artifact run without one, else ``None`` (no
+        recorder)."""
+        if self.metrics_interval is None and self.artifact_dir is not None:
+            return DEFAULT_INTERVAL_US
+        return self.metrics_interval
 
     def to_dict(self) -> dict:
         out: Dict[str, Any] = {}
@@ -387,8 +406,6 @@ class RunOptions:
             out["resume_from"] = self.resume_from
         if self.artifact_dir is not None:
             out["artifact_dir"] = self.artifact_dir
-        if self.artifact_every is not None:
-            out["artifact_every"] = self.artifact_every
         return out
 
     @classmethod
@@ -397,7 +414,7 @@ class RunOptions:
             data,
             {"trace", "metrics_interval", "telemetry", "profile", "check",
              "max_events", "checkpoint_every", "checkpoint_dir",
-             "resume_from", "artifact_dir", "artifact_every"},
+             "resume_from", "artifact_dir"},
             "options",
         )
         return cls(**data)

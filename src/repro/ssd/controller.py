@@ -162,8 +162,8 @@ class SSDSimulation:
         self.checker = checker
         if checker is not None:
             checker.attach(self)
-        #: optional :class:`~repro.obs.timeseries.TimeSeriesRecorder`;
-        #: the replay loop starts/stops it alongside the metrics sampler
+        #: optional :class:`~repro.obs.timeseries.TimeSeriesRecorder`
+        #: over ``telemetry``; the replay starts and finalizes it
         self.timeseries = None
         #: optional ``hook(completed, total, now_us)`` the replay loop
         #: calls per completion (live progress; never schedules events)
@@ -285,10 +285,3 @@ class SSDSimulation:
                 for request in sample
             ),
         )
-
-    def _make_sampler(self, interval_us: Optional[float], completed_fn):
-        if interval_us is None:
-            return None
-        from repro.obs.metrics import MetricsSampler
-
-        return MetricsSampler(self.ftl, interval_us, completed_fn=completed_fn)

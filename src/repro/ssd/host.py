@@ -47,6 +47,7 @@ from collections import deque
 from itertools import islice
 from typing import Callable, Dict, Iterator, Optional
 
+from repro.obs.registry import bind_host
 from repro.ssd.controller import SimulationStalledError, _stall_message
 from repro.ssd.stats import SimulationStats, TenantStats
 from repro.workloads.base import IORequest, Trace
@@ -84,24 +85,16 @@ def _require_arrivals(trace: Trace, mode: str) -> None:
 
 
 def check_segmentable(
-    mode: str,
-    *,
-    max_events: Optional[int],
-    tenants,
-    metrics_interval: Optional[float],
-    timeseries: bool,
+    mode: str, *, max_events: Optional[int], tenants
 ) -> None:
     """Raise ``ValueError`` unless a replay with these settings can run
     in drained segments (checkpointing).
 
     A barrier is the drained instant between segments.  Open-loop
     arrivals are pinned to trace times, so no drained instant exists
-    between them; ``max_events`` stops a segment before it drains; the
-    barrier payload carries no per-tenant slices; and a recurring
-    observer (the metrics sampler, the artifact time-series recorder)
-    holds every drain open until its next tick, which moves the barriers
-    and changes the results.  The message names each conflict by its
-    run option.
+    between them; ``max_events`` stops a segment before it drains; and
+    the barrier payload carries no per-tenant slices.  The message
+    names each conflict by its run option.
     """
     conflicts = [
         name
@@ -109,8 +102,6 @@ def check_segmentable(
             (f"open_loop ({mode} replay)", mode != "closed"),
             ("max_events", max_events is not None),
             ("tenants", bool(tenants)),
-            ("metrics_interval", metrics_interval is not None),
-            ("artifact_dir (time-series recorder)", timeseries),
         )
         if conflict
     ]
@@ -162,7 +153,6 @@ def replay(
     queue_depth: Optional[int] = 32,
     warmup_requests: int = 0,
     max_events: Optional[int] = None,
-    metrics_interval_us: Optional[float] = None,
     segment_requests: Optional[int] = None,
     on_barrier: Optional[Callable[[dict], None]] = None,
     resume_accounting: Optional[dict] = None,
@@ -180,6 +170,11 @@ def replay(
     the requests it counts as completed are skipped and its accounting
     carries on.  The drains shape scheduling, so a segmented run equals
     other segmented runs (resumed or not), never an unsegmented one.
+
+    A telemetry registry on ``sim`` gets the host's completion count
+    (:func:`~repro.obs.registry.bind_host`), and a time-series recorder
+    on ``sim`` (``sim.timeseries``) takes windows from the first request
+    to the last completion, then its end-of-run window.
     """
     if mode not in REPLAY_MODES:
         raise ValueError(f"mode must be one of {REPLAY_MODES}")
@@ -188,13 +183,7 @@ def replay(
     if segment_requests is not None:
         if segment_requests < 1:
             raise ValueError("segment_requests must be >= 1")
-        check_segmentable(
-            mode,
-            max_events=max_events,
-            tenants=trace.tenants,
-            metrics_interval=metrics_interval_us,
-            timeseries=getattr(sim, "timeseries", None) is not None,
-        )
+        check_segmentable(mode, max_events=max_events, tenants=trace.tenants)
     if mode == "unbounded":
         _require_arrivals(trace, "open-loop")
         queue_depth, warmup_requests = math.inf, 0
@@ -227,7 +216,9 @@ def replay(
         stats.write_latency.extend(resume_accounting["write_latency"])
     if warmup_requests == 0 and measure_start is None:
         measure_start = start_us
-    sampler = sim._make_sampler(metrics_interval_us, lambda: completed)
+    registry = getattr(sim, "telemetry", None)
+    if registry is not None:
+        bind_host(registry, lambda: completed)
     recorder = getattr(sim, "timeseries", None)
     progress = getattr(sim, "progress", None)
 
@@ -263,13 +254,9 @@ def replay(
             else:
                 stats.write_latency.add(latency)
             _note_tenant(stats, request, latency)
-        if completed == n_requests:
-            # stop re-arming so sampling never advances the clock past
-            # the last host completion (it would distort IOPS)
-            if sampler is not None:
-                sampler.stop()
-            if recorder is not None:
-                recorder.stop()
+        if completed == n_requests and recorder is not None:
+            # no periodic window after the last host completion
+            recorder.stop()
         # the freed slot goes to the longest-waiting arrival; in closed
         # mode the next request of the trace arrives to take it
         if waiting:
@@ -279,17 +266,10 @@ def replay(
             if request is not None:
                 issue(request)
 
-    # NCQ replay reserves its arrivals' sequence numbers before the
-    # observers start and unbounded replay after them, which decides
-    # how an arrival and a sampler tick at the same instant dispatch
-    if mode == "ncq":
+    if mode != "closed":
         _feed_arrivals(engine, trace, start_us, arrive)
-    if sampler is not None:
-        sampler.start()
     if recorder is not None:
         recorder.start()
-    if mode == "unbounded":
-        _feed_arrivals(engine, trace, start_us, arrive)
     position = completed
     while True:
         end = n_requests
@@ -324,8 +304,6 @@ def replay(
     stats.completed_requests = completed - warmup_requests
     stats.counters = sim.ftl.counters
     stats.recovery = sim.ftl.recovery
-    if sampler is not None:
-        stats.metrics = sampler.finalize()
     if recorder is not None:
         recorder.finalize()
     return stats

@@ -9,7 +9,6 @@ import numpy as np
 
 if TYPE_CHECKING:
     from repro.ftl.base import FTLCounters
-    from repro.obs.metrics import MetricsSample
 
 #: version stamp of the :meth:`SimulationStats.to_dict` layout; bump when
 #: keys change shape so downstream tooling can dispatch (v2: typed counter
@@ -167,9 +166,10 @@ class SimulationStats:
     #: serialized when any recovery action fired, so fault-free output is
     #: unchanged
     recovery: Optional[object] = None
-    #: time-sliced :class:`~repro.obs.metrics.MetricsSample` timeline;
-    #: present only when the run sampled metrics
-    metrics: Optional[List["MetricsSample"]] = None
+    #: metrics timeline, one dict per window
+    #: (:func:`repro.obs.timeseries.metrics_samples`); present only when
+    #: the run sampled metrics
+    metrics: Optional[List[dict]] = None
     #: per-tenant statistics of a multi-tenant run, keyed by tenant name;
     #: None on single-stream runs so their serialized output is unchanged
     tenants: Optional[Dict[str, TenantStats]] = None
@@ -201,7 +201,7 @@ class SimulationStats:
         if self.recovery is not None and self.recovery.any():
             result["recovery"] = self.recovery.to_dict()
         if self.metrics is not None:
-            result["metrics"] = [sample.to_dict() for sample in self.metrics]
+            result["metrics"] = [dict(sample) for sample in self.metrics]
         if self.tenants is not None:
             result["tenants"] = {
                 name: tenant.to_dict(self.duration_us)

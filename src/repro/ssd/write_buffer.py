@@ -59,7 +59,7 @@ class WriteBuffer:
         self._versions: Dict[int, int] = {}
         self.coalesced_writes = 0
         #: high-water mark of :attr:`occupancy` (burst-absorption signal
-        #: for the metrics sampler; never read by the simulation)
+        #: for the metrics timeline; never read by the simulation)
         self.peak_occupancy = 0
 
     # ------------------------------------------------------------------

@@ -45,13 +45,39 @@ def artifact_run(tmp_path_factory):
 class TestRunId:
     def test_artifact_knobs_do_not_change_identity(self):
         plain = _spec()
-        here = _spec(artifact_dir="/tmp/a", artifact_every=500.0)
+        here = _spec(artifact_dir="/tmp/a")
         there = _spec(artifact_dir="/somewhere/else")
         assert run_id(plain) == run_id(here) == run_id(there)
         assert run_id(plain) == run_fingerprint(plain)[:16]
 
     def test_seed_is_part_of_identity(self):
         assert run_id(_spec(seed=5)) != run_id(_spec(seed=6))
+
+    def test_cadence_is_part_of_identity(self):
+        """``metrics_interval`` sets the time series' windows, so two
+        cadences name two runs, and two sets of files."""
+        assert run_id(_spec(metrics_interval=250.0)) != run_id(_spec())
+        assert run_id(_spec(metrics_interval=250.0)) != run_id(
+            _spec(metrics_interval=500.0)
+        )
+
+    def test_telemetry_does_not_depend_on_cadence(self, artifact_run, tmp_path):
+        """Windows are not events, so the end-of-run telemetry -- event
+        count and peak queue length included -- is the same at any
+        cadence."""
+        _, result = artifact_run
+        fine = run_spec(
+            _spec(artifact_dir=str(tmp_path), metrics_interval=250.0)
+        )
+        assert fine.artifact != result.artifact
+        assert filecmp.cmp(
+            os.path.join(result.artifact, "telemetry.json"),
+            os.path.join(fine.artifact, "telemetry.json"),
+            shallow=False,
+        )
+        windows = load_artifact(fine.artifact)["manifest"]["counts"]
+        default = load_artifact(result.artifact)["manifest"]["counts"]
+        assert windows["timeseries_windows"] > default["timeseries_windows"]
 
 
 class TestWrittenArtifact:

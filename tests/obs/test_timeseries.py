@@ -1,5 +1,7 @@
 """The windowed, delta-compressed telemetry time-series recorder."""
 
+import math
+
 import pytest
 
 from repro.obs.registry import TelemetryRegistry
@@ -9,36 +11,14 @@ from repro.obs.timeseries import (
     expand_records,
     flatten_snapshot,
 )
+from repro.sim.engine import Engine
 
 
-class FakeRecurring:
-    def __init__(self, engine):
-        self.engine = engine
-        self.stopped = False
-
-    def stop(self):
-        self.stopped = True
-
-
-class FakeEngine:
-    """Just enough engine: a clock and a hand-cranked recurring event."""
-
-    def __init__(self):
-        self.now = 0.0
-        self.recurring = []
-
-    def every(self, interval_us, fn):
-        event = FakeRecurring(self)
-        event.interval_us = interval_us
-        event.fn = fn
-        self.recurring.append(event)
-        return event
-
-    def advance(self, dt):
-        self.now += dt
-        for event in self.recurring:
-            if not event.stopped:
-                event.fn()
+def _advance(engine, dt):
+    """Run the engine to one no-op event ``dt`` from now; the batch loop
+    takes every window due up to it first."""
+    engine.schedule(dt, lambda: None)
+    engine.run()
 
 
 @pytest.fixture
@@ -77,28 +57,28 @@ class TestDeltaCompression:
         other = registry.counter("b", "b")
         counter.inc()
         other.inc()
-        engine = FakeEngine()
+        engine = Engine()
         recorder = TimeSeriesRecorder(registry, engine, interval_us=10.0)
         recorder.start()
         assert recorder.records[0]["full"] is True
         assert recorder.records[0]["values"] == {"a.value": 1, "b.value": 1}
         counter.inc()  # only a changes
-        engine.advance(10.0)
+        _advance(engine, 10.0)
         assert recorder.records[1]["full"] is False
         assert recorder.records[1]["values"] == {"a.value": 2}
-        engine.advance(10.0)  # nothing changed: empty delta
+        _advance(engine, 10.0)  # nothing changed: empty delta
         assert recorder.records[2]["values"] == {}
 
     def test_expand_records_roundtrips(self, registry):
         counter = registry.counter("a", "a")
-        engine = FakeEngine()
+        engine = Engine()
         recorder = TimeSeriesRecorder(registry, engine, interval_us=5.0)
         recorder.start()
         expected = []
         expected.append(flatten_snapshot(registry.snapshot()))
         for _ in range(4):
             counter.inc()
-            engine.advance(5.0)
+            _advance(engine, 5.0)
             expected.append(flatten_snapshot(registry.snapshot()))
         times, windows = expand_records(recorder.records)
         assert times == [0.0, 5.0, 10.0, 15.0, 20.0]
@@ -106,10 +86,10 @@ class TestDeltaCompression:
 
     def test_finalize_replaces_same_timestamp_window(self, registry):
         counter = registry.counter("a", "a")
-        engine = FakeEngine()
+        engine = Engine()
         recorder = TimeSeriesRecorder(registry, engine, interval_us=5.0)
         recorder.start()
-        engine.advance(5.0)  # periodic window at t=5
+        _advance(engine, 5.0)  # periodic window at t=5
         counter.inc()  # state changes after the periodic snapshot
         records = recorder.finalize()  # end-of-run also at t=5
         assert [r["t_us"] for r in records] == [0.0, 5.0]
@@ -117,15 +97,35 @@ class TestDeltaCompression:
         assert windows[-1]["a.value"] == 1  # final window sees the inc
 
     def test_stop_cancels_recurring_event(self, registry):
-        engine = FakeEngine()
+        engine = Engine()
         recorder = TimeSeriesRecorder(registry, engine)
         recorder.start()
         recorder.stop()
-        assert engine.recurring[0].stopped
+        assert engine.next_window == math.inf
         n = len(recorder.records)
-        engine.advance(DEFAULT_INTERVAL_US)
+        _advance(engine, DEFAULT_INTERVAL_US)
         assert len(recorder.records) == n
 
     def test_rejects_nonpositive_interval(self, registry):
-        with pytest.raises(ValueError):
-            TimeSeriesRecorder(registry, FakeEngine(), interval_us=0.0)
+        for interval in (0.0, -5.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                TimeSeriesRecorder(registry, Engine(), interval_us=interval)
+
+    def test_restored_recorder_carries_on(self):
+        """A recorder restored from a checkpoint's state takes no second
+        start window and keeps the straight recorder's cadence."""
+        registries = [TelemetryRegistry(), TelemetryRegistry()]
+        engines = [Engine(), Engine()]
+        straight = TimeSeriesRecorder(registries[0], engines[0], interval_us=5.0)
+        straight.start()
+        _advance(engines[0], 12.0)
+        restored = TimeSeriesRecorder(registries[1], engines[1], interval_us=5.0)
+        restored.load_state_dict(straight.state_dict())
+        _advance(engines[1], 12.0)
+        restored.start()
+        assert engines[1].next_window == engines[0].next_window == 15.0
+        for registry, engine in zip(registries, engines):
+            registry.counter("a", "a").inc()
+            _advance(engine, 9.0)
+        assert restored.records == straight.records
+        assert [r["t_us"] for r in restored.records] == [0.0, 5.0, 10.0, 15.0, 20.0]

@@ -19,6 +19,7 @@ from repro.persist import (
     validate_header,
     write_checkpoint,
 )
+from repro.persist.checkpoint import OBSERVERS_NAME, load_observers
 from repro.specs import HostSpec, TenantSpec, WorkloadSpec
 from repro.ssd.config import SSDConfig
 
@@ -78,6 +79,20 @@ class TestContainer:
         header, loaded = load_checkpoint(path)
         assert header == _header()
         assert loaded == state
+
+    def test_observer_state_is_an_optional_file(self, tmp_path):
+        plain = write_checkpoint(str(tmp_path / "a"), _header(), {"v": 1})
+        observed = write_checkpoint(
+            str(tmp_path / "b"), _header(), {"v": 1}, {"telemetry": {"c": 1}}
+        )
+        assert not os.path.exists(os.path.join(plain, OBSERVERS_NAME))
+        assert load_observers(plain) == {}
+        assert load_observers(observed) == {"telemetry": {"c": 1}}
+        for name in ("header.json", "state.pkl"):
+            with open(os.path.join(plain, name), "rb") as a, open(
+                os.path.join(observed, name), "rb"
+            ) as b:
+                assert a.read() == b.read()
 
     def test_write_refuses_invalid_header(self, tmp_path):
         with pytest.raises(CheckpointError, match="seed"):
@@ -176,7 +191,7 @@ class TestApiGuards:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"artifact_dir": "runs"},
+            {"host": HostSpec(queue_depth=None, open_loop=True, rate_iops=5000.0)},
             {
                 "host": HostSpec(
                     queue_depth=8,
@@ -188,7 +203,6 @@ class TestApiGuards:
                     ),
                 ),
             },
-            {"metrics_interval": 100.0},
             {"host": HostSpec(queue_depth=8, open_loop=True, rate_iops=5000.0)},
             {"max_events": 10},
         ],
@@ -216,33 +230,84 @@ class TestApiGuards:
         assert option in str(error.value)
         assert os.listdir(tmp_path) == []
 
-    def test_telemetry_on_resume_raises(self, tmp_path):
-        config = SSDConfig.small()
+    @staticmethod
+    def _checkpoint(tmp_path, **observers):
         run_simulation(
-            config, "OLTP", ftl="cube", n_requests=120, seed=9,
+            SSDConfig.small(), "OLTP", ftl="cube", n_requests=120, seed=9,
             prefill=0.4, checkpoint_every=40,
-            checkpoint_dir=str(tmp_path / "out"),
+            checkpoint_dir=str(tmp_path / "out"), **observers,
         )
-        checkpoint = latest_checkpoint(str(tmp_path / "out"))
-        with pytest.raises(ValueError, match="telemetry"):
+        return latest_checkpoint(str(tmp_path / "out"))
+
+    @staticmethod
+    def _refused(tmp_path, checkpoint, match, **observers):
+        """The resume is refused before anything is built or written."""
+        with pytest.raises(CheckpointError, match=match):
             run_simulation(
-                config, "OLTP", ftl="cube", seed=9, n_requests=120,
-                telemetry=True, resume_from=checkpoint,
+                SSDConfig.small(), "OLTP", ftl="cube", seed=9,
+                n_requests=120, resume_from=checkpoint,
+                checkpoint_dir=str(tmp_path / "resumed"), **observers,
+            )
+        assert not (tmp_path / "resumed").exists()
+
+    def test_telemetry_on_resume_raises(self, tmp_path):
+        """A checkpoint taken without telemetry holds no registry state
+        to carry on, so a telemetered resume is refused by name."""
+        checkpoint = self._checkpoint(tmp_path)
+        with pytest.raises(CheckpointError, match="no observer state for telemetry"):
+            run_simulation(
+                SSDConfig.small(), "OLTP", ftl="cube", seed=9,
+                n_requests=120, telemetry=True, resume_from=checkpoint,
             )
 
     def test_metrics_interval_on_resume_raises(self, tmp_path):
-        config = SSDConfig.small()
-        run_simulation(
-            config, "OLTP", ftl="cube", n_requests=120, seed=9,
+        """Telemetry alone checkpoints no time-series recorder."""
+        checkpoint = self._checkpoint(tmp_path, telemetry=True)
+        with pytest.raises(
+            CheckpointError, match="no observer state for metrics_interval"
+        ):
+            run_simulation(
+                SSDConfig.small(), "OLTP", ftl="cube", seed=9,
+                n_requests=120, metrics_interval=100.0,
+                resume_from=checkpoint,
+            )
+
+    def test_missing_observer_state_is_refused_by_name(self, tmp_path):
+        checkpoint = self._checkpoint(tmp_path)
+        self._refused(
+            tmp_path, checkpoint,
+            "no observer state for telemetry, metrics_interval, artifact_dir",
+            telemetry=True, metrics_interval=100.0,
+            artifact_dir=str(tmp_path / "runs"),
+        )
+
+    def test_resume_at_another_cadence_is_refused(self, tmp_path):
+        checkpoint = self._checkpoint(
+            tmp_path, metrics_interval=100.0,
+            artifact_dir=str(tmp_path / "runs"),
+        )
+        self._refused(tmp_path, checkpoint, "metrics_interval 250.0",
+                      metrics_interval=250.0)
+        # an artifact run without metrics_interval records every 1000 us
+        self._refused(tmp_path, checkpoint, "metrics_interval 1000.0",
+                      artifact_dir=str(tmp_path / "runs"))
+
+    def test_observers_resume_from_an_observed_checkpoint(self, tmp_path):
+        """A resume may ask for fewer observers than the checkpoint
+        carries state for (here: no artifact)."""
+        observers = dict(telemetry=True, metrics_interval=100.0)
+        straight = run_simulation(
+            SSDConfig.small(), "OLTP", ftl="cube", n_requests=120, seed=9,
             prefill=0.4, checkpoint_every=40,
             checkpoint_dir=str(tmp_path / "out"),
+            artifact_dir=str(tmp_path / "runs"), **observers,
         )
-        checkpoint = latest_checkpoint(str(tmp_path / "out"))
-        with pytest.raises(ValueError, match="incompatible.*metrics_interval"):
-            run_simulation(
-                config, "OLTP", ftl="cube", seed=9, n_requests=120,
-                metrics_interval=100.0, resume_from=checkpoint,
-            )
+        resumed = run_simulation(
+            SSDConfig.small(), "OLTP", ftl="cube", seed=9, n_requests=120,
+            resume_from=latest_checkpoint(str(tmp_path / "out")), **observers,
+        )
+        assert resumed.metrics == straight.metrics
+        assert resumed.telemetry == straight.telemetry
 
     def test_telemetry_allowed_straight_through(self, tmp_path):
         result = run_simulation(

@@ -7,6 +7,7 @@ canonical JSON of the schema-v2 result *and* on the checker's
 ``state_digest`` of the final logical state.
 """
 
+import filecmp
 import json
 import os
 
@@ -154,6 +155,59 @@ class TestObservedCheckpointing:
             # request ids carry on from the barrier's completed count
             first = min(span.request for span in spans if span.request is not None)
             assert first == read_header(checkpoint)["completed"]
+
+
+class TestWindowedCheckpointing:
+    """Metrics, artifacts and telemetry compose with checkpoints too:
+    the time-series recorder takes its windows from the engine's batch
+    loop, so it never holds a barrier's drain open, and a checkpoint
+    carries the observers' state in its own file."""
+
+    #: artifact files a resume must write byte for byte
+    FILES = (
+        "timeseries.jsonl", "telemetry.json", "exemplars.json",
+        "latency.json", "result.json",
+    )
+
+    @staticmethod
+    def _observed(config, ftl, out_dir, runs_dir, **overrides):
+        return _run(
+            config, ftl, out_dir, metrics_interval=250.0, telemetry=True,
+            artifact_dir=str(runs_dir), **overrides,
+        )
+
+    @pytest.mark.parametrize("ftl", ["page", "cube", "dftl"])
+    def test_windowed_observers_compose_with_checkpoint_and_resume(
+        self, tmp_path, ftl
+    ):
+        config = _config(False, None)
+        plain = _run(config, ftl, tmp_path / "plain")
+        straight = self._observed(
+            config, ftl, tmp_path / "observed", tmp_path / "runs"
+        )
+        result = straight.stats.to_dict()
+        assert len(result.pop("metrics")) > 3
+        assert result == plain.stats.to_dict()
+        assert straight.check["state_digest"] == plain.check["state_digest"]
+        assert _state_bytes(tmp_path / "observed") == _state_bytes(
+            tmp_path / "plain"
+        )
+        checkpoints = list_checkpoints(str(tmp_path / "observed"))
+        assert len(checkpoints) == (REQUESTS - 1) // EVERY
+        for index, checkpoint in enumerate(checkpoints):
+            resumed = self._observed(
+                config, ftl, tmp_path / "resumed",
+                tmp_path / f"resumed-runs-{index}", resume_from=checkpoint,
+            )
+            assert _key(resumed) == _key(straight)
+            assert resumed.metrics == straight.metrics
+            assert resumed.telemetry == straight.telemetry
+            for name in self.FILES:
+                assert filecmp.cmp(
+                    os.path.join(straight.artifact, name),
+                    os.path.join(resumed.artifact, name),
+                    shallow=False,
+                ), name
 
 
 class TestGcAndFlushHeavyBarriers:

@@ -235,47 +235,120 @@ class TestReservedSequence:
             engine.reserve(-1)
 
 
+class _Windows:
+    """A recorder stub: each window notes the clock and ``probe()``."""
+
+    def __init__(self, engine, interval_us, probe=lambda: None):
+        self.engine = engine
+        self.interval_us = interval_us
+        self.probe = probe
+        self.taken = []
+        engine.recorder = self
+        engine.next_window = engine.now + interval_us
+
+    def take(self):
+        self.taken.append((self.engine.now, self.probe()))
+
+    @property
+    def times(self):
+        return [time for time, _ in self.taken]
+
+
+def _tied_events(engine, log):
+    """Events with ties, a cancellation and zero-delay rescheduling."""
+    engine.schedule(1.5, lambda: log.append("a"))
+    engine.schedule(2.0, lambda: log.append("b"))
+    engine.schedule(
+        2.0, lambda: engine.schedule(0.0, lambda: log.append("c"))
+    )
+    engine.schedule(3.0, lambda: log.append("x")).cancel()
+    engine.schedule(6.0, lambda: log.append("d"))
+
+
 class TestRecurringEvents:
+    """The recorder's recurring windows.  They are not heap events: the
+    batch loop takes each one before the events at or after its due
+    time, so they keep the guarantees the heap ticks had."""
+
     def test_rearms_while_live_events_remain(self):
         engine = Engine()
-        samples = []
+        windows = _Windows(engine, 1.0)
         for t in (1.5, 3.5):
             engine.schedule(t, lambda: None)
-        engine.every(1.0, lambda: samples.append(engine.now))
         engine.run()
-        assert samples  # sampled at least once alongside the live events
-
-    def test_does_not_rearm_on_cancelled_corpses(self):
-        """Regression: ``_fire`` used to gate on ``pending``, which counts
-        cancelled events -- a queue holding only corpses kept the sampler
-        alive and marched the clock past the last real event."""
-        engine = Engine()
-        samples = []
-        engine.every(1.0, lambda: samples.append(engine.now))
-        corpse = engine.schedule(100.0, lambda: None)
-        corpse.cancel()
-        engine.run()
-        assert samples == [1.0]  # fired once, then saw no live work
-        assert engine.now < 100.0
+        assert windows.times == [1.0, 2.0, 3.0]
 
     def test_sampler_cannot_keep_engine_alive_alone(self):
         engine = Engine()
-        ticks = []
-        engine.every(2.0, lambda: ticks.append(engine.now))
+        windows = _Windows(engine, 2.0)
         engine.schedule(5.0, lambda: None)
         engine.run()
-        # final tick happens at most one interval past the last live event
-        assert ticks and ticks[-1] <= 5.0 + 2.0
-        assert engine.now <= 5.0 + 2.0
+        assert windows.times == [2.0, 4.0]
+        # the drained queue stays drained: no window at 6.0, no event
+        # and no sequence number spent on the windows
+        assert engine.now == 5.0
+        assert engine.pending == 0 and engine.processed == 1
+        assert engine.reserve(1) == 1
+        engine.run()
+        assert windows.times == [2.0, 4.0]
+
+    def test_does_not_rearm_on_cancelled_corpses(self):
+        engine = Engine()
+        windows = _Windows(engine, 1.0)
+        engine.schedule(100.0, lambda: None).cancel()
+        engine.run()
+        assert windows.taken == []
+        assert engine.now == 0.0
+
+    def test_window_due_at_event_time_sees_state_before_it(self):
+        engine = Engine()
+        log = []
+        windows = _Windows(engine, 2.0, probe=lambda: list(log))
+        engine.schedule(1.0, lambda: log.append("early"))
+        engine.schedule(2.0, lambda: log.append("on time"))
+        engine.run()
+        assert windows.taken == [(2.0, ["early"])]
+        assert log == ["early", "on time"]
 
     def test_stop_cancels_pending_occurrence(self):
         engine = Engine()
-        ticks = []
-        recurring = engine.every(1.0, lambda: ticks.append(engine.now))
+        windows = _Windows(engine, 1.0)
+
+        def stop():
+            engine.next_window = float("inf")
+
+        engine.schedule(2.5, stop)
         engine.schedule(10.0, lambda: None)
-        recurring.stop()
         engine.run()
-        assert ticks == []
+        assert windows.times == [1.0, 2.0]
+
+    def test_until_takes_windows_before_moving_clock(self):
+        engine = Engine()
+        windows = _Windows(engine, 1.0)
+        engine.schedule(7.5, lambda: None)
+        engine.run(until=4.5)
+        assert windows.times == [1.0, 2.0, 3.0, 4.0]
+        assert engine.now == 4.5
+        engine.run()
+        assert windows.times == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+
+    def test_run_and_step_take_same_windows(self):
+        taken = []
+        for drive in ("run", "step"):
+            engine = Engine()
+            log = []
+            windows = _Windows(engine, 0.5, probe=lambda log=log: list(log))
+            _tied_events(engine, log)
+            if drive == "run":
+                engine.run()
+            else:
+                while engine.step():
+                    pass
+            taken.append((windows.taken, log, engine.now, engine.processed))
+        assert taken[0] == taken[1]
+        assert [time for time, _ in taken[0][0]] == [
+            0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0,
+        ]
 
 
 class TestHeapCompaction:

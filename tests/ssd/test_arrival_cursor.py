@@ -16,6 +16,8 @@ from collections import Counter
 
 import pytest
 
+from repro.obs.registry import TelemetryRegistry
+from repro.obs.timeseries import TimeSeriesRecorder, metrics_samples
 from repro.sim.engine import Engine
 from repro.specs import TenantSpec, WorkloadSpec
 from repro.ssd import host
@@ -43,8 +45,15 @@ def _prescheduled(engine, trace, start_us, arrive):
         engine.schedule_at(arrival_us, fire)
 
 
-def _sim(config):
-    sim = SSDSimulation(config, ftl="page")
+def _sim(config, metrics_us=None):
+    """A prefilled simulation; ``metrics_us`` attaches a registry and a
+    recorder taking a window every that many microseconds."""
+    registry = TelemetryRegistry() if metrics_us is not None else None
+    sim = SSDSimulation(config, ftl="page", telemetry=registry)
+    if metrics_us is not None:
+        sim.timeseries = TimeSeriesRecorder(
+            registry, sim.controller.engine, interval_us=metrics_us
+        )
     sim.prefill(0.5)
     return sim
 
@@ -66,9 +75,11 @@ def _fingerprint(sim, stats):
     }
 
 
-def _replay(monkeypatch, config, trace, mode, feed=None, **kwargs):
+def _replay(monkeypatch, config, trace, mode, feed=None, metrics_us=None,
+            **kwargs):
     """Fingerprint of one replay, with the (time, seq) of every entry
-    the engine popped; ``feed`` replaces the arrival cursor."""
+    the engine popped; ``feed`` replaces the arrival cursor and
+    ``metrics_us`` attaches a recorder (see :func:`_sim`)."""
     if mode == "ncq":
         kwargs.setdefault("queue_depth", QUEUE_DEPTH)
     popped = []
@@ -83,8 +94,10 @@ def _replay(monkeypatch, config, trace, mode, feed=None, **kwargs):
         patch.setattr(heapq, "heappop", recording_pop)
         if feed is not None:
             patch.setattr(host, "_feed_arrivals", feed)
-        sim = _sim(config)
+        sim = _sim(config, metrics_us)
         stats = replay(sim, trace, mode=mode, **kwargs)
+    if metrics_us is not None:
+        stats.metrics = metrics_samples(sim.timeseries.records, sim.ftl.name)
     fingerprint = _fingerprint(sim, stats)
     fingerprint["popped"] = popped
     return fingerprint, sim
@@ -153,15 +166,21 @@ class TestCursorMatchesPrescheduling:
     def test_exact_ties_with_completions_and_sampler(self, monkeypatch, mode):
         config = SSDConfig.small()
         trace = _grid_trace(config)
-        # sampler ticks land on the grid too, from the first one on
+        # recorder windows land on the grid too, from the first one on
         cursor, reference, _ = _replay_both(
-            monkeypatch, config, trace, mode, metrics_interval_us=80.0
+            monkeypatch, config, trace, mode, metrics_us=80.0
         )
         assert cursor == reference
+        metrics = json.loads(cursor["result"])["metrics"]
+        times = [sample["t_us"] for sample in metrics]
+        assert times[:3] == [0.0, 80.0, 160.0]
         # the grid really collides: some arrival instants dispatch more
-        # than that instant's two arrivals and one sampler tick
+        # than that instant's two arrivals
         per_instant = Counter(time for time, _ in cursor["popped"])
-        assert any(per_instant[80.0 * i] > 3 for i in range(1, 200))
+        assert any(per_instant[80.0 * i] > 2 for i in range(1, 200))
+        # and the windows are not events: the plain replay pops the same
+        plain, _ = _replay(monkeypatch, config, trace, mode)
+        assert plain["popped"] == cursor["popped"]
 
     @pytest.mark.parametrize("mode", MODES)
     def test_tenant_tagged_trace(self, monkeypatch, mode):
@@ -187,29 +206,25 @@ class TestCursorMatchesPrescheduling:
         assert sim.controller.engine.now < trace.requests[-1].arrival_us
         assert cursor == reference
 
-    @pytest.mark.parametrize(
-        "mode, expected",
-        [("ncq", ["reserve", "every"]), ("unbounded", ["every", "reserve"])],
-    )
+    @pytest.mark.parametrize("mode", MODES)
     def test_range_reserved_where_arrivals_were_scheduled(
-        self, monkeypatch, mode, expected
+        self, monkeypatch, mode
     ):
-        """NCQ scheduled its arrivals before starting the sampler and
-        unbounded replay after it; the reserved range keeps that place,
-        so the sampler's ticks keep their sequence numbers too."""
+        """Both open-loop modes reserve their arrivals' range at one
+        place, before the recorder starts: windows take no sequence
+        number, so nothing orders arrivals against them any more."""
         calls = []
-        for name in ("reserve", "every"):
-            method = getattr(Engine, name)
+        for owner, name in ((Engine, "reserve"), (TimeSeriesRecorder, "start")):
+            method = getattr(owner, name)
 
             def spy(self, *args, _name=name, _method=method):
                 calls.append(_name)
                 return _method(self, *args)
 
-            monkeypatch.setattr(Engine, name, spy)
+            monkeypatch.setattr(owner, name, spy)
         config = SSDConfig.small()
-        _replay(monkeypatch, config, _grid_trace(config), mode,
-                metrics_interval_us=80.0)
-        assert calls == expected
+        _replay(monkeypatch, config, _grid_trace(config), mode, metrics_us=80.0)
+        assert calls == ["reserve", "start"]
 
 
 class TestOpenLoopHeapDepth:

@@ -61,10 +61,7 @@ class TestReplayValidation:
 
     @pytest.mark.parametrize(
         "conflict",
-        [
-            "ncq", "unbounded", "ncq-unstamped", "max_events", "tenants",
-            "metrics_interval", "timeseries",
-        ],
+        ["ncq", "unbounded", "ncq-unstamped", "max_events", "tenants"],
     )
     def test_segmented_replay_refuses_each_conflict(self, conflict):
         """Segments end at drained barriers; whatever cannot cross one is
@@ -83,21 +80,44 @@ class TestReplayValidation:
             name = "open_loop"
         elif conflict == "max_events":
             kwargs["max_events"] = 100
-        elif conflict == "tenants":
+        else:
             trace = Trace(
                 "mix", trace.logical_pages,
                 [request.tagged("a") for request in trace],
             )
-        elif conflict == "metrics_interval":
-            kwargs["metrics_interval_us"] = 500.0
-        else:
-            sim.timeseries = TimeSeriesRecorder(
-                TelemetryRegistry(), sim.controller.engine
-            )
-            name = "artifact_dir"
         with pytest.raises(ValueError, match=f"incompatible.*{name}"):
             replay(sim, trace, segment_requests=5, **kwargs)
         assert sim.controller.engine.now == 0.0
+
+    def test_segmented_replay_composes_with_recorder(self):
+        """The recorder's windows come from the batch loop, so they hold
+        no drain open: segmented replay with a recorder dispatches the
+        plain segmented run's events and meets the same barriers."""
+        config = SSDConfig.small()
+        trace = uniform_random_trace(config.logical_pages, 60, seed=1)
+        runs = []
+        for observed in (False, True):
+            registry = TelemetryRegistry() if observed else None
+            sim = SSDSimulation(config, ftl="page", telemetry=registry)
+            engine = sim.controller.engine
+            if observed:
+                sim.timeseries = TimeSeriesRecorder(
+                    registry, engine, interval_us=50.0
+                )
+            barriers = []
+            stats = replay(
+                sim, trace, queue_depth=4, segment_requests=20,
+                on_barrier=lambda accounting, engine=engine: barriers.append(
+                    (accounting["completed"], engine.now)
+                ),
+            )
+            runs.append((stats.to_dict(), barriers, engine.processed))
+        assert runs[0] == runs[1]
+        assert len(runs[1][1]) == 2
+        records = sim.timeseries.records
+        assert len(records) > 2
+        # the final window aligns with the end of the run
+        assert records[-1]["t_us"] == sim.controller.engine.now
 
 
 class TestNCQ:

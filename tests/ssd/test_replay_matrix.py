@@ -2,12 +2,18 @@
 
 Each case replays a small trace on cube or dftl and hashes what the
 replay produced: the schema-v2 result, the latency samples (per tenant
-too), the metrics sampler's samples, the engine's event count and final
-clock, every (time, seq) entry the engine popped, and the accounting
-payload of every segment barrier.  The digests in
+too), the metrics samples (projected from an attached time-series
+recorder's windows in the ``-metrics`` cases), the engine's event count
+and final clock, every (time, seq) entry the engine popped, and the
+accounting payload of every segment barrier.  The digests in
 ``golden/replay_matrix.json`` were generated before the replay modes
 shared one driver, so a match shows the driver dispatches the same
-events in the same order as the loops it replaced.  The
+events in the same order as the loops it replaced.  The ``-metrics``
+cases' ``engine`` and ``popped`` digests were taken again when the
+sampler left the event heap: the recorder's windows are not events, so
+each such case pops exactly its plain case's entries
+(:func:`test_recorder_takes_no_event`), while its ``result``,
+``latency`` and ``sampler`` digests kept their old values.  The
 ``closed-aged-faults`` case runs an aged device under the ``heavy``
 fault campaign, so the program-fail rewrite, read recovery and block
 retirement paths are pinned too.
@@ -28,6 +34,8 @@ import pytest
 
 from repro.faults.campaign import get_campaign
 from repro.nand.reliability import AgingState
+from repro.obs.registry import TelemetryRegistry
+from repro.obs.timeseries import TimeSeriesRecorder, metrics_samples
 from repro.persist.driver import capture_state, restore_state
 from repro.specs import TenantSpec, WorkloadSpec
 from repro.ssd.config import SSDConfig
@@ -89,8 +97,15 @@ def _tenant_trace(config):
     return compose_tenants(tenants, config, base_seed=3)
 
 
-def _sim(config, ftl, prefill=True):
-    sim = SSDSimulation(config, ftl=ftl)
+def _sim(config, ftl, prefill=True, metrics=False):
+    """A simulation; ``metrics`` attaches a registry and a recorder
+    taking a window every METRICS_US, as a metrics run does."""
+    registry = TelemetryRegistry() if metrics else None
+    sim = SSDSimulation(config, ftl=ftl, telemetry=registry)
+    if metrics:
+        sim.timeseries = TimeSeriesRecorder(
+            registry, sim.controller.engine, interval_us=METRICS_US
+        )
     if prefill:
         sim.prefill(PREFILL)
     return sim
@@ -133,9 +148,7 @@ def _fingerprint(sim, stats, popped, barriers):
                 tenants,
             ]
         ),
-        "sampler": _digest(
-            [sample.to_dict() for sample in stats.metrics or ()]
-        ),
+        "sampler": _digest(stats.metrics or []),
         "engine": _digest([engine.processed, engine.now]),
         "popped": _digest(popped),
         "barriers": _digest(barriers),
@@ -143,7 +156,7 @@ def _fingerprint(sim, stats, popped, barriers):
 
 
 def _replay_case(ftl, mode, *, tenants=False, config=None, results=None,
-                 **kwargs):
+                 metrics=False, **kwargs):
     """One replay's fingerprint; its result dict is appended to
     ``results`` when one is given."""
     config = config or _config()
@@ -151,9 +164,11 @@ def _replay_case(ftl, mode, *, tenants=False, config=None, results=None,
     if mode != "unbounded":
         kwargs.setdefault("queue_depth", QUEUE_DEPTH)
     popped = []
-    sim = _sim(config, ftl)
+    sim = _sim(config, ftl, metrics=metrics)
     with _recording_pops(popped):
         stats = replay(sim, trace, mode=mode, **kwargs)
+    if metrics:
+        stats.metrics = metrics_samples(sim.timeseries.records, sim.ftl.name)
     if results is not None:
         results.append(stats.to_dict())
     return _fingerprint(sim, stats, popped, [])
@@ -216,12 +231,10 @@ def fingerprints(aged_results=None):
         cases = {}
         for mode in ("closed", "ncq", "unbounded"):
             cases[mode] = _replay_case(ftl, mode)
-            cases[f"{mode}-metrics"] = _replay_case(
-                ftl, mode, metrics_interval_us=METRICS_US
-            )
+            cases[f"{mode}-metrics"] = _replay_case(ftl, mode, metrics=True)
         cases["ncq-tenants"] = _replay_case(ftl, "ncq", tenants=True)
         cases["ncq-tenants-metrics"] = _replay_case(
-            ftl, "ncq", tenants=True, metrics_interval_us=METRICS_US
+            ftl, "ncq", tenants=True, metrics=True
         )
         cases["closed-warmup-max-events"] = _replay_case(
             ftl, "closed", warmup_requests=40, max_events=1200
@@ -268,6 +281,19 @@ def test_every_case_is_pinned(current, golden):
 def test_replay_matches_golden(current, golden, ftl, case):
     key = f"{ftl}/{case}"
     assert current[key] == golden[key]
+
+
+@pytest.mark.parametrize("ftl", FTLS)
+@pytest.mark.parametrize(
+    "case", [case for case in CASES if case.endswith("-metrics")]
+)
+def test_recorder_takes_no_event(current, ftl, case):
+    """A metrics case dispatches its plain case's events: same popped
+    (time, seq) stream, same event count and final clock."""
+    observed = current[f"{ftl}/{case}"]
+    plain = current[f"{ftl}/{case[:-len('-metrics')]}"]
+    for key in ("engine", "popped", "latency"):
+        assert observed[key] == plain[key], key
 
 
 @pytest.mark.parametrize("ftl", FTLS)
