@@ -30,6 +30,7 @@ from repro.core.wam import Allocation, SequentialCursor
 from repro.faults.counters import RecoveryCounters
 from repro.ftl.blockmgr import (
     DATA_KIND,
+    TRANS_KIND,
     BlockManager,
     BlockState,
     OutOfSpaceError,
@@ -152,6 +153,9 @@ class BaseFTL:
         geometry = config.geometry
         self.geometry = geometry
         self.mapper = PageMapper(geometry, config.logical_pages)
+        #: block kind -> the mapper accounting that kind's pages;
+        #: demand-paged variants add their translation mapper
+        self.kind_mappers: Dict[str, PageMapper] = {DATA_KIND: self.mapper}
         self.blocks = BlockManager(geometry)
         self.buffer = WriteBuffer(config.buffer_capacity_pages)
         self.counters = FTLCounters()
@@ -277,8 +281,9 @@ class BaseFTL:
     def block_valid_count(self, chip_id: int, block: int) -> int:
         """Valid pages a block holds *in the mapper accounting its
         kind* -- the number that must be zero before the block may leave
-        service.  Demand-paged variants dispatch on the block kind."""
-        return self.mapper.valid_count(chip_id, block)
+        service."""
+        mapper = self.kind_mappers[self.blocks.kind_of(chip_id, block)]
+        return mapper.valid_count(chip_id, block)
 
     def audit_variant(self) -> Optional[dict]:
         """Variant-specific deep-audit hook: return ``None`` when every
@@ -958,11 +963,14 @@ class BaseFTL:
     def _deliver_read(
         self,
         chip_id: int,
-        result: ReadResult,
+        result: Optional[ReadResult],
         is_gc: bool,
-        on_data: Callable[[ReadResult], None],
+        on_data: Callable[[Optional[ReadResult]], None],
         trace_ctx: Optional[Tuple[Optional[int], int]] = None,
     ) -> None:
+        """Hand a sensed page to ``on_data``: GC reads stay on-chip,
+        every other read crosses the channel first.  ``result`` is
+        ``None`` for a translation page that stayed unreadable."""
         if is_gc:
             on_data(result)
             return
@@ -1122,8 +1130,30 @@ class BaseFTL:
             _chip, address = self.geometry.ppn_to_address(ppn)
             self._flash_read(chip_id, address, is_gc=True, on_data=make_on_data(ppn, lpn))
 
+    def rearm_gc(self) -> None:
+        """Re-evaluate GC on every chip.
+
+        GC on a chip is otherwise re-evaluated only when that chip's own
+        operations complete, so a chip that went idle below its trigger
+        (e.g. with the event queue drained) stays idle until this runs."""
+        for chip_id in range(self.geometry.n_chips):
+            self._maybe_gc(chip_id)
+
     def _gc_erase(self, chip_id: int, job: _GCJob) -> None:
-        victim = job.victim
+        self._erase_victim(chip_id, job.victim, self.mapper, self._gc_jobs)
+
+    def _erase_victim(
+        self,
+        chip_id: int,
+        victim: int,
+        mapper: PageMapper,
+        jobs: Dict[int, Optional[_GCJob]],
+        on_erased: Optional[Callable[[], None]] = None,
+    ) -> None:
+        """Erase a migrated GC victim -- or retire it -- then free the
+        chip's job slot in ``jobs`` and re-arm GC.  ``mapper`` is the one
+        accounting the victim's kind; ``on_erased`` runs on a successful
+        erase."""
         failing = self.blocks.is_failing(chip_id, victim)
 
         def erase_job():
@@ -1150,9 +1180,11 @@ class BaseFTL:
                     None, None, "erase", end - t_us, end, chip=chip_id,
                     block=victim, outcome=outcome,
                 )
-            self.mapper.clear_block(chip_id, victim)
+            mapper.clear_block(chip_id, victim)
             if outcome == "erased":
                 self.counters.erases += 1
+                if on_erased is not None:
+                    on_erased()
                 self.blocks.mark_free(chip_id, victim)
             else:
                 if outcome == "erase_fail":
@@ -1163,7 +1195,7 @@ class BaseFTL:
                 self.counters.retired_blocks += 1
                 self.blocks.retire(chip_id, victim, reason=outcome)
             self.on_block_erased(chip_id, victim)
-            self._gc_jobs[chip_id] = None
+            jobs[chip_id] = None
             self._maybe_gc(chip_id)
             self._drain_pending_writes()
             self._maybe_flush()
@@ -1293,30 +1325,52 @@ class BaseFTL:
         Returns a summary dict (``oob_records``, ``mapped_lpns``,
         ``full_blocks``, ``max_seq``).
         """
+        return self._spor_scan()[0]
+
+    def _spor_scan(self) -> Tuple[dict, Dict[str, Tuple[int, int, int]]]:
+        """The media scan behind :meth:`spor_recover`: every OOB record
+        rebuilds the mapper of its block kind (:attr:`kind_mappers`),
+        then the block table and the write sequence are restored.
+
+        Returns the summary and, per block kind, ``(records, pages
+        recovered, highest sequence number)``.
+        """
         if not self._store_oob:
             raise RuntimeError("SPOR recovery requires store_oob=True")
-        if self.mapper.mapped_lpn_count():
+        mappers = self.kind_mappers
+        if any(mapper.mapped_lpn_count() for mapper in mappers.values()):
             raise RuntimeError("spor_recover requires a freshly built FTL")
         geometry = self.geometry
-        winners: Dict[int, Tuple[int, int]] = {}  # lpn -> (seq, ppn)
-        records = 0
-        max_seq = 0
+        # per kind: key -> (seq, ppn) of the winning copy, records seen
+        # and the highest sequence number
+        winners: Dict[str, Dict[int, Tuple[int, int]]] = {k: {} for k in mappers}
+        records = dict.fromkeys(mappers, 0)
+        max_seq = dict.fromkeys(mappers, 0)
+        kinds: Dict[int, List[str]] = {}
         for chip_id in range(geometry.n_chips):
             chip = self.controller.chip(chip_id)
-            for (block, wl_index, page), (lpn, seq) in chip.iter_oob():
-                records += 1
-                if seq > max_seq:
-                    max_seq = seq
+            chip_kinds = kinds[chip_id] = [DATA_KIND] * geometry.blocks_per_chip
+            for (block, wl_index, page), (key, seq) in chip.iter_oob():
+                # translation pages record (-(tvpn + 1), seq), sign-
+                # disjoint from the (lpn, seq) of data pages
+                kind = DATA_KIND if key >= 0 else TRANS_KIND
+                if key < 0:
+                    key = -key - 1
+                chip_kinds[block] = kind
+                records[kind] += 1
+                if seq > max_seq[kind]:
+                    max_seq[kind] = seq
                 address = geometry.block.wl_from_index(wl_index)
                 ppn = geometry.ppn(
                     chip_id,
                     PageAddress(block, address.layer, address.wl, page),
                 )
-                best = winners.get(lpn)
+                best = winners[kind].get(key)
                 if best is None or (seq, -ppn) > (best[0], -best[1]):
-                    winners[lpn] = (seq, ppn)
-        for lpn in sorted(winners):
-            self.mapper.bind(lpn, winners[lpn][1])
+                    winners[kind][key] = (seq, ppn)
+        for kind, mapper in mappers.items():
+            for key, (_seq, ppn) in sorted(winners[kind].items()):
+                mapper.bind(key, ppn)
         free: Dict[int, List[int]] = {}
         states: Dict[int, List[str]] = {}
         full_blocks = 0
@@ -1339,13 +1393,19 @@ class BaseFTL:
                 "state": states,
                 "failing": {chip: [] for chip in free},
                 "retired_reasons": {chip: {} for chip in free},
+                "kind": kinds,
             }
         )
         self._post_spor_reset()
-        self._write_seq = max_seq
-        return {
-            "oob_records": records,
-            "mapped_lpns": len(winners),
+        self._write_seq = max_seq[DATA_KIND]
+        summary = {
+            "oob_records": sum(records.values()),
+            "mapped_lpns": len(winners[DATA_KIND]),
             "full_blocks": full_blocks,
-            "max_seq": max_seq,
+            "max_seq": max_seq[DATA_KIND],
         }
+        tallies = {
+            kind: (records[kind], len(winners[kind]), max_seq[kind])
+            for kind in mappers
+        }
+        return summary, tallies

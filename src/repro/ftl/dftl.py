@@ -22,7 +22,8 @@ allocation policy:
   every co-resident dirty entry of the same TVPN clean (batched
   writeback);
 - translation blocks fill up with superseded pages and are reclaimed
-  by a dedicated **translation GC** state machine.
+  by **translation GC**: its own trigger and migration step on the base
+  FTL's GC job type and erase step.
 
 The *authoritative* L2P state is :attr:`~repro.ftl.base.BaseFTL.mapper`
 (the union of CMT and flash-resident entries a real controller can
@@ -44,10 +45,11 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.wam import Allocation, SequentialCursor
+from repro.ftl.base import _GCJob
 from repro.ftl.blockmgr import DATA_KIND, TRANS_KIND, OutOfSpaceError
 from repro.ftl.mapping import UNMAPPED, PageMapper
 from repro.ftl.pageftl import PageFTL
-from repro.nand.errors import EraseFailError, ProgramFailError, WearOutError
+from repro.nand.errors import ProgramFailError
 from repro.nand.geometry import PageAddress
 from repro.nand.read_retry import NOMINAL_READ
 from repro.ssd.config import SSDConfig
@@ -77,19 +79,6 @@ class DftlStats:
         return asdict(self)
 
 
-class _TransGCJob:
-    """State of one in-progress translation-block collection."""
-
-    __slots__ = ("victim", "pending", "next")
-
-    def __init__(self, victim: int, pending: List[Tuple[int, int]]) -> None:
-        self.victim = victim
-        #: the victim's valid (ppn, tvpn) pairs, in page order
-        self.pending = pending
-        #: index in ``pending`` of the next pair to migrate
-        self.next = 0
-
-
 class DFTL(PageFTL):
     """Demand-paged mapping FTL (bounded CMT + flash translation pages)."""
 
@@ -115,12 +104,14 @@ class DFTL(PageFTL):
         #: GTD + translation-block valid-page accounting: TVPN -> PPN of
         #: the current flash copy of that translation page
         self.tmapper = PageMapper(config.geometry, self.n_tpages)
+        self.kind_mappers[TRANS_KIND] = self.tmapper
         #: LPN -> dirty flag, LRU order (oldest first)
         self._cmt: "OrderedDict[int, bool]" = OrderedDict()
         self._trans_cursors: Dict[int, Optional[SequentialCursor]] = {
             chip: None for chip in range(config.geometry.n_chips)
         }
-        self._trans_gc: Dict[int, Optional[_TransGCJob]] = {
+        #: translation-GC jobs; their ``pending`` pairs are (ppn, tvpn)
+        self._trans_gc: Dict[int, Optional[_GCJob]] = {
             chip: None for chip in range(config.geometry.n_chips)
         }
         #: TVPN -> writebacks not yet landed (covers the audit window
@@ -160,11 +151,6 @@ class DFTL(PageFTL):
 
     def mappers(self) -> Dict[str, PageMapper]:
         return {"l2p": self.mapper, "translation": self.tmapper}
-
-    def block_valid_count(self, chip_id: int, block: int) -> int:
-        if self.blocks.kind_of(chip_id, block) == TRANS_KIND:
-            return self.tmapper.valid_count(chip_id, block)
-        return self.mapper.valid_count(chip_id, block)
 
     def audit_variant(self) -> Optional[dict]:
         """DFTL deep invariants.
@@ -328,8 +314,17 @@ class DFTL(PageFTL):
             self._mapped_read(lpn, active)
             return
         chip_id, address = self.geometry.ppn_to_address(tppn)
+        tracer = self.tracer
+        missed_us = self.controller.now if tracer is not None else 0.0
 
         def on_result(result) -> None:
+            if tracer is not None:
+                # the page's chain starts here: one span from the miss
+                # to the resolved mapping
+                tracer.span(
+                    active.req_id, lpn, "translation_read", missed_us,
+                    self.controller.now, chip=chip_id,
+                )
             if result is None:
                 # unrecoverable translation page: rewrite it from the
                 # authoritative table rather than serving stale mappings
@@ -342,7 +337,7 @@ class DFTL(PageFTL):
             address,
             on_result,
             attempts_left=self.config.read_recovery_attempts,
-            use_bus=True,
+            is_gc=False,
         )
 
     def _trans_flash_read(
@@ -351,15 +346,16 @@ class DFTL(PageFTL):
         address: PageAddress,
         on_result: Callable[[Optional[object]], None],
         attempts_left: int,
-        use_bus: bool,
+        is_gc: bool,
         conservative: bool = False,
     ) -> None:
-        """One translation-page read: die sense (with retries), then the
-        channel transfer for demand fetches (GC migrations stay
-        on-chip).  Uncorrectable results under a fault campaign get the
-        same bounded conservative re-reads as data pages; a page that
-        stays unreadable reports ``None`` (the caller rewrites it from
-        the authoritative table -- never a silent stale mapping)."""
+        """One translation-page read: die sense (with retries), then
+        :meth:`_deliver_read` -- the channel transfer, except for GC
+        migrations (on-chip).  Uncorrectable results under a fault
+        campaign get the same bounded conservative re-reads as data
+        pages; a page that stays unreadable reports ``None`` (the caller
+        rewrites it from the authoritative table -- never a silent stale
+        mapping)."""
         stats = self.dftl_stats
 
         def job():
@@ -380,27 +376,13 @@ class DFTL(PageFTL):
                 if attempts_left > 0:
                     self._trans_flash_read(
                         chip_id, address, on_result,
-                        attempts_left - 1, use_bus, conservative=True,
+                        attempts_left - 1, is_gc, conservative=True,
                     )
-                else:
-                    self._finish_trans_read(chip_id, None, on_result, use_bus)
-                return
-            self._finish_trans_read(chip_id, result, on_result, use_bus)
+                    return
+                result = None
+            self._deliver_read(chip_id, result, is_gc, on_result)
 
         self.controller.chip_resource(chip_id).submit(job, on_done)
-
-    def _finish_trans_read(
-        self, chip_id: int, result, on_result, use_bus: bool
-    ) -> None:
-        if not use_bus:
-            on_result(result)
-            return
-        transfer = self.config.timing.transfer_us(
-            self.geometry.block.page_size_bytes
-        )
-        self.controller.bus_resource(chip_id).submit(
-            lambda: (transfer, None), lambda _ignored: on_result(result)
-        )
 
     def _recover_tpage(self, tvpn: int, tppn: int) -> None:
         """A translation page is unreadable: persist a fresh copy from
@@ -460,23 +442,36 @@ class DFTL(PageFTL):
 
         self._trans_flash_read(
             old_chip, old_address, after_read,
-            attempts_left=0, use_bus=True,
+            attempts_left=0, is_gc=False,
         )
 
-    def _program_tpage(
-        self, chip_id: int, allocation: Allocation, tvpn: int
-    ) -> None:
-        """Program one translation page (page 0 of a WL, padded) and
-        bind it in the GTD when it lands."""
-        pages_per_wl = self.geometry.block.pages_per_wl
+    def _tpage_payload(self, tvpn: int) -> Tuple[list, Optional[list]]:
+        """Content and OOB records of a fresh copy of translation page
+        ``tvpn``: page 0 of a WL, the rest padding.  Every copy takes
+        the next translation sequence number."""
+        pad = [None] * (self.geometry.block.pages_per_wl - 1)
         self._trans_seq += 1
         seq = self._trans_seq
-        data: List[Optional[object]] = [("tpage", tvpn, seq)]
-        data += [None] * (pages_per_wl - 1)
-        oob = None
-        if self._store_oob:
-            oob = [(-(tvpn + 1), seq)]
-            oob += [None] * (pages_per_wl - 1)
+        oob = [(-(tvpn + 1), seq), *pad] if self._store_oob else None
+        return [("tpage", tvpn, seq), *pad], oob
+
+    def _program_tpage(
+        self,
+        chip_id: int,
+        allocation: Allocation,
+        tvpn: int,
+        is_gc: bool = False,
+        old_ppn: int = UNMAPPED,
+    ) -> None:
+        """Program one translation page and bind it in the GTD when it
+        lands.
+
+        A writeback crosses the channel, is retried through
+        :meth:`_issue_writeback` and unmarks its TVPN in flight.  A GC
+        migration (``is_gc``) stays on-chip, is retried through
+        :meth:`_migrate_tpage`, binds only while the TVPN still lives at
+        ``old_ppn`` and then continues the collection."""
+        data, oob = self._tpage_payload(tvpn)
         self._inflight_trans_programs += 1
         self._program_submitted(chip_id, allocation.block)
 
@@ -495,41 +490,56 @@ class DFTL(PageFTL):
                 return fail.t_us, None
             return result.t_prog_us, result
 
+        def retry() -> None:
+            if is_gc:
+                self._migrate_tpage(chip_id, tvpn, old_ppn)
+            else:
+                self._issue_writeback(chip_id, tvpn)
+
         def on_done(result) -> None:
             self._inflight_trans_programs -= 1
             self._program_landed(chip_id, allocation.block)
             if result is None:
                 self.dftl_stats.trans_program_fails += 1
                 self.note_program_fail(chip_id, allocation.block)
-                self._issue_writeback(chip_id, tvpn)
+                retry()
                 self._maybe_gc(chip_id)
                 return
             if self.blocks.is_failing(chip_id, allocation.block):
                 # a sibling program on this block failed while ours was
                 # in flight; the block is leaving service
-                self._issue_writeback(chip_id, tvpn)
+                retry()
                 return
-            self.dftl_stats.trans_programs += 1
             ppn = self.geometry.wl_ppn(
                 chip_id,
                 allocation.block,
                 allocation.address.layer,
                 allocation.address.wl,
             )
+            if is_gc:
+                self.dftl_stats.trans_gc_programs += 1
+                # a writeback may have superseded the page meanwhile
+                if self.tmapper.lookup(tvpn) == old_ppn:
+                    self.tmapper.bind(tvpn, ppn)
+                self._maybe_mark_full(chip_id, allocation.block)
+                self._trans_gc_continue(chip_id)
+                return
+            self.dftl_stats.trans_programs += 1
             self.tmapper.bind(tvpn, ppn)
             self._unmark_inflight(tvpn)
             self._maybe_mark_full(chip_id, allocation.block)
             self._maybe_gc(chip_id)
 
+        chip = self.controller.chip_resource(chip_id)
+        if is_gc:
+            # migrations stay on-chip (copyback style), like data GC
+            chip.submit(job, on_done)
+            return
         transfer = self.config.timing.transfer_us(
             self.geometry.block.page_size_bytes
         )
-        bus = self.controller.bus_resource(chip_id)
-        bus.submit(
-            lambda: (transfer, None),
-            lambda _ignored: self.controller.chip_resource(chip_id).submit(
-                job, on_done
-            ),
+        self.controller.bus_resource(chip_id).submit(
+            lambda: (transfer, None), lambda _ignored: chip.submit(job, on_done)
         )
 
     def _trans_allocate(
@@ -601,9 +611,7 @@ class DFTL(PageFTL):
             valid = self.tmapper.valid_count(chip_id, victim)
             if valid >= self.geometry.block.wls_per_block and free > 1:
                 return
-        job = _TransGCJob(
-            victim, self.tmapper.valid_pages_of_block(chip_id, victim)
-        )
+        job = _GCJob(victim, self.tmapper.valid_pages_of_block(chip_id, victim))
         self._trans_gc[chip_id] = job
         self._trans_gc_continue(chip_id)
 
@@ -627,7 +635,7 @@ class DFTL(PageFTL):
 
             # copyback-style: the migration read stays on-chip
             self._trans_flash_read(
-                chip_id, address, on_read, attempts_left=0, use_bus=False
+                chip_id, address, on_read, attempts_left=0, is_gc=True
             )
             return
         self._trans_gc_erase(chip_id, job)
@@ -643,96 +651,13 @@ class DFTL(PageFTL):
             )
             super()._maybe_gc(chip_id)
             return
-        pages_per_wl = self.geometry.block.pages_per_wl
-        self._trans_seq += 1
-        seq = self._trans_seq
-        data: List[Optional[object]] = [("tpage", tvpn, seq)]
-        data += [None] * (pages_per_wl - 1)
-        oob = None
-        if self._store_oob:
-            oob = [(-(tvpn + 1), seq)]
-            oob += [None] * (pages_per_wl - 1)
-        self._inflight_trans_programs += 1
-        self._program_submitted(chip_id, allocation.block)
+        self._program_tpage(chip_id, allocation, tvpn, is_gc=True, old_ppn=old_ppn)
 
-        def job():
-            params, _squeeze = self.program_params(chip_id, allocation)
-            try:
-                result = self.controller.chip(chip_id).program_wl(
-                    allocation.block,
-                    allocation.address.layer,
-                    allocation.address.wl,
-                    params=params,
-                    data=data,
-                    oob=oob,
-                )
-            except ProgramFailError as fail:
-                return fail.t_us, None
-            return result.t_prog_us, result
+    def _trans_gc_erase(self, chip_id: int, job: _GCJob) -> None:
+        def count() -> None:
+            self.dftl_stats.trans_gc_erases += 1
 
-        def on_done(result) -> None:
-            self._inflight_trans_programs -= 1
-            self._program_landed(chip_id, allocation.block)
-            if result is None:
-                self.dftl_stats.trans_program_fails += 1
-                self.note_program_fail(chip_id, allocation.block)
-                self._migrate_tpage(chip_id, tvpn, old_ppn)
-                self._maybe_gc(chip_id)
-                return
-            if self.blocks.is_failing(chip_id, allocation.block):
-                self._migrate_tpage(chip_id, tvpn, old_ppn)
-                return
-            self.dftl_stats.trans_gc_programs += 1
-            if self.tmapper.lookup(tvpn) == old_ppn:
-                ppn = self.geometry.wl_ppn(
-                    chip_id,
-                    allocation.block,
-                    allocation.address.layer,
-                    allocation.address.wl,
-                )
-                self.tmapper.bind(tvpn, ppn)
-            self._maybe_mark_full(chip_id, allocation.block)
-            self._trans_gc_continue(chip_id)
-
-        # migrations stay on-chip (copyback style), like data GC
-        self.controller.chip_resource(chip_id).submit(job, on_done)
-
-    def _trans_gc_erase(self, chip_id: int, job: _TransGCJob) -> None:
-        victim = job.victim
-        failing = self.blocks.is_failing(chip_id, victim)
-
-        def erase_job():
-            if failing:
-                return 0.0, ("program_fail", 0.0)
-            try:
-                t_erase = self.controller.chip(chip_id).erase_block(victim)
-                return t_erase, ("erased", t_erase)
-            except WearOutError:
-                return 0.0, ("wear", 0.0)
-            except EraseFailError as fail:
-                return fail.t_us, ("erase_fail", fail.t_us)
-
-        def on_done(payload) -> None:
-            outcome, _t_us = payload
-            self.tmapper.clear_block(chip_id, victim)
-            if outcome == "erased":
-                self.counters.erases += 1
-                self.dftl_stats.trans_gc_erases += 1
-                self.blocks.mark_free(chip_id, victim)
-            else:
-                if outcome == "erase_fail":
-                    self.recovery.erase_fails += 1
-                if outcome != "wear":
-                    self.recovery.blocks_retired += 1
-                self.counters.retired_blocks += 1
-                self.blocks.retire(chip_id, victim, reason=outcome)
-            self.on_block_erased(chip_id, victim)
-            self._trans_gc[chip_id] = None
-            self._maybe_gc(chip_id)
-            self._drain_pending_writes()
-            self._maybe_flush()
-
-        self.controller.chip_resource(chip_id).submit(erase_job, on_done)
+        self._erase_victim(chip_id, job.victim, self.tmapper, self._trans_gc, count)
 
     # ------------------------------------------------------------------
     # prefill
@@ -751,7 +676,6 @@ class DFTL(PageFTL):
         """Synchronous, zero-time translation-page program (prefill and
         SPOR rebuild); retries program failures on fresh WLs."""
         geometry = self.geometry
-        pages_per_wl = geometry.block.pages_per_wl
         n_chips = geometry.n_chips
         home = self._home_chip(tvpn)
         while True:
@@ -766,14 +690,7 @@ class DFTL(PageFTL):
                 raise OutOfSpaceError(
                     f"no free WL for translation page {tvpn}"
                 )
-            self._trans_seq += 1
-            seq = self._trans_seq
-            data: List[Optional[object]] = [("tpage", tvpn, seq)]
-            data += [None] * (pages_per_wl - 1)
-            oob = None
-            if self._store_oob:
-                oob = [(-(tvpn + 1), seq)]
-                oob += [None] * (pages_per_wl - 1)
+            data, oob = self._tpage_payload(tvpn)
             params, _squeeze = self.program_params(chip_id, allocation)
             try:
                 self.controller.chip(chip_id).program_wl(
@@ -876,93 +793,16 @@ class DFTL(PageFTL):
     def spor_recover(self) -> dict:
         """Rebuild both translation tables from per-page OOB records.
 
-        Data pages carry ``(lpn, seq)`` with ``lpn >= 0`` and rebuild
-        the L2P exactly as in :meth:`BaseFTL.spor_recover`; translation
-        pages carry ``(-(tvpn+1), tseq)`` and rebuild the GTD the same
-        way (highest sequence wins, lowest PPN on ties).  Block kinds
-        are rediscovered from the records each block holds.  Finally,
-        any TVPN whose mapped LPNs survived but whose translation page
-        did not (e.g. writes acknowledged with dirty CMT entries at the
-        cut) gets a fresh translation page written during recovery, so
-        lookup completeness holds with the CMT starting empty.
+        The base scan routes data records ``(lpn, seq)`` to the L2P and
+        translation records ``(-(tvpn+1), tseq)`` to the GTD (highest
+        sequence wins, lowest PPN on ties) and rediscovers block kinds.
+        Then any TVPN whose mapped LPNs survived but whose translation
+        page did not (e.g. writes acknowledged with dirty CMT entries at
+        the cut) gets a fresh translation page written during recovery,
+        so lookup completeness holds with the CMT starting empty.
         """
-        if not self._store_oob:
-            raise RuntimeError("SPOR recovery requires store_oob=True")
-        if self.mapper.mapped_lpn_count() or self.tmapper.mapped_lpn_count():
-            raise RuntimeError("spor_recover requires a freshly built FTL")
-        from repro.ftl.blockmgr import BlockState
-
-        geometry = self.geometry
-        winners: Dict[int, Tuple[int, int]] = {}
-        twinners: Dict[int, Tuple[int, int]] = {}
-        kind_of_block: Dict[Tuple[int, int], str] = {}
-        records = 0
-        trans_records = 0
-        max_seq = 0
-        max_tseq = 0
-        for chip_id in range(geometry.n_chips):
-            chip = self.controller.chip(chip_id)
-            for (block, wl_index, page), (lpn, seq) in chip.iter_oob():
-                records += 1
-                address = geometry.block.wl_from_index(wl_index)
-                ppn = geometry.ppn(
-                    chip_id,
-                    PageAddress(block, address.layer, address.wl, page),
-                )
-                if lpn < 0:
-                    tvpn = -lpn - 1
-                    trans_records += 1
-                    kind_of_block[(chip_id, block)] = TRANS_KIND
-                    if seq > max_tseq:
-                        max_tseq = seq
-                    best = twinners.get(tvpn)
-                    if best is None or (seq, -ppn) > (best[0], -best[1]):
-                        twinners[tvpn] = (seq, ppn)
-                else:
-                    kind_of_block[(chip_id, block)] = DATA_KIND
-                    if seq > max_seq:
-                        max_seq = seq
-                    best = winners.get(lpn)
-                    if best is None or (seq, -ppn) > (best[0], -best[1]):
-                        winners[lpn] = (seq, ppn)
-        for lpn in sorted(winners):
-            self.mapper.bind(lpn, winners[lpn][1])
-        for tvpn in sorted(twinners):
-            self.tmapper.bind(tvpn, twinners[tvpn][1])
-        free: Dict[int, List[int]] = {}
-        states: Dict[int, List[str]] = {}
-        kinds: Dict[int, List[str]] = {}
-        full_blocks = 0
-        for chip_id in range(geometry.n_chips):
-            chip = self.controller.chip(chip_id)
-            chip_states: List[str] = []
-            chip_free: List[int] = []
-            chip_kinds: List[str] = []
-            for block in range(geometry.blocks_per_chip):
-                if chip.programmed_wl_count(block) > 0:
-                    chip_states.append(BlockState.FULL.value)
-                    chip_kinds.append(
-                        kind_of_block.get((chip_id, block), DATA_KIND)
-                    )
-                    full_blocks += 1
-                else:
-                    chip_states.append(BlockState.FREE.value)
-                    chip_kinds.append(DATA_KIND)
-                    chip_free.append(block)
-            states[chip_id] = chip_states
-            free[chip_id] = chip_free
-            kinds[chip_id] = chip_kinds
-        self.blocks.load_state_dict(
-            {
-                "free": free,
-                "state": states,
-                "failing": {chip: [] for chip in free},
-                "retired_reasons": {chip: {} for chip in free},
-                "kind": kinds,
-            }
-        )
-        self._post_spor_reset()
-        self._write_seq = max_seq
+        summary, tallies = self._spor_scan()
+        trans_records, trans_pages, max_tseq = tallies[TRANS_KIND]
         self._trans_seq = max_tseq
         per_tpage = self.mappings_per_tpage
         synthesized = 0
@@ -972,21 +812,16 @@ class DFTL(PageFTL):
             if self.tmapper.lookup(tvpn) == UNMAPPED:
                 self._program_tpage_untimed(tvpn)
                 synthesized += 1
-        # GC is normally (re)armed by program/erase completions, but a
-        # recovered device can come up with every chip flush-ineligible
+        # a recovered device can come up with every chip flush-ineligible
         # (one free block, no active cursor) -- on a RAM-table FTL that
         # slack block is enough, here the translation blocks consumed
         # it.  Kick GC now so the first replayed write has somewhere to
         # go; on a healthy pool this is a no-op.
-        for chip_id in range(geometry.n_chips):
-            self._maybe_gc(chip_id)
-        return {
-            "oob_records": records,
-            "mapped_lpns": len(winners),
-            "full_blocks": full_blocks,
-            "max_seq": max_seq,
-            "trans_records": trans_records,
-            "trans_pages": len(twinners),
-            "synthesized_tpages": synthesized,
-            "max_trans_seq": max_tseq,
-        }
+        self.rearm_gc()
+        summary.update(
+            trans_records=trans_records,
+            trans_pages=trans_pages,
+            synthesized_tpages=synthesized,
+            max_trans_seq=max_tseq,
+        )
+        return summary

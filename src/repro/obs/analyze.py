@@ -31,9 +31,10 @@ STAGE_GROUPS: Dict[str, str] = {
     "recovery_read": "retry",
     "bus_xfer": "transfer",
     "buffer_read": "buffer",
+    "translation_read": "translation",
 }
 
-GROUP_ORDER = ("queueing", "nand", "retry", "transfer", "buffer")
+GROUP_ORDER = ("queueing", "nand", "retry", "transfer", "buffer", "translation")
 
 
 def load_trace(path: str) -> List[Span]:

@@ -49,8 +49,8 @@ FTL_LAYERS: Dict[str, Tuple[str, ...]] = {
         "_deliver_read", "_account_read",
     ),
     "ftl.gc": (
-        "_maybe_gc", "_gc_continue", "_gc_erase", "_bind_gc_pages",
-        "_gc_allocate",
+        "_maybe_gc", "_gc_continue", "_gc_erase", "_erase_victim",
+        "_bind_gc_pages", "_gc_allocate", "rearm_gc",
         # dftl's translation-block GC
         "_maybe_trans_gc", "_trans_gc_continue", "_migrate_tpage",
         "_trans_gc_erase",
@@ -58,7 +58,7 @@ FTL_LAYERS: Dict[str, Tuple[str, ...]] = {
     "ftl.dftl": (
         "_translate_read", "_cmt_note_update", "_cmt_fill",
         "_cmt_evict_overflow", "_writeback", "_issue_writeback",
-        "_trans_flash_read", "_finish_trans_read", "_program_tpage",
+        "_trans_flash_read", "_tpage_payload", "_program_tpage",
         "_trans_allocate", "_drain_trans_pending",
     ),
 }

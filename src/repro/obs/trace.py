@@ -9,24 +9,25 @@ end-to-end latency exactly (this is asserted by
 
 Span taxonomy (see ``docs/OBSERVABILITY.md`` for the full contract):
 
-=================  ========================================================
-stage              meaning
-=================  ========================================================
-``request``        the whole host request (issue to last-page completion)
-``buffer_read``    read served from the write buffer / mapping table
-``buffer_wait``    write waiting for a free write-buffer slot
-``buffer_staged``  write staged in the buffer awaiting WL-group dispatch
-``bus_queue``      waiting for the channel (host flush or read transfer)
-``bus_xfer``       data moving over the channel
-``chip_queue``     waiting for the die FIFO
-``nand_read``      array sense time excluding retries
-``read_retry``     extra sense time spent on read retries
-``nand_program``   one-shot WL program occupying the die
-``recovery_read``  conservative re-read after an uncorrectable read
-``gc_read``        GC migration read (unattributed: ``request`` is null)
-``gc_program``     GC migration program (unattributed)
-``erase``          block erase (unattributed)
-=================  ========================================================
+====================  ========================================================
+stage                 meaning
+====================  ========================================================
+``request``           the whole host request (issue to last-page completion)
+``buffer_read``       read served from the write buffer / mapping table
+``buffer_wait``       write waiting for a free write-buffer slot
+``buffer_staged``     write staged in the buffer awaiting WL-group dispatch
+``bus_queue``         waiting for the channel (host flush or read transfer)
+``bus_xfer``          data moving over the channel
+``chip_queue``        waiting for the die FIFO
+``nand_read``         array sense time excluding retries
+``read_retry``        extra sense time spent on read retries
+``nand_program``      one-shot WL program occupying the die
+``recovery_read``     conservative re-read after an uncorrectable read
+``translation_read``  dftl CMT miss: translation-page fetch, miss to mapping
+``gc_read``           GC migration read (unattributed: ``request`` is null)
+``gc_program``        GC migration program (unattributed)
+``erase``             block erase (unattributed)
+====================  ========================================================
 
 Sinks are pluggable.  :class:`JsonlSink` writes one JSON object per
 span with a fixed key order, so two runs with the same seed produce
@@ -46,6 +47,7 @@ READ_STAGES = (
     "nand_read",
     "read_retry",
     "recovery_read",
+    "translation_read",
     "bus_queue",
     "bus_xfer",
 )

@@ -170,6 +170,10 @@ def replay(
     the requests it counts as completed are skipped and its accounting
     carries on.  The drains shape scheduling, so a segmented run equals
     other segmented runs (resumed or not), never an unsegmented one.
+    A drain with requests still pending re-arms GC
+    (:meth:`~repro.ftl.base.BaseFTL.rearm_gc`) and runs on; the replay
+    raises :class:`SimulationStalledError` only when that schedules
+    nothing.
 
     A telemetry registry on ``sim`` gets the host's completion count
     (:func:`~repro.obs.registry.bind_host`), and a time-series recorder
@@ -280,11 +284,16 @@ def replay(
             for request in islice(backlog, queue_depth):
                 issue(request)
         engine.run(max_events=max_events)
-        stalled = dict(pending)
-        stalled.update((id(request), request) for request in waiting)
-        if stalled and max_events is None:
-            sim._log_stall(completed, stalled)
-            raise SimulationStalledError(_stall_message(completed, stalled))
+        while (pending or waiting) and max_events is None:
+            # drained with requests pending: a chip's GC is re-armed only
+            # by its own completions, so re-evaluate every chip's
+            sim.ftl.rearm_gc()
+            if not engine.live_pending:
+                stalled = dict(pending)
+                stalled.update((id(request), request) for request in waiting)
+                sim._log_stall(completed, stalled)
+                raise SimulationStalledError(_stall_message(completed, stalled))
+            engine.run()
         position = end
         if position >= n_requests:
             break

@@ -2,7 +2,7 @@
 page must surface as an invariant violation or as a recovered read --
 never as a silently served stale mapping.
 
-Three injections against the demand-paged FTL:
+Four injections against the demand-paged FTL:
 
 - an unreadable translation page (every sense reports uncorrectable):
   the demand fetch must fall back to the authoritative table, serve the
@@ -11,7 +11,9 @@ Three injections against the demand-paged FTL:
   the checker's deep scan must flag the translation mapper's bijection;
 - a lost GTD entry for an LPN that is not cached: the lookup-
   completeness variant invariant must flag it (the mapping would be
-  unreachable after a power cycle).
+  unreachable after a power cycle);
+- a failed translation-page program, once on a writeback and once on a
+  GC migration: each must be retried on a fresh WL, land and bind.
 """
 
 import dataclasses
@@ -23,6 +25,7 @@ from repro.check.errors import InvariantViolation
 from repro.check.fuzz import random_trace
 from repro.faults.campaign import FaultCampaign
 from repro.ftl.mapping import UNMAPPED
+from repro.nand.errors import ProgramFailError
 from repro.ssd.config import SSDConfig
 from repro.ssd.controller import SSDSimulation
 from repro.ssd.host import replay
@@ -153,3 +156,68 @@ class TestCorruptedGtd:
         with pytest.raises(InvariantViolation) as caught:
             checker.check_now()
         assert caught.value.invariant == "variant_invariant"
+
+
+class TestTranslationProgramFailure:
+    def test_writeback_and_migration_retries_land_and_bind(self):
+        sim, checker = _checked_sim()
+        sim.prefill(0.4)
+        ftl = sim.ftl
+        # path -> (TVPN, translation-GC job) of the program that failed
+        failed = {}
+        # path -> (TVPN, PPN) of its retry: the same TVPN on the same
+        # path (a migration within the same collection)
+        retried = {}
+        binds = []
+        bind = ftl.tmapper.bind
+
+        def logged_bind(tvpn, ppn):
+            binds.append((tvpn, ppn))
+            bind(tvpn, ppn)
+
+        ftl.tmapper.bind = logged_bind
+
+        def failing_once_per_path(chip_id, program_wl):
+            def program(block, layer, wl, params=None, data=None, oob=None):
+                result = program_wl(
+                    block, layer, wl, params=params, data=data, oob=oob
+                )
+                tag = data[0] if data else None
+                if not (isinstance(tag, tuple) and tag[0] == "tpage"):
+                    return result
+                tvpn = tag[1]
+                # a migration programs the pair its chip's translation-GC
+                # job took last; a writeback's TVPN is marked in flight
+                job = ftl._trans_gc[chip_id]
+                migrating = (
+                    job is not None
+                    and job.next > 0
+                    and job.pending[job.next - 1][1] == tvpn
+                )
+                writeback = tvpn in ftl._inflight_trans
+                if migrating == writeback:
+                    return result  # ambiguous: a writeback racing a migration
+                path = "migration" if migrating else "writeback"
+                key = (tvpn, job if migrating else None)
+                if path not in failed:
+                    failed[path] = key
+                    raise ProgramFailError("injected", t_us=result.t_prog_us)
+                if failed[path] == key and path not in retried:
+                    retried[path] = (
+                        tvpn, ftl.geometry.wl_ppn(chip_id, block, layer, wl)
+                    )
+                return result
+
+            return program
+
+        for chip_id, chip in enumerate(sim.controller.chips):
+            chip.program_wl = failing_once_per_path(chip_id, chip.program_wl)
+        trace = random_trace(sim.config.logical_pages, 300, 11)
+        replay(sim, trace, queue_depth=8)
+        assert set(failed) == {"writeback", "migration"}
+        assert ftl.dftl_stats.trans_program_fails == 2
+        for path in failed:
+            assert retried[path] in binds, path
+        # every writeback, the failed one included, landed
+        assert not ftl._inflight_trans
+        assert checker.finalize()["violations"] == 0

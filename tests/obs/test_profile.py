@@ -60,6 +60,14 @@ ATTRIBUTION = [
      "ftl.read"),
     ("DFTL._translate_read", DFTL._translate_read.__code__, False, "ftl.dftl"),
     ("DFTL._trans_gc_erase", DFTL._trans_gc_erase.__code__, False, "ftl.gc"),
+    # the erase step both block kinds share, and the one translation-page
+    # writer: a GC migration is ftl.gc, a writeback ftl.dftl
+    ("_erase_victim.on_done", _nested(BaseFTL._erase_victim, "on_done"), False,
+     "ftl.gc"),
+    ("_program_tpage.on_done[gc]", _nested(DFTL._program_tpage, "on_done"),
+     True, "ftl.gc"),
+    ("_program_tpage.on_done[writeback]",
+     _nested(DFTL._program_tpage, "on_done"), False, "ftl.dftl"),
     ("NandChip.program_wl", NandChip.program_wl.__code__, False, "nand.chip"),
     ("Engine.run", Engine.run.__code__, False, "sim.engine"),
     ("FifoResource.submit", FifoResource.submit.__code__, False,

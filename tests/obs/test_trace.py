@@ -3,6 +3,7 @@
 import pytest
 
 from repro.api import run_simulation
+from repro.check.fuzz import random_trace
 from repro.nand.reliability import AgingState
 from repro.obs.analyze import (
     breakdown_report,
@@ -13,8 +14,10 @@ from repro.obs.analyze import (
     stage_summary,
     validate_trace,
 )
-from repro.obs.trace import JsonlSink, NullSink, Span, Tracer
+from repro.obs.trace import InMemorySink, JsonlSink, NullSink, Span, Tracer
 from repro.ssd.config import SSDConfig
+from repro.ssd.controller import SSDSimulation
+from repro.ssd.host import replay
 
 
 def _run_traced(workload="OLTP", ftl="cube", aging=None, **kwargs):
@@ -68,7 +71,7 @@ class TestSinks:
 class TestTilingContract:
     """Per-page stage spans must cover [issue, completion] exactly."""
 
-    @pytest.mark.parametrize("ftl", ["page", "vert", "cube"])
+    @pytest.mark.parametrize("ftl", ["page", "vert", "cube", "oracle", "dftl"])
     def test_fresh_oltp(self, ftl):
         result = _run_traced(ftl=ftl)
         assert result.spans, "no spans recorded"
@@ -175,6 +178,21 @@ class TestGcAttribution:
         assert all(span.request is None for span in background)
         # background work never appears in host page chains
         assert validate_trace(result.spans) == []
+
+    def test_every_erase_writes_one_span(self):
+        """dftl erases translation blocks as well as data blocks; both
+        kinds go through the same erase step and its span."""
+        config = SSDConfig.small(logical_fraction=0.4)
+        sink = InMemorySink()
+        sim = SSDSimulation(config, ftl="dftl", tracer=Tracer(sink), cmt_capacity=4)
+        sim.prefill(0.9)
+        replay(sim, random_trace(config.logical_pages, 600, 11), queue_depth=8)
+        ftl = sim.ftl
+        assert ftl.dftl_stats.trans_gc_erases > 0
+        assert ftl.counters.erases > ftl.dftl_stats.trans_gc_erases
+        erases = [span for span in sink.spans if span.stage == "erase"]
+        assert len(erases) == ftl.counters.erases
+        assert validate_trace(sink.spans) == []
 
 
 class TestZeroPerturbation:

@@ -7,6 +7,7 @@ from repro.obs.timeseries import TimeSeriesRecorder
 from repro.ssd.config import SSDConfig
 from repro.ssd.controller import SSDSimulation
 from repro.ssd.host import REPLAY_MODES, replay
+from repro.workloads import build_workload
 from repro.workloads.base import Trace, with_arrivals
 from repro.workloads.synthetic import uniform_random_trace
 
@@ -118,6 +119,21 @@ class TestReplayValidation:
         assert len(records) > 2
         # the final window aligns with the end of the run
         assert records[-1]["t_us"] == sim.controller.engine.now
+
+
+class TestDrainLiveness:
+    def test_drain_rearms_gc(self):
+        """A segment can drain with a chip short of free blocks and no
+        GC job on it: GC is re-armed only by the chip's own completions.
+        The replay re-evaluates GC on every chip there instead of
+        stalling (this run stalled at 6,011 completions without it)."""
+        config = SSDConfig.small()
+        sim = SSDSimulation(config, ftl="cube")
+        sim.prefill(0.9)
+        trace = build_workload("OLTP", config.logical_pages, 8000, seed=7)
+        stats = replay(sim, trace, queue_depth=32, segment_requests=10)
+        assert stats.completed_requests == 8000
+        assert sim.ftl.counters.erases > 0
 
 
 class TestNCQ:
