@@ -197,6 +197,11 @@ class BaseFTL:
         # which lets the integrity oracle distinguish stale copies.
         self._store_oob = config.store_oob
         self._write_seq = 0
+        #: bus time of one page's transfer, and the bus job that takes
+        #: it: the same for every page read, so built once, not per read
+        transfer = config.timing.transfer_us(geometry.block.page_size_bytes)
+        self._page_transfer_us = transfer
+        self._page_transfer_job = lambda: (transfer, None)
 
     # ------------------------------------------------------------------
     # policy hooks (overridden by FTL variants)
@@ -974,25 +979,24 @@ class BaseFTL:
         if is_gc:
             on_data(result)
             return
-        transfer = self.config.timing.transfer_us(self.geometry.block.page_size_bytes)
         tracer = self.tracer
         if tracer is not None and trace_ctx is not None:
             t_submit = self.controller.now
 
             def after_bus(_ignored) -> None:
                 end = self.controller.now
-                mid = max(end - transfer, t_submit)
+                mid = max(end - self._page_transfer_us, t_submit)
                 req, lpn = trace_ctx
                 tracer.span(req, lpn, "bus_queue", t_submit, mid, chip=chip_id)
                 tracer.span(req, lpn, "bus_xfer", mid, end, chip=chip_id)
                 on_data(result)
 
             self.controller.bus_resource(chip_id).submit(
-                lambda: (transfer, None), after_bus
+                self._page_transfer_job, after_bus
             )
         else:
             self.controller.bus_resource(chip_id).submit(
-                lambda: (transfer, None), lambda _ignored: on_data(result)
+                self._page_transfer_job, lambda _ignored: on_data(result)
             )
 
     def _recover_read(

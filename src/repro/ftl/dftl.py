@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import asdict, dataclass
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.core.wam import Allocation, SequentialCursor
 from repro.ftl.base import _GCJob
@@ -107,6 +107,9 @@ class DFTL(PageFTL):
         self.kind_mappers[TRANS_KIND] = self.tmapper
         #: LPN -> dirty flag, LRU order (oldest first)
         self._cmt: "OrderedDict[int, bool]" = OrderedDict()
+        #: TVPN -> its dirty CMT LPNs, so a dirty eviction's batched
+        #: writeback cleans them without scanning the whole CMT
+        self._cmt_dirty: Dict[int, Set[int]] = {}
         self._trans_cursors: Dict[int, Optional[SequentialCursor]] = {
             chip: None for chip in range(config.geometry.n_chips)
         }
@@ -223,6 +226,12 @@ class DFTL(PageFTL):
         cmt = self._cmt
         cmt[lpn] = True
         cmt.move_to_end(lpn)
+        tvpn = lpn // self.mappings_per_tpage
+        dirty = self._cmt_dirty.get(tvpn)
+        if dirty is None:
+            self._cmt_dirty[tvpn] = {lpn}
+        else:
+            dirty.add(lpn)
         self._cmt_evict_overflow()
 
     def _cmt_fill(self, lpn: int) -> None:
@@ -235,22 +244,30 @@ class DFTL(PageFTL):
         cmt[lpn] = False
         self._cmt_evict_overflow()
 
+    def _cmt_drop(self, lpn: int) -> None:
+        """Remove the LPN's CMT entry, if any, without a writeback."""
+        if self._cmt.pop(lpn, False):
+            tvpn = lpn // self.mappings_per_tpage
+            dirty = self._cmt_dirty[tvpn]
+            dirty.discard(lpn)
+            if not dirty:
+                del self._cmt_dirty[tvpn]
+
     def _cmt_evict_overflow(self) -> None:
         cmt = self._cmt
         stats = self.dftl_stats
-        per_tpage = self.mappings_per_tpage
         while len(cmt) > self.cmt_capacity:
             victim, dirty = cmt.popitem(last=False)
             if not dirty:
                 stats.cmt_evictions_clean += 1
                 continue
             stats.cmt_evictions_dirty += 1
-            tvpn = victim // per_tpage
+            tvpn = victim // self.mappings_per_tpage
             # batched writeback: the new translation page carries every
             # dirty co-resident entry of the same TVPN, so those entries
             # become clean without their own future writeback
-            for other, other_dirty in cmt.items():
-                if other_dirty and other // per_tpage == tvpn:
+            for other in self._cmt_dirty.pop(tvpn):
+                if other != victim:
                     cmt[other] = False
             self._writeback(tvpn)
 
@@ -286,7 +303,7 @@ class DFTL(PageFTL):
                 self.mapper.invalidate_lpn(lpn)
                 # the fresher buffered copy re-enters the CMT (dirty)
                 # when it binds; until then the LPN is unmapped
-                self._cmt.pop(lpn, None)
+                self._cmt_drop(lpn)
                 continue
             self.mapper.bind(lpn, base_ppn + page_index)
             self._cmt_note_update(lpn)
@@ -535,11 +552,8 @@ class DFTL(PageFTL):
             # migrations stay on-chip (copyback style), like data GC
             chip.submit(job, on_done)
             return
-        transfer = self.config.timing.transfer_us(
-            self.geometry.block.page_size_bytes
-        )
         self.controller.bus_resource(chip_id).submit(
-            lambda: (transfer, None), lambda _ignored: chip.submit(job, on_done)
+            self._page_transfer_job, lambda _ignored: chip.submit(job, on_done)
         )
 
     def _trans_allocate(
@@ -755,6 +769,12 @@ class DFTL(PageFTL):
         self._cmt = OrderedDict(
             (int(lpn), bool(dirty)) for lpn, dirty in dftl["cmt"]
         )
+        self._cmt_dirty = {}
+        for lpn, dirty in self._cmt.items():
+            if dirty:
+                self._cmt_dirty.setdefault(
+                    lpn // self.mappings_per_tpage, set()
+                ).add(lpn)
         self.tmapper.load_state_dict(dftl["tmapper"])
         self._trans_cursors = {
             chip: (
@@ -780,6 +800,7 @@ class DFTL(PageFTL):
     def _post_spor_reset(self) -> None:
         super()._post_spor_reset()
         self._cmt = OrderedDict()
+        self._cmt_dirty = {}
         self._trans_cursors = {
             chip: None for chip in range(self.geometry.n_chips)
         }

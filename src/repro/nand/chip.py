@@ -48,6 +48,7 @@ from repro.nand.read_retry import (
 from repro.nand.reliability import (
     AgingState,
     ReliabilityModel,
+    hash_fold,
     hash_state,
     hash_unit,
     hash_unit_tail,
@@ -279,7 +280,8 @@ class NandChip:
         # premixed hash-chain prefixes of the two per-program draws
         # (environment shift and program-instance noise): the leading
         # (seed, tag, chip_id) keys never change, so folding them per
-        # operation is wasted work
+        # operation is wasted work.  The fast-path tables fold each
+        # block's location keys onto these once per erase epoch.
         seed = self.reliability.seed
         self._env_hash_state = hash_state(seed, 0xE47, chip_id)
         self._prog_noise_hash_state = hash_state(seed, 0x9619, chip_id)
@@ -412,7 +414,15 @@ class NandChip:
         if params is None:
             params = ProgramParams.default(self.ispp.n_states)
 
-        env_shift = self._draw_env_shift(block, layer, wl)
+        if self._fast is not None:
+            tables = self._fast.block(block)
+            env_prefix = tables.env_prefix[wl_index]
+            noise_prefix = tables.noise_prefix
+        else:
+            tables = None
+            env_prefix = hash_fold(self._env_hash_state, block, layer, wl)
+            noise_prefix = hash_fold(self._prog_noise_hash_state, block)
+        env_shift = self._draw_env_shift(block, layer, wl, env_prefix)
         slowdown = self.reliability.program_slowdown(self.chip_id, block, layer)
         profile = self.ispp.wl_profile(slowdown, env_shift)
         ispp_result = self.ispp.simulate(profile, params)
@@ -437,9 +447,7 @@ class NandChip:
         self._programmed_counts[block] += 1
         self.programs_done += 1
         self._penalty[block][wl_index] = ispp_result.ber_penalty
-        noise_u = hash_unit_tail(
-            self._prog_noise_hash_state, block, wl_index, self._program_nonce
-        )
+        noise_u = hash_unit_tail(noise_prefix, wl_index, self._program_nonce)
         self._prog_noise[block][wl_index] = 1.0 + 0.01 * (2.0 * noise_u - 1.0)
         if self.store_tags and data is not None:
             for page, tag in enumerate(data):
@@ -449,8 +457,7 @@ class NandChip:
                 if record is not None:
                     self._oob[(block, wl_index, page)] = record
 
-        if self._fast is not None:
-            tables = self._fast.block(block)
+        if tables is not None:
             # immediate read-back BER: no retention yet, current block P/E
             post_ber = tables.wl_ber_fresh[layer][wl] * ispp_result.ber_penalty
             # E<->P1 health indicator under the block's effective aging
@@ -562,7 +569,7 @@ class NandChip:
         if self._fast is not None:
             optimal = self.retry_model.transient_optimal(
                 self.chip_id, block, layer, tables.stable_opt[layer], aging,
-                self._read_nonce,
+                self._read_nonce, tables.read_prefix[layer],
             )
         else:
             optimal = self.retry_model.read_optimal(
@@ -611,14 +618,9 @@ class NandChip:
             if num_retry
             else 0.0
         )
+        # positional: keyword arguments cost a third of the construction
         return ReadResult(
-            t_read_us=t_read,
-            num_retry=num_retry,
-            final_offset=optimal,
-            ber=ber,
-            correctable=correctable,
-            data=tag,
-            t_retry_us=t_retry,
+            t_read, num_retry, optimal, ber, correctable, tag, t_retry
         )
 
     # ------------------------------------------------------------------
@@ -737,11 +739,11 @@ class NandChip:
         self._op_nonce += 1
         return base_us * self.faults.latency_factor(self.chip_id, self._op_nonce)
 
-    def _draw_env_shift(self, block: int, layer: int, wl: int) -> int:
+    def _draw_env_shift(self, block: int, layer: int, wl: int, prefix: int) -> int:
+        """``prefix`` is the WL's premixed ``(block, layer, wl)`` chain
+        over :attr:`_env_hash_state`."""
         self._program_nonce += 1
-        u = hash_unit_tail(
-            self._env_hash_state, block, layer, wl, self._program_nonce
-        )
+        u = hash_unit_tail(prefix, self._program_nonce)
         if u < self.env_shift_prob:
             # direction from a second hash; shifts of +/-1 loop
             sign = 1 if hash_unit(self.reliability.seed, 0xD17, block, layer, wl) < 0.5 else -1

@@ -29,10 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.nand.reliability import (
     AgingState,
     ReliabilityModel,
+    hash_fold,
     hash_state,
     hash_unit,
     hash_unit_tail,
@@ -85,6 +87,16 @@ class ReadRetryModel:
         # transient draw, one per chip seen
         self._transient_states: dict = {}
 
+    def transient_state(self, chip_id: int) -> int:
+        """Premixed ``(seed, 0x7EAD, chip_id)`` chain of the per-read
+        transient draw; a chip's fast-path tables fold each h-layer's
+        ``(block, layer)`` onto it."""
+        state = self._transient_states.get(chip_id)
+        if state is None:
+            state = hash_state(self.reliability.seed, 0x7EAD, chip_id)
+            self._transient_states[chip_id] = state
+        return state
+
     # ------------------------------------------------------------------
 
     def _drift_continuous(self, severity: float, aging: AgingState) -> float:
@@ -133,20 +145,23 @@ class ReadRetryModel:
         stable: int,
         aging: AgingState,
         nonce: int,
+        prefix: Optional[int] = None,
     ) -> int:
         """Per-read transient step on top of a known ``stable`` offset.
 
         Split out of :meth:`read_optimal` so callers that already hold
         the (precomputed) stable offset of the h-layer skip re-deriving
         it per read; the fresh-state short-circuit is preserved exactly.
+        ``prefix`` is the h-layer's premixed ``(block, layer)`` chain
+        (:meth:`transient_state` folded with :func:`hash_fold`) when the
+        caller holds it, so only ``nonce`` is folded per read; the draw
+        is the same either way.
         """
         if stable == 0 and aging.pe_cycles < self.fresh_pe_threshold:
             return 0
-        state = self._transient_states.get(chip_id)
-        if state is None:
-            state = hash_state(self.reliability.seed, 0x7EAD, chip_id)
-            self._transient_states[chip_id] = state
-        u = hash_unit_tail(state, block, layer, nonce)
+        if prefix is None:
+            prefix = hash_fold(self.transient_state(chip_id), block, layer)
+        u = hash_unit_tail(prefix, nonce)
         if u < self.transient_prob / 2.0:
             return max(0, stable - 1)
         if u < self.transient_prob:

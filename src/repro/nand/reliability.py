@@ -101,7 +101,19 @@ def hash_state(seed: int, *keys: int) -> int:
     (e.g. a chip's ``(tag, chip_id)``) premix it once instead of
     re-folding it on every operation.
     """
-    h = _splitmix64(seed & 0xFFFFFFFFFFFFFFFF)
+    return hash_fold(_splitmix64(seed & 0xFFFFFFFFFFFFFFFF), *keys)
+
+
+def hash_fold(state: int, *keys: int) -> int:
+    """Continue a premixed :func:`hash_state` chain over ``keys``.
+
+    ``hash_unit_tail(hash_fold(s, *p), *q)`` is bitwise identical to
+    ``hash_unit_tail(s, *p, *q)``: the fold is the same splitmix round
+    per key, stopped before the final division.  A caller premixes a
+    location prefix once (an h-layer's, a WL's) and folds only the
+    per-operation keys after it.
+    """
+    h = state
     for key in keys:
         h = _splitmix64(h ^ (key & 0xFFFFFFFFFFFFFFFF))
     return h

@@ -14,7 +14,11 @@ numpy lookup tables once per (block, erase epoch):
   current-P/E state (the immediate post-program read-back);
 - ``ep1[layer, wl]`` -- the E<->P1 health indicator under block aging;
 - ``stable_opt[layer]`` -- the stable optimal read-offset level shared
-  by every WL of the h-layer.
+  by every WL of the h-layer;
+- ``read_prefix[layer]``, ``env_prefix[wl_index]`` and
+  ``noise_prefix`` -- the premixed location prefixes of the per-read
+  transient draw and of the two per-program draws (environment shift,
+  program noise), so each operation folds only its nonce.
 
 Tables are built lazily on first access, one live entry per block.  An
 erase (which moves the block to the next aging epoch) drops that
@@ -34,7 +38,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.nand.reliability import _splitmix64
+from repro.nand.reliability import _splitmix64, hash_fold
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _ADD = np.uint64(0x9E3779B97F4A7C15)
@@ -54,19 +58,19 @@ def _mix(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> _S31)
 
 
-def hash_unit_array(seed: int, *keys) -> np.ndarray:
-    """Vectorized :func:`repro.nand.reliability.hash_unit`.
+def hash_fold_array(state: int, *keys):
+    """Vectorized :func:`repro.nand.reliability.hash_fold`.
 
     ``keys`` are non-negative ints or uint64 arrays (broadcast
     together).  uint64 array arithmetic wraps exactly like the masked
-    Python-int arithmetic of the scalar version, and the final
-    ``h / 2**64`` performs the same float64 rounding, so every lane is
-    bitwise identical to the scalar hash of the same keys.  The prefix
-    of scalar keys is mixed with Python ints: numpy emits overflow
-    warnings for *scalar* uint64 arithmetic (arrays wrap silently), and
-    the scalar mixer is the ground truth anyway.
+    Python-int arithmetic of the scalar version, so every lane is the
+    scalar chain state of the same keys.  The prefix of scalar keys is
+    mixed with Python ints: numpy emits overflow warnings for *scalar*
+    uint64 arithmetic (arrays wrap silently), and the scalar mixer is
+    the ground truth anyway.  With no array key the result is the
+    Python int :func:`~repro.nand.reliability.hash_fold` returns.
     """
-    h = _splitmix64(seed & _MASK)
+    h = state
     split = len(keys)
     for index, key in enumerate(keys):
         if isinstance(key, np.ndarray):
@@ -74,14 +78,28 @@ def hash_unit_array(seed: int, *keys) -> np.ndarray:
             break
         h = _splitmix64(h ^ (int(key) & _MASK))
     if split == len(keys):
-        return np.float64(h / 2.0**64)
+        return h
     hv = np.uint64(h)
     for key in keys[split:]:
         if isinstance(key, np.ndarray):
             hv = _mix(hv ^ key.astype(np.uint64, copy=False))
         else:
             hv = _mix(hv ^ np.uint64(int(key) & _MASK))
-    return hv / _TWO64
+    return hv
+
+
+def hash_unit_array(seed: int, *keys) -> np.ndarray:
+    """Vectorized :func:`repro.nand.reliability.hash_unit`.
+
+    The chain is :func:`hash_fold_array` from the seed's state, and the
+    final ``h / 2**64`` performs the same float64 rounding as the
+    scalar, so every lane is bitwise identical to the scalar hash of
+    the same keys.
+    """
+    h = hash_fold_array(_splitmix64(seed & _MASK), *keys)
+    if isinstance(h, int):
+        return np.float64(h / 2.0**64)
+    return h / _TWO64
 
 
 class BlockTables:
@@ -94,7 +112,15 @@ class BlockTables:
     bit pattern, so the identity contract is unaffected.
     """
 
-    __slots__ = ("wl_ber", "wl_ber_fresh", "ep1", "stable_opt")
+    __slots__ = (
+        "wl_ber",
+        "wl_ber_fresh",
+        "ep1",
+        "stable_opt",
+        "read_prefix",
+        "env_prefix",
+        "noise_prefix",
+    )
 
     def __init__(
         self,
@@ -102,11 +128,23 @@ class BlockTables:
         wl_ber_fresh: List[List[float]],
         ep1: List[List[float]],
         stable_opt: List[int],
+        read_prefix: List[int],
+        env_prefix: List[int],
+        noise_prefix: int,
     ) -> None:
         self.wl_ber = wl_ber
         self.wl_ber_fresh = wl_ber_fresh
         self.ep1 = ep1
         self.stable_opt = stable_opt
+        #: premixed (seed, 0x7EAD, chip_id, block, layer) chain of the
+        #: per-read transient draw, per h-layer
+        self.read_prefix = read_prefix
+        #: premixed (seed, 0xE47, chip_id, block, layer, wl) chain of
+        #: the per-program environment-shift draw, by WL index
+        self.env_prefix = env_prefix
+        #: premixed (seed, 0x9619, chip_id, block) chain of the
+        #: per-program noise draw
+        self.noise_prefix = noise_prefix
 
 
 class FastPathTables:
@@ -192,6 +230,17 @@ class FastPathTables:
             chip.retry_model.stable_optimal(chip.chip_id, block, layer, aging)
             for layer in range(chip.geometry.n_layers)
         ]
+        # the hash prefixes are a pure function of the seed and the
+        # location: rebuilt with the tables, never checkpointed
+        read_prefix = hash_fold_array(
+            chip.retry_model.transient_state(chip.chip_id), block,
+            self._layer_keys[:, 0],
+        )
+        env_prefix = hash_fold_array(
+            chip._env_hash_state, block, self._layer_keys, self._wl_keys
+        )
         return BlockTables(
-            wl_ber.tolist(), wl_ber_fresh.tolist(), ep1.tolist(), stable_opt
+            wl_ber.tolist(), wl_ber_fresh.tolist(), ep1.tolist(), stable_opt,
+            read_prefix.tolist(), env_prefix.ravel().tolist(),
+            hash_fold(chip._prog_noise_hash_state, block),
         )

@@ -1,6 +1,6 @@
 """Discrete-event simulation engine used by the SSD substrate."""
 
-from repro.sim.engine import Engine, Event
+from repro.sim.engine import Engine
 from repro.sim.resources import FifoResource
 
-__all__ = ["Engine", "Event", "FifoResource"]
+__all__ = ["Engine", "FifoResource"]

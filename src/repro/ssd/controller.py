@@ -107,6 +107,11 @@ class SSDController:
             FifoResource(self.engine, name=f"bus{channel}")
             for channel in range(geometry.n_channels)
         ]
+        #: the channel resource of each chip, by chip id
+        self._bus_of_chip = [
+            self._bus_resources[geometry.channel_of_chip(chip_id)]
+            for chip_id in range(geometry.n_chips)
+        ]
 
     @property
     def now(self) -> float:
@@ -120,8 +125,10 @@ class SSDController:
 
     def bus_resource(self, chip_id: int) -> FifoResource:
         """The channel resource a chip is attached to."""
-        channel = self.config.geometry.channel_of_chip(chip_id)
-        return self._bus_resources[channel]
+        if 0 <= chip_id < len(self._bus_of_chip):
+            return self._bus_of_chip[chip_id]
+        # out of range: the geometry raises its AddressError
+        return self._bus_resources[self.config.geometry.channel_of_chip(chip_id)]
 
 
 class SSDSimulation:

@@ -64,8 +64,9 @@ def _new_stats(sim, trace: Trace) -> SimulationStats:
 
 
 def _note_tenant(stats: SimulationStats, request: IORequest, latency: float) -> None:
-    """Mirror one measured completion into its tenant's slice."""
-    if stats.tenants is None or request.tenant is None:
+    """Mirror one measured completion into its tenant's slice (a trace
+    with tenants only)."""
+    if request.tenant is None:
         return
     tenant = stats.tenants[request.tenant]
     tenant.completed_requests += 1
@@ -257,7 +258,8 @@ def replay(
                 stats.read_latency.add(latency)
             else:
                 stats.write_latency.add(latency)
-            _note_tenant(stats, request, latency)
+            if stats.tenants is not None:
+                _note_tenant(stats, request, latency)
         if completed == n_requests and recorder is not None:
             # no periodic window after the last host completion
             recorder.stop()
@@ -288,7 +290,7 @@ def replay(
             # drained with requests pending: a chip's GC is re-armed only
             # by its own completions, so re-evaluate every chip's
             sim.ftl.rearm_gc()
-            if not engine.live_pending:
+            if not engine.pending:
                 stalled = dict(pending)
                 stalled.update((id(request), request) for request in waiting)
                 sim._log_stall(completed, stalled)

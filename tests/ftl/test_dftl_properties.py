@@ -1,6 +1,6 @@
 """Property-based tests for the demand-paged (DFTL) mapping FTL.
 
-Four properties, driven by hypothesis with ``derandomize=True`` so CI
+Five properties, driven by hypothesis with ``derandomize=True`` so CI
 runs are seeded and deterministic:
 
 - the CMT never exceeds its configured capacity, checked after every
@@ -12,10 +12,13 @@ runs are seeded and deterministic:
   byte-identical final logical state under the strict checker (so no
   read ever returned different data);
 - both mapping tables (host L2P and the GTD) pass ``audit()`` and the
-  variant invariant after every fuzz-style run.
+  variant invariant after every fuzz-style run;
+- the per-TVPN dirty index cleans, on each dirty eviction, exactly the
+  entries a scan of the whole CMT cleans.
 """
 
 import dataclasses
+from collections import OrderedDict
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -122,3 +125,101 @@ def test_both_mappers_audit_clean_after_fuzz_run(seed, capacity):
     assert sim.ftl.mapper.audit() is None
     assert sim.ftl.tmapper.audit() is None
     assert sim.ftl.audit_variant() is None
+
+
+class _ScanningCmt:
+    """Reference CMT: the batched writeback by a scan of every entry,
+    as dftl did before it kept a per-TVPN dirty index."""
+
+    def __init__(self, capacity, per_tpage):
+        self.cmt = OrderedDict()
+        self.capacity = capacity
+        self.per_tpage = per_tpage
+        #: (tvpn, LPNs the writeback cleaned, the victim included)
+        self.writebacks = []
+
+    def update(self, lpn):
+        self.cmt[lpn] = True
+        self.cmt.move_to_end(lpn)
+        self._evict()
+
+    def fill(self, lpn):
+        if lpn in self.cmt:
+            self.cmt.move_to_end(lpn)
+            return
+        self.cmt[lpn] = False
+        self._evict()
+
+    def drop(self, lpn):
+        self.cmt.pop(lpn, None)
+
+    def _evict(self):
+        while len(self.cmt) > self.capacity:
+            victim, dirty = self.cmt.popitem(last=False)
+            if not dirty:
+                continue
+            tvpn = victim // self.per_tpage
+            cleaned = {victim}
+            for other, other_dirty in self.cmt.items():
+                if other_dirty and other // self.per_tpage == tvpn:
+                    self.cmt[other] = False
+                    cleaned.add(other)
+            self.writebacks.append((tvpn, cleaned))
+
+
+#: six TVPNs of four LPNs: a CMT of 4 to 16 entries holds several
+#: dirty entries of one TVPN at once
+CMT_PER_TPAGE = 4
+CMT_LPNS = 24
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    capacity=st.integers(4, 16),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["update", "update", "fill", "drop"]),
+            st.integers(0, CMT_LPNS - 1),
+        ),
+        min_size=20,
+        max_size=150,
+    ),
+)
+def test_dirty_index_cleans_what_a_full_scan_cleans(capacity, ops):
+    sim = SSDSimulation(
+        CONFIG, ftl="dftl", cmt_capacity=capacity,
+        mappings_per_tpage=CMT_PER_TPAGE,
+    )
+    ftl = sim.ftl
+    reference = _ScanningCmt(capacity, CMT_PER_TPAGE)
+    writebacks = []
+
+    def recording_writeback(tvpn):
+        # each operation adds at most one entry, so at most one eviction
+        # runs inside it: the entries of the TVPN that were dirty before
+        # the operation or made dirty by it, minus those still dirty
+        cleaned = {
+            lpn for lpn in touched
+            if lpn // CMT_PER_TPAGE == tvpn and not ftl._cmt.get(lpn, False)
+        }
+        writebacks.append((tvpn, cleaned))
+
+    ftl._writeback = recording_writeback
+    methods = {
+        "update": ftl._cmt_note_update,
+        "fill": ftl._cmt_fill,
+        "drop": ftl._cmt_drop,
+    }
+    for op, lpn in ops:
+        touched = {other for other, dirty in ftl._cmt.items() if dirty}
+        if op == "update":
+            touched.add(lpn)
+        methods[op](lpn)
+        getattr(reference, op)(lpn)
+        assert list(ftl._cmt.items()) == list(reference.cmt.items())
+        assert writebacks == reference.writebacks
+        index = {}
+        for other, dirty in ftl._cmt.items():
+            if dirty:
+                index.setdefault(other // CMT_PER_TPAGE, set()).add(other)
+        assert ftl._cmt_dirty == index

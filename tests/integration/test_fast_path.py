@@ -9,8 +9,6 @@ span traces are byte-identical, across every FTL and the paper's aging
 sweep.
 """
 
-import heapq
-
 import pytest
 
 from repro.api import run_simulation
@@ -31,18 +29,13 @@ AGING = {
 def _stepped_run(self, until=None, max_events=None):
     """The pre-batching reference loop: one event per iteration.
 
-    Heap entries are ``(time, seq, event)`` tuples.
+    Heap entries are ``(time, seq, callback)`` tuples.
     """
     executed = 0
     while self._queue:
         if max_events is not None and executed >= max_events:
             return
-        time, _, head = self._queue[0]
-        if head.cancelled:
-            heapq.heappop(self._queue)
-            head.engine = None
-            self._cancelled -= 1
-            continue
+        time = self._queue[0][0]
         if until is not None and time > until:
             self._now = until
             return

@@ -4,9 +4,10 @@ The fast path (:mod:`repro.nand.tables`) is only allowed to exist
 because it is *bitwise identical* to the scalar device model.  These
 tests assert that contract exhaustively over the full (h-layer x WL x
 aging-epoch) domain, through every consumer surface: the vectorized
-hash, the per-block tables, and the chip's program/read results across
-all retry offset hints, erase-epoch transitions, baseline-aging changes
-and checkpoint restores.
+hash, the per-block tables (surfaces and premixed hash prefixes), and
+the chip's program/read results across all retry offset hints,
+erase-epoch transitions, baseline-aging changes and checkpoint
+restores.
 """
 
 import numpy as np
@@ -15,7 +16,12 @@ import pytest
 from repro.nand.chip import NandChip
 from repro.nand.geometry import BlockGeometry
 from repro.nand.read_retry import MAX_OFFSET, ReadParams, ReadRetryModel
-from repro.nand.reliability import AgingState, ReliabilityModel, hash_unit
+from repro.nand.reliability import (
+    AgingState,
+    ReliabilityModel,
+    hash_state,
+    hash_unit,
+)
 from repro.nand.tables import FastPathTables, hash_unit_array
 
 #: the paper's aging sweep: fresh, end-of-life cycling, and end-of-life
@@ -69,11 +75,20 @@ class TestBlockTables:
             tables = chip._fast.block(block)
             block_aging = chip.block_aging(block)
             fresh = chip._fresh_aging(chip.block_pe(block))
+            seed, chip_id = reliability.seed, chip.chip_id
+            # the premixed hash prefixes of the per-operation draws
+            assert tables.noise_prefix == hash_state(seed, 0x9619, chip_id, block)
             for layer in range(GEOMETRY.n_layers):
                 assert tables.stable_opt[layer] == retry.stable_optimal(
                     chip.chip_id, block, layer, block_aging
                 )
+                assert tables.read_prefix[layer] == hash_state(
+                    seed, 0x7EAD, chip_id, block, layer
+                )
                 for wl in range(GEOMETRY.wls_per_layer):
+                    assert tables.env_prefix[GEOMETRY.wl_index(layer, wl)] == hash_state(
+                        seed, 0xE47, chip_id, block, layer, wl
+                    )
                     assert tables.wl_ber[layer][wl] == reliability.wl_ber(
                         chip.chip_id, block, layer, wl, block_aging
                     )

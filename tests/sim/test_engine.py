@@ -67,19 +67,21 @@ class TestEngine:
         engine.run(max_events=2)
         assert fired == [0, 1]
 
-    def test_max_events_drains_leading_corpses(self):
-        """Regression: a ``max_events`` return used to leave ``now``
-        stuck behind ``until`` when every remaining queued event was a
-        cancelled corpse -- segmented runs saw a stale clock."""
+    def test_max_events_return_moves_clock_to_until(self):
+        # the budget runs out with the next event beyond `until`: the
+        # clock still moves to `until`, as a run without a budget does
         engine = Engine()
-        engine.schedule(1.0, lambda: None)
-        corpses = [engine.schedule(2.0, lambda: None) for _ in range(3)]
-        for corpse in corpses:
-            corpse.cancel()
+        fired = []
+        engine.schedule(1.0, lambda: fired.append(1))
+        engine.schedule(20.0, lambda: fired.append(20))
         engine.run(until=10.0, max_events=1)
-        assert engine.processed == 1
-        assert engine.live_pending == 0
-        assert engine.now == 10.0
+        assert fired == [1]
+        assert (engine.now, engine.pending) == (10.0, 1)
+        # and with nothing left queued
+        drained = Engine()
+        drained.schedule(1.0, lambda: None)
+        drained.run(until=10.0, max_events=1)
+        assert (drained.now, drained.processed) == (10.0, 1)
 
     def test_max_events_keeps_clock_at_live_head(self):
         # with live work still queued before `until`, a max-events return
@@ -107,60 +109,19 @@ class TestEngine:
         assert order == ["first", "second", "nested", "later"]
         assert engine.now == 4.0
 
-    def test_cancel_within_batch_is_skipped(self):
-        engine = Engine()
-        fired = []
-        victim = engine.schedule(1.0, lambda: fired.append("victim"))
-        engine.schedule(1.0, lambda: (fired.append("killer"), victim.cancel()))
-        engine.run()
-        # same timestamp, but the killer's seq is higher -- the victim
-        # fires first; reverse the roles for the real assertion
-        assert fired == ["victim", "killer"]
-        engine2 = Engine()
-        fired2 = []
-
-        def killer():
-            fired2.append("killer")
-            victim2.cancel()
-
-        engine2.schedule(1.0, killer)
-        victim2 = engine2.schedule(1.0, lambda: fired2.append("victim"))
-        engine2.run()
-        assert fired2 == ["killer"]
-        assert engine2.live_pending == 0
-
-    def test_peak_pending_excludes_cancelled_burst(self):
-        """Regression: the peak used to count cancelled corpses still in
-        the heap, so it depended on compaction timing instead of live
-        load."""
-        engine = Engine()
-        burst = [engine.schedule(1.0, lambda: None) for _ in range(10)]
-        assert engine.peak_pending == 10
-        for event in burst:
-            event.cancel()
-        # corpses (compacted or not) must not raise the live peak
-        for _ in range(5):
-            engine.schedule(2.0, lambda: None)
-        assert engine.peak_pending == 10
-        engine.run()
-        assert engine.peak_pending == 10
-
     def test_peak_pending_tracks_live_high_water_mark(self):
         engine = Engine()
-        events = [engine.schedule(1.0, lambda: None) for _ in range(4)]
-        events[0].cancel()
+        for _ in range(4):
+            engine.schedule(1.0, lambda: None)
+        engine.step()
         engine.schedule(2.0, lambda: None)
-        # 3 live from the burst + 1 new = 4 live; the corpse is excluded
-        assert engine.peak_pending == 4
-
-    def test_cancelled_events_skipped(self):
-        engine = Engine()
-        fired = []
-        event = engine.schedule(1.0, lambda: fired.append("cancelled"))
-        engine.schedule(2.0, lambda: fired.append("kept"))
-        event.cancel()
+        # 3 left from the burst + 1 new = 4 queued: no new high
+        assert (engine.pending, engine.peak_pending) == (4, 4)
+        for _ in range(2):
+            engine.schedule(3.0, lambda: None)
+        assert engine.peak_pending == 6
         engine.run()
-        assert fired == ["kept"]
+        assert (engine.pending, engine.peak_pending) == (0, 6)
 
     def test_schedule_negative_delay_rejected(self):
         with pytest.raises(ValueError):
@@ -222,6 +183,21 @@ class TestReservedSequence:
             engine.schedule_at(2.0, lambda: None, seq=seq)
         assert engine.pending == 4
 
+    def test_schedule_at_accepts_older_range_after_newer_reserve(self):
+        engine = Engine()
+        older = engine.reserve(4)
+        engine.schedule(1.0, lambda: None)  # a seq between the ranges
+        newer = engine.reserve(2)
+        assert (older, newer) == (0, 5)
+        order = []
+        engine.schedule_at(2.0, lambda: order.append("newer"), seq=newer + 1)
+        engine.schedule_at(2.0, lambda: order.append("older"), seq=older + 3)
+        for seq in (older + 4, newer + 2):
+            with pytest.raises(ValueError, match=f"seq {seq} is not in a reserved range"):
+                engine.schedule_at(2.0, lambda: None, seq=seq)
+        engine.run()
+        assert order == ["older", "newer"]
+
     def test_schedule_at_refuses_seq_without_reservation(self):
         with pytest.raises(ValueError, match="reserved"):
             Engine().schedule_at(1.0, lambda: None, seq=0)
@@ -255,13 +231,12 @@ class _Windows:
 
 
 def _tied_events(engine, log):
-    """Events with ties, a cancellation and zero-delay rescheduling."""
+    """Events with ties and zero-delay rescheduling."""
     engine.schedule(1.5, lambda: log.append("a"))
     engine.schedule(2.0, lambda: log.append("b"))
     engine.schedule(
         2.0, lambda: engine.schedule(0.0, lambda: log.append("c"))
     )
-    engine.schedule(3.0, lambda: log.append("x")).cancel()
     engine.schedule(6.0, lambda: log.append("d"))
 
 
@@ -291,14 +266,6 @@ class TestRecurringEvents:
         assert engine.reserve(1) == 1
         engine.run()
         assert windows.times == [2.0, 4.0]
-
-    def test_does_not_rearm_on_cancelled_corpses(self):
-        engine = Engine()
-        windows = _Windows(engine, 1.0)
-        engine.schedule(100.0, lambda: None).cancel()
-        engine.run()
-        assert windows.taken == []
-        assert engine.now == 0.0
 
     def test_window_due_at_event_time_sees_state_before_it(self):
         engine = Engine()
@@ -350,51 +317,3 @@ class TestRecurringEvents:
             0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0,
         ]
 
-
-class TestHeapCompaction:
-    def test_mass_cancellation_compacts_heap(self):
-        engine = Engine()
-        fired = []
-        events = [
-            engine.schedule(float(i + 1), lambda i=i: fired.append(i))
-            for i in range(200)
-        ]
-        for event in events[::2]:
-            event.cancel()
-        assert engine.compactions >= 1
-        assert engine.pending == engine.live_pending == 100
-
-    def test_compaction_preserves_pop_order(self):
-        engine = Engine()
-        fired = []
-        events = [
-            engine.schedule(float(200 - i), lambda i=i: fired.append(i))
-            for i in range(200)
-        ]
-        for event in events[:150]:
-            event.cancel()
-        assert engine.compactions >= 1
-        engine.run()
-        # survivors are i in [150, 200) scheduled at time 200-i: they must
-        # fire in ascending time order, i.e. descending i
-        assert fired == list(range(199, 149, -1))
-
-    def test_cancel_is_idempotent(self):
-        engine = Engine()
-        event = engine.schedule(1.0, lambda: None)
-        engine.schedule(2.0, lambda: None)
-        event.cancel()
-        event.cancel()  # double cancel must not double-count
-        assert engine.live_pending == 1
-        engine.run()
-        assert engine.processed == 1
-
-    def test_cancel_after_pop_is_noop(self):
-        engine = Engine()
-        event = engine.schedule(1.0, lambda: None)
-        engine.schedule(2.0, lambda: None)
-        engine.step()
-        event.cancel()  # already fired: must not corrupt accounting
-        assert engine.live_pending == 1
-        engine.run()
-        assert engine.processed == 2
