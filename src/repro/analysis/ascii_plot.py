@@ -129,7 +129,6 @@ def cdf_chart(
     for index, (label, samples) in enumerate(samples_by_label.items()):
         marker = markers[index % len(markers)]
         values = np.sort(np.asarray(samples, dtype=float))
-        fractions = np.arange(1, len(values) + 1) / len(values)
         for column in range(width):
             x = lo + (hi - lo) * column / (width - 1)
             fraction = float(np.searchsorted(values, x, side="right")) / len(values)

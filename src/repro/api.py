@@ -330,6 +330,10 @@ def run_spec(spec: SimulationSpec) -> SimulationResult:
         )
     started = process_time()
     trace = spec.build_trace()
+    traced = process_time()
+    # CPU seconds reading the checkpoint a run resumes from: counted
+    # with its restore, which stands in for prefill
+    load_s = 0.0
     queue_depth = host.queue_depth
     warmup_requests = spec.warmup_requests
     check = options.check
@@ -343,6 +347,8 @@ def run_spec(spec: SimulationSpec) -> SimulationResult:
         )
 
         header, out_dir, state, observers = checkpoint_plan(spec, trace)
+        if state is not None:
+            load_s = process_time() - traced
         # the header is authoritative for the run parameters, so a
         # resume cannot diverge from the original run
         queue_depth = header["queue_depth"]
@@ -419,13 +425,14 @@ def run_spec(spec: SimulationSpec) -> SimulationResult:
     progress_sink = get_progress_sink()
     if progress_sink is not None:
         sim.progress = make_progress_hook(progress_sink)
+    built = process_time()
     if state is not None:
         # the checkpoint carries the full media state: no prefill
         restore_state(sim, state)
         restore_observers(sim, observers)
     elif spec.prefill > 0:
         sim.prefill(spec.prefill)
-    setup_s = process_time() - started
+    filled = process_time()
     try:
         with sampling() if options.profile else nullcontext() as host_profile:
             stats = replay(
@@ -451,7 +458,12 @@ def run_spec(spec: SimulationSpec) -> SimulationResult:
     check_report = checker.finalize() if checker is not None else None
     profile = None
     if host_profile is not None:
-        profile = host_profile.to_dict(setup_s, process_time() - started)
+        profile = host_profile.to_dict(
+            build_s=built - traced - load_s,
+            prefill_s=filled - built + load_s,
+            trace_s=traced - started,
+            total_s=process_time() - started,
+        )
     artifact_path = None
     if artifacts:
         from repro.obs.artifact import write_artifact

@@ -7,7 +7,6 @@ series the paper plots and asserts the qualitative shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np

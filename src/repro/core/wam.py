@@ -48,6 +48,10 @@ class ActiveBlockCursor:
     def __init__(self, block: int, geometry: BlockGeometry) -> None:
         self.block = block
         self.geometry = geometry
+        # the block shape as plain ints: the availability tests run
+        # several times per allocation
+        self._n_layers = geometry.n_layers
+        self._wls_per_layer = geometry.wls_per_layer
         self._leader_layer = 0  # i_Leader: next h-layer with a free leader
         self._follower_layer = 0  # i_Follower: h-layer of the next free follower
         self._follower_wl = 1
@@ -63,36 +67,41 @@ class ActiveBlockCursor:
         return self._follower_layer
 
     def leader_available(self) -> bool:
-        return self._leader_layer < self.geometry.n_layers
+        return self._leader_layer < self._n_layers
 
     def follower_available(self) -> bool:
         """Followers exist only behind the leader pointer."""
         return (
             self._follower_layer < self._leader_layer
-            and self._follower_layer < self.geometry.n_layers
+            and self._follower_layer < self._n_layers
         )
 
     @property
     def exhausted(self) -> bool:
-        return not self.leader_available() and not self.follower_available()
+        # not leader_available() and not follower_available(), inline:
+        # tested after every allocation
+        follower_layer = self._follower_layer
+        return self._leader_layer >= self._n_layers and not (
+            follower_layer < self._leader_layer and follower_layer < self._n_layers
+        )
 
     def leaders_remaining(self) -> int:
-        return self.geometry.n_layers - self._leader_layer
+        return self._n_layers - self._leader_layer
 
     def followers_remaining(self) -> int:
         """Free follower WLs under h-layers already led (allocatable now)."""
         if not self.follower_available():
             return 0
-        per_layer = self.geometry.wls_per_layer - 1
+        per_layer = self._wls_per_layer - 1
         full_layers = self._leader_layer - self._follower_layer - 1
-        current = self.geometry.wls_per_layer - self._follower_wl
+        current = self._wls_per_layer - self._follower_wl
         return full_layers * per_layer + current
 
     def free_wls(self) -> int:
         """All WLs not yet programmed through this cursor."""
-        total = self.geometry.wls_per_block
+        total = self._n_layers * self._wls_per_layer
         leaders_used = self._leader_layer
-        followers_used = self._follower_layer * (self.geometry.wls_per_layer - 1) + (
+        followers_used = self._follower_layer * (self._wls_per_layer - 1) + (
             self._follower_wl - 1
         )
         return total - leaders_used - followers_used
@@ -111,7 +120,7 @@ class ActiveBlockCursor:
             raise LookupError(f"block {self.block}: no allocatable follower WL")
         address = WLAddress(self._follower_layer, self._follower_wl)
         self._follower_wl += 1
-        if self._follower_wl >= self.geometry.wls_per_layer:
+        if self._follower_wl >= self._wls_per_layer:
             self._follower_wl = 1
             self._follower_layer += 1
         return Allocation(self.block, address, is_leader=False)
@@ -155,23 +164,27 @@ class SequentialCursor:
     def __init__(self, block: int, geometry: BlockGeometry) -> None:
         self.block = block
         self.geometry = geometry
+        # the block shape as plain ints, read on every allocation
+        self._wls_per_block = geometry.wls_per_block
+        self._wls_per_layer = geometry.wls_per_layer
         self._next = 0
 
     @property
     def exhausted(self) -> bool:
-        return self._next >= self.geometry.wls_per_block
+        return self._next >= self._wls_per_block
 
     def free_wls(self) -> int:
-        return self.geometry.wls_per_block - self._next
+        return self._wls_per_block - self._next
 
     def take(self, prefer_follower: bool = False) -> Allocation:
         """Allocate the next WL in order (the preference is ignored --
         that is exactly what cubeFTL- gives up)."""
-        if self.exhausted:
+        index = self._next
+        if index >= self._wls_per_block:
             raise LookupError(f"block {self.block}: exhausted")
-        address = self.geometry.wl_from_index(self._next)
-        self._next += 1
-        return Allocation(self.block, address, is_leader=address.wl == 0)
+        self._next = index + 1
+        layer, wl = divmod(index, self._wls_per_layer)
+        return Allocation(self.block, WLAddress(layer, wl), wl == 0)
 
     # -- checkpointing -------------------------------------------------
 
@@ -254,13 +267,16 @@ class WLAllocationManager:
         prefer_follower = utilization > self.mu_threshold
         choice: Optional[ActiveBlockCursor] = None
         # first pass: a cursor offering the preferred WL group
-        for cursor in cursors:
-            if prefer_follower and cursor.follower_available():
-                choice = cursor
-                break
-            if not prefer_follower and cursor.leader_available():
-                choice = cursor
-                break
+        if prefer_follower:
+            for cursor in cursors:
+                if cursor.follower_available():
+                    choice = cursor
+                    break
+        else:
+            for cursor in cursors:
+                if cursor.leader_available():
+                    choice = cursor
+                    break
         # second pass: anything non-exhausted
         if choice is None:
             for cursor in cursors:

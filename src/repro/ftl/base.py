@@ -202,6 +202,7 @@ class BaseFTL:
         transfer = config.timing.transfer_us(geometry.block.page_size_bytes)
         self._page_transfer_us = transfer
         self._page_transfer_job = lambda: (transfer, None)
+        self._wls_per_block = geometry.block.wls_per_block
 
     # ------------------------------------------------------------------
     # policy hooks (overridden by FTL variants)
@@ -447,6 +448,11 @@ class BaseFTL:
 
     def _ensure_active_blocks(self, chip_id: int) -> None:
         """Top up the chip's active blocks from the free pool."""
+        count = self.cursor_count(chip_id)
+        if count and count >= self.config.active_blocks_per_chip:
+            # a full set of cursors: neither the top-up nor the fallback
+            # below would install anything
+            return
         while (
             self.cursor_count(chip_id) < self.config.active_blocks_per_chip
             and self.blocks.free_count(chip_id) > 1
@@ -774,13 +780,15 @@ class BaseFTL:
         (counting its WL as programmed) inside another program's
         completion, and a FULL block is a GC candidate whose valid pages
         would be snapshotted before that program's pages are bound."""
+        # the count test first: it fails for every WL but a block's last
+        chip = self.controller.chips[chip_id]
+        if chip.programmed_wl_count(block) != self._wls_per_block:
+            return
         if self.blocks.state(chip_id, block) is not BlockState.ACTIVE:
             return
         if (chip_id, block) in self._block_programs:
             return
-        chip = self.controller.chip(chip_id)
-        if chip.programmed_wl_count(block) == self.geometry.block.wls_per_block:
-            self.blocks.mark_full(chip_id, block)
+        self.blocks.mark_full(chip_id, block)
 
     # ------------------------------------------------------------------
     # read path

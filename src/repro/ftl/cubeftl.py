@@ -55,6 +55,9 @@ class CubeFTL(BaseFTL):
             enable_window_adjust=enable_window_adjust,
         )
         self.enable_ort = enable_ort
+        #: the (monitoring) leader program's parameters: immutable, so
+        #: fetched once
+        self._leader_params = ProgramParams.default(controller.ispp.n_states)
         self.wam = WLAllocationManager(
             config.geometry.block,
             active_blocks_per_chip=config.active_blocks_per_chip,
@@ -109,12 +112,14 @@ class CubeFTL(BaseFTL):
     def program_params(
         self, chip_id: int, allocation: Allocation
     ) -> Tuple[ProgramParams, float]:
+        opm = self.opm
+        block = allocation.block
         layer = allocation.address.layer
-        if self.opm.has_leader(chip_id, allocation.block, layer):
-            params = self.opm.follower_params(chip_id, allocation.block, layer)
+        if opm.has_leader(chip_id, block, layer):
+            params = opm.follower_params(chip_id, block, layer)
             return params, float(params.window_squeeze_mv)
         # no monitored parameters yet: program as a (monitoring) leader
-        return ProgramParams.default(self.controller.ispp.n_states), 0.0
+        return self._leader_params, 0.0
 
     def after_program(
         self,
@@ -123,13 +128,13 @@ class CubeFTL(BaseFTL):
         result: ProgramResult,
         squeeze_mv: float,
     ) -> bool:
+        opm = self.opm
+        block = allocation.block
         layer = allocation.address.layer
-        if not self.opm.has_leader(chip_id, allocation.block, layer):
-            self.opm.record_leader(chip_id, allocation.block, layer, result)
+        if not opm.has_leader(chip_id, block, layer):
+            opm.record_leader(chip_id, block, layer, result)
             return True
-        verdict = self.opm.check_program(
-            chip_id, allocation.block, layer, result, squeeze_mv
-        )
+        verdict = opm.check_program(chip_id, block, layer, result, squeeze_mv)
         return verdict is SafetyVerdict.OK
 
     # ------------------------------------------------------------------

@@ -422,7 +422,17 @@ class NandChip:
             tables = None
             env_prefix = hash_fold(self._env_hash_state, block, layer, wl)
             noise_prefix = hash_fold(self._prog_noise_hash_state, block)
-        env_shift = self._draw_env_shift(block, layer, wl, env_prefix)
+        # environment shift: a fresh draw per program over the WL's
+        # premixed (block, layer, wl) chain; shifts of +/-1 loop, the
+        # direction from a second hash
+        self._program_nonce += 1
+        env_shift = 0
+        if hash_unit_tail(env_prefix, self._program_nonce) < self.env_shift_prob:
+            env_shift = (
+                1
+                if hash_unit(self.reliability.seed, 0xD17, block, layer, wl) < 0.5
+                else -1
+            )
         slowdown = self.reliability.program_slowdown(self.chip_id, block, layer)
         profile = self.ispp.wl_profile(slowdown, env_shift)
         ispp_result = self.ispp.simulate(profile, params)
@@ -478,16 +488,13 @@ class NandChip:
         t_prog = ispp_result.t_prog_us
         if params.window_squeeze_mv != 0 or params.verify_plan.skips_verifies:
             t_prog += self.timing.t_param_set_us
-        t_prog = self._op_latency(t_prog)
+        if self.faults is not None:
+            t_prog = self._op_latency(t_prog)
         if self.telemetry is not None:
             self.telemetry.record_program(layer, t_prog)
         return ProgramResult(
-            t_prog_us=t_prog,
-            ispp=ispp_result,
-            monitored=ispp_result.monitored,
-            post_program_ber=post_ber,
-            ber_ep1=ber_ep1,
-            env_shift=env_shift,
+            t_prog, ispp_result, ispp_result.monitored, post_ber, ber_ep1,
+            env_shift,
         )
 
     def peek_tag(self, block: int, layer: int, wl: int, page: int) -> object:
@@ -738,17 +745,6 @@ class NandChip:
             return base_us
         self._op_nonce += 1
         return base_us * self.faults.latency_factor(self.chip_id, self._op_nonce)
-
-    def _draw_env_shift(self, block: int, layer: int, wl: int, prefix: int) -> int:
-        """``prefix`` is the WL's premixed ``(block, layer, wl)`` chain
-        over :attr:`_env_hash_state`."""
-        self._program_nonce += 1
-        u = hash_unit_tail(prefix, self._program_nonce)
-        if u < self.env_shift_prob:
-            # direction from a second hash; shifts of +/-1 loop
-            sign = 1 if hash_unit(self.reliability.seed, 0xD17, block, layer, wl) < 0.5 else -1
-            return sign
-        return 0
 
     def _check_block(self, block: int) -> None:
         if not 0 <= block < self.n_blocks:

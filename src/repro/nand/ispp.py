@@ -189,7 +189,12 @@ class VerifyPlan:
 
 @dataclass(frozen=True)
 class ProgramParams:
-    """Operating parameters of one WL program operation."""
+    """Operating parameters of one WL program operation.
+
+    ``window_squeeze_mv`` -- the total window tightening relative to
+    the conservative default -- is set at construction: the parameters
+    are frozen and every program reads it.
+    """
 
     v_start_mv: int = V_START_DEFAULT_MV
     v_final_mv: int = V_FINAL_DEFAULT_MV
@@ -204,6 +209,12 @@ class ProgramParams:
                 "program window narrower than one ISPP step: "
                 f"[{self.v_start_mv}, {self.v_final_mv}] mV"
             )
+        object.__setattr__(
+            self,
+            "window_squeeze_mv",
+            (V_FINAL_DEFAULT_MV - self.v_final_mv)
+            + (self.v_start_mv - V_START_DEFAULT_MV),
+        )
 
     @classmethod
     def default(cls, n_states: int = TLC_STATES) -> "ProgramParams":
@@ -227,13 +238,6 @@ class ProgramParams:
     def final_shift_loops(self) -> int:
         """Loops removed at the back by lowering V_final."""
         return round((V_FINAL_DEFAULT_MV - self.v_final_mv) / self.dv_ispp_mv)
-
-    @property
-    def window_squeeze_mv(self) -> int:
-        """Total window tightening relative to the conservative default."""
-        return (V_FINAL_DEFAULT_MV - self.v_final_mv) + (
-            self.v_start_mv - V_START_DEFAULT_MV
-        )
 
 
 #: the shared :meth:`ProgramParams.default` of 1..15 programmed states
@@ -397,8 +401,6 @@ class IsppEngine:
         Returns the latency per Eq. 1 -- the sum over executed loops of
         ``tPGM + k_i * tVFY`` -- along with reliability outcomes.
         """
-        if profile.n_states != params.verify_plan.n_states:
-            raise ValueError("verify plan does not match profile states")
         cache_key = (
             profile,
             params.v_start_mv,
@@ -408,7 +410,11 @@ class IsppEngine:
         )
         cached = self._simulate_cache.get(cache_key)
         if cached is not None:
+            # the key holds the profile and the plan's start loops, so a
+            # hit passed the state-count check below when it was stored
             return cached
+        if profile.n_states != params.verify_plan.n_states:
+            raise ValueError("verify plan does not match profile states")
         effective = self.effective_profile(profile, params)
         max_loop = params.max_loop
         needed = effective.loops_needed

@@ -27,7 +27,6 @@ the fresh state, ~30 % retry at 2 K P/E + 1 month and ~90 % at 2 K P/E +
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 

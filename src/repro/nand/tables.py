@@ -38,6 +38,7 @@ from typing import Dict, List
 
 import numpy as np
 
+from repro.nand.read_retry import MAX_OFFSET
 from repro.nand.reliability import _splitmix64, hash_fold
 
 _MASK = 0xFFFFFFFFFFFFFFFF
@@ -194,23 +195,44 @@ class FastPathTables:
         )
         return 1.0 + rel.rtn_noise * (2.0 * u - 1.0)
 
-    def _wl_ber(self, block: int, aging) -> np.ndarray:
-        """``reliability.wl_ber`` over every (layer, wl) of the block.
+    def _layer_ber(self, block: int, aging) -> np.ndarray:
+        """``reliability.layer_ber`` of every h-layer, in one pass.
 
-        The per-layer BER comes from the scalar (cached) model; only the
-        per-WL RTN hash is vectorized, and the final product keeps the
-        scalar's ``layer_ber * rtn_factor`` order.
+        The model's own per-block multipliers, aging growth and layer
+        acceleration (which takes the severity vector as it takes one
+        severity), multiplied left to right as the scalar does, so every
+        lane is the scalar's float64 result.
+        """
+        rel = self._chip.reliability
+        return (
+            rel.ber_fresh_best
+            * rel._layer_multipliers(self._chip.chip_id, block)
+            * rel._aging_growth(aging)
+            * rel._layer_aging_accel(rel._severity, aging)
+        )
+
+    def _wl_ber(self, block: int, aging) -> np.ndarray:
+        """``reliability.wl_ber`` over every (layer, wl) of the block,
+        keeping the scalar's ``layer_ber * rtn_factor`` order."""
+        return self._layer_ber(block, aging)[:, None] * self._rtn_factors(
+            block, aging
+        )
+
+    def _stable_optimal(self, block: int, aging) -> List[int]:
+        """``retry_model.stable_optimal`` of every h-layer, in one pass.
+
+        The drift takes the severity vector as it takes one severity.
+        ``np.rint`` rounds half to even, as the scalar's ``round`` does,
+        and a zero drift gives 0 whatever the hash, as in the scalar.
         """
         chip = self._chip
         rel = chip.reliability
-        layer_ber = np.array(
-            [
-                rel.layer_ber(chip.chip_id, block, layer, aging)
-                for layer in range(chip.geometry.n_layers)
-            ],
-            dtype=np.float64,
+        drift = chip.retry_model._drift_continuous(rel._severity, aging)
+        u = hash_unit_array(
+            rel.seed, 0x0FF5, chip.chip_id, block, self._layer_keys[:, 0]
         )
-        return layer_ber[:, None] * self._rtn_factors(block, aging)
+        level = np.clip(np.rint(drift + (u - 0.5)), 0, MAX_OFFSET)
+        return np.where(drift == 0.0, 0, level).astype(np.int64).tolist()
 
     def _build(self, block: int) -> BlockTables:
         chip = self._chip
@@ -218,7 +240,9 @@ class FastPathTables:
         aging = chip.block_aging(block)
         fresh = chip._fresh_aging(chip.block_pe(block))
         wl_ber = self._wl_ber(block, aging)
-        wl_ber_fresh = self._wl_ber(block, fresh)
+        # without retention the read-back state is the block's own aging
+        # (same P/E): the same inputs, so the same surface
+        wl_ber_fresh = wl_ber if fresh == aging else self._wl_ber(block, fresh)
         # E<->P1 measurement noise is aging-independent by construction
         u = hash_unit_array(
             rel.seed, 0xE1B1, chip.chip_id, block,
@@ -226,10 +250,7 @@ class FastPathTables:
         )
         noise = 1.0 + 0.05 * (2.0 * u - 1.0)
         ep1 = rel.ep1_fraction * wl_ber * noise
-        stable_opt = [
-            chip.retry_model.stable_optimal(chip.chip_id, block, layer, aging)
-            for layer in range(chip.geometry.n_layers)
-        ]
+        stable_opt = self._stable_optimal(block, aging)
         # the hash prefixes are a pure function of the seed and the
         # location: rebuilt with the tables, never checkpointed
         read_prefix = hash_fold_array(

@@ -73,7 +73,12 @@ MODULE_LAYERS = {
 }
 
 #: keys of a profile dict (``result.profile``, ``profile.json``)
-PROFILE_KEYS = ("total_s", "setup_s", "replay_s", "samples", "handler_s", "layers")
+PROFILE_KEYS = (
+    "total_s", "setup_s", "build_s", "prefill_s", "trace_s", "replay_s",
+    "samples", "handler_s", "layers",
+)
+#: the parts of ``setup_s``, in the order a run takes them
+SETUP_KEYS = ("build_s", "prefill_s", "trace_s")
 
 _PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -168,14 +173,21 @@ class HostProfile:
         self.samples[layer] = self.samples.get(layer, 0) + 1
         self.handler_s += thread_time() - start
 
-    def to_dict(self, setup_s: float, total_s: float) -> dict:
+    def to_dict(
+        self, build_s: float, prefill_s: float, trace_s: float, total_s: float
+    ) -> dict:
         """Samples and CPU seconds per layer (a layer's share of the
-        samples times ``replay_s``), with the set-up and whole-run
-        times the caller measured."""
+        samples times ``replay_s``), with the whole-run time and the
+        set-up parts the caller measured: building the simulation, its
+        prefill (or, on a resume, the checkpoint restore) and the trace
+        generation, which sum to ``setup_s``."""
         total = sum(self.samples.values())
         return {
             "total_s": total_s,
-            "setup_s": setup_s,
+            "setup_s": build_s + prefill_s + trace_s,
+            "build_s": build_s,
+            "prefill_s": prefill_s,
+            "trace_s": trace_s,
             "replay_s": self.replay_s,
             "samples": total,
             "handler_s": self.handler_s,
@@ -212,7 +224,8 @@ def sampling() -> Iterator[Optional[HostProfile]]:
 
 def validate_profile(profile: dict) -> List[str]:
     """Problems with a profile dict (empty = valid): its keys, no
-    negative number, and layer seconds that sum to ``replay_s``."""
+    negative number, set-up parts that sum to ``setup_s`` and layer
+    seconds that sum to ``replay_s``."""
     missing = [key for key in PROFILE_KEYS if key not in profile]
     if missing:
         return [f"missing key {key!r}" for key in missing]
@@ -225,7 +238,12 @@ def validate_profile(profile: dict) -> List[str]:
         for key, value in numbers
         if not isinstance(value, (int, float)) or value < 0
     ]
-    if problems or not profile["samples"]:
+    if problems:
+        return problems
+    setup = sum(profile[key] for key in SETUP_KEYS)
+    if not math.isclose(setup, profile["setup_s"], rel_tol=1e-9, abs_tol=1e-9):
+        problems.append(f"set-up parts sum to {setup!r}, not setup_s")
+    if not profile["samples"]:
         return problems
     seconds = sum(layer["seconds"] for layer in profile["layers"].values())
     if not math.isclose(seconds, profile["replay_s"], rel_tol=1e-9, abs_tol=1e-9):
@@ -235,8 +253,8 @@ def validate_profile(profile: dict) -> List[str]:
 
 def profile_report(profile: dict, min_share: float = 0.0) -> str:
     """The profile as a table: one row per layer above ``min_share`` of
-    the samples (most first), then set-up and the whole run, then the
-    handler's own cost."""
+    the samples (most first), then the set-up parts, set-up and the
+    whole run, then the handler's own cost."""
     from repro.analysis.tables import format_table
 
     total, replay_s, layers = profile["samples"], profile["replay_s"], profile["layers"]
@@ -245,7 +263,8 @@ def profile_report(profile: dict, min_share: float = 0.0) -> str:
         n, seconds = layers[name]["samples"], layers[name]["seconds"]
         if n > min_share * total:
             rows.append([name, n, f"{seconds:.3f}", f"{100.0 * n / total:.1f} %"])
-    rows.append(["setup", "", f"{profile['setup_s']:.3f}", ""])
+    for label in ("build", "prefill", "trace", "setup"):
+        rows.append([label, "", f"{profile[label + '_s']:.3f}", ""])
     rows.append(["total", total, f"{profile['total_s']:.3f}", ""])
     share = 100.0 * profile["handler_s"] / replay_s if replay_s else 0.0
     return (

@@ -47,13 +47,13 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.faults.campaign import CAMPAIGNS, FaultCampaign
+from repro.faults.campaign import CAMPAIGNS
 from repro.nand.geometry import BlockGeometry, SSDGeometry
 from repro.nand.reliability import AgingState
 from repro.nand.timing import NandTiming
 from repro.obs.timeseries import DEFAULT_INTERVAL_US
 from repro.ssd.config import SSDConfig
-from repro.workloads import available_workloads, build_workload, is_trace_path
+from repro.workloads import build_workload, is_trace_path
 from repro.workloads.base import Trace
 
 #: version stamp of the spec-file layout; bump on any key change
@@ -146,6 +146,16 @@ class WorkloadSpec:
 # ---------------------------------------------------------------------------
 
 
+# NaN fails every ordered comparison, so a ``rate <= 0`` test lets it
+# through; an infinite rate would stamp every arrival at 0
+def _positive_finite(rate: float) -> bool:
+    return rate > 0 and math.isfinite(rate)
+
+
+def _burstiness_ok(burstiness: float) -> bool:
+    return burstiness >= 1.0 and math.isfinite(burstiness)
+
+
 @dataclass(frozen=True)
 class TenantSpec:
     """One tenant stream of a multi-tenant scenario.
@@ -171,12 +181,18 @@ class TenantSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise SpecError("tenant name must be non-empty")
-        if self.rate_iops <= 0:
-            raise SpecError(f"tenant {self.name!r}: rate_iops must be positive")
-        if self.rate_scale <= 0:
-            raise SpecError(f"tenant {self.name!r}: rate_scale must be positive")
-        if self.burstiness < 1.0:
-            raise SpecError(f"tenant {self.name!r}: burstiness must be >= 1")
+        if not _positive_finite(self.rate_iops):
+            raise SpecError(
+                f"tenant {self.name!r}: rate_iops must be positive and finite"
+            )
+        if not _positive_finite(self.rate_scale):
+            raise SpecError(
+                f"tenant {self.name!r}: rate_scale must be positive and finite"
+            )
+        if not _burstiness_ok(self.burstiness):
+            raise SpecError(
+                f"tenant {self.name!r}: burstiness must be >= 1 and finite"
+            )
         if self.partition is not None:
             object.__setattr__(self, "partition", tuple(self.partition))
             lo, hi = self.partition
@@ -268,10 +284,10 @@ class HostSpec:
             raise SpecError("queue_depth must be >= 1 (or None for unbounded)")
         if self.queue_depth is None and not (self.open_loop or self.tenants):
             raise SpecError("queue_depth=None requires open-loop replay")
-        if self.rate_iops is not None and self.rate_iops <= 0:
-            raise SpecError("rate_iops must be positive")
-        if self.burstiness < 1.0:
-            raise SpecError("burstiness must be >= 1")
+        if self.rate_iops is not None and not _positive_finite(self.rate_iops):
+            raise SpecError("rate_iops must be positive and finite")
+        if not _burstiness_ok(self.burstiness):
+            raise SpecError("burstiness must be >= 1 and finite")
         names = [tenant.name for tenant in self.tenants]
         if len(names) != len(set(names)):
             raise SpecError(f"tenant names must be unique, got {names}")

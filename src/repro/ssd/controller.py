@@ -193,7 +193,6 @@ class SSDSimulation:
         """
         if not 0.0 <= fraction <= 1.0:
             raise ValueError("fraction must be in [0, 1]")
-        ftl = self.ftl
         suspended = self.controller.faults
         if suspended is not None:
             for chip in self.controller.chips:
@@ -211,52 +210,62 @@ class SSDSimulation:
     def _prefill_locked(self, fraction: float) -> int:
         ftl = self.ftl
         geometry = self.config.geometry
+        n_chips = geometry.n_chips
+        pages_per_chip = geometry.pages_per_chip
+        pages_per_block = geometry.block.pages_per_block
+        wls_per_layer = geometry.block.wls_per_layer
         pages_per_wl = geometry.block.pages_per_wl
+        store_oob = self.config.store_oob
+        # the per-WL hooks, bound once: prefill runs before any observer
+        # wraps them on the instance, and the FTL swaps none of them
+        ensure_active_blocks = ftl._ensure_active_blocks
+        allocate_wl = ftl.allocate_wl
+        program_params = ftl.program_params
+        after_program = ftl.after_program
+        maybe_mark_full = ftl._maybe_mark_full
+        bind = ftl.mapper.bind
+        program_wl = [chip.program_wl for chip in self.controller.chips]
         n_pages = int(self.config.logical_pages * fraction)
         lpn = 0
         chip_rr = 0
         while lpn < n_pages:
-            group = list(range(lpn, min(lpn + pages_per_wl, n_pages)))
-            chip_id = chip_rr % geometry.n_chips
+            end = min(lpn + pages_per_wl, n_pages)
+            pad = [None] * (pages_per_wl - (end - lpn))
+            chip_id = chip_rr % n_chips
             chip_rr += 1
-            ftl._ensure_active_blocks(chip_id)
-            allocation = ftl.allocate_wl(chip_id)
-            params, squeeze_mv = ftl.program_params(chip_id, allocation)
-            data = group + [None] * (pages_per_wl - len(group))
+            ensure_active_blocks(chip_id)
+            allocation = allocate_wl(chip_id)
+            block = allocation.block
+            layer, wl = allocation.address
+            params, squeeze_mv = program_params(chip_id, allocation)
+            data = [*range(lpn, end), *pad]
             oob = None
-            if self.config.store_oob:
+            if store_oob:
                 # prefilled LPN i carries sequence i+1 (stable across a
                 # program-fail retry of the same group); the FTL's write
                 # sequence resumes above the prefilled range
-                oob = [(page_lpn, page_lpn + 1) for page_lpn in group]
-                oob += [None] * (pages_per_wl - len(oob))
+                oob = [(page_lpn, page_lpn + 1) for page_lpn in range(lpn, end)]
+                oob += pad
             try:
-                result = self.controller.chip(chip_id).program_wl(
-                    allocation.block,
-                    allocation.address.layer,
-                    allocation.address.wl,
-                    params=params,
-                    data=data,
-                    oob=oob,
-                )
+                result = program_wl[chip_id](block, layer, wl, params, data, oob)
             except ProgramFailError:
                 # the group never landed: pull the block out of service
                 # and retry the same LPNs on the next chip in the round
                 ftl.recovery.program_fails += 1
-                ftl.note_program_fail(chip_id, allocation.block)
+                ftl.note_program_fail(chip_id, block)
                 continue
-            ok = ftl.after_program(chip_id, allocation, result, squeeze_mv)
-            if ok:
-                base_ppn = geometry.wl_ppn(
-                    chip_id,
-                    allocation.block,
-                    allocation.address.layer,
-                    allocation.address.wl,
+            if after_program(chip_id, allocation, result, squeeze_mv):
+                # the chip accepted the address, so the flattening needs
+                # no range checks (geometry.wl_ppn's formula)
+                base_ppn = (
+                    chip_id * pages_per_chip
+                    + block * pages_per_block
+                    + (layer * wls_per_layer + wl) * pages_per_wl
                 )
-                for page_index, page_lpn in enumerate(group):
-                    ftl.mapper.bind(page_lpn, base_ppn + page_index)
-                lpn = group[-1] + 1
-            ftl._maybe_mark_full(chip_id, allocation.block)
+                for page_index, page_lpn in enumerate(range(lpn, end)):
+                    bind(page_lpn, base_ppn + page_index)
+                lpn = end
+            maybe_mark_full(chip_id, block)
         # demand-paged FTLs persist translation metadata for the
         # prefilled range (untimed, still inside the fault-free window)
         ftl.after_prefill(n_pages)

@@ -75,16 +75,16 @@ class WriteBuffer:
     @property
     def occupancy(self) -> int:
         """Slots in use: staged plus dispatched-but-not-durable."""
-        return self.staged_pages + self.inflight_pages
+        return len(self._staged) + self._inflight_count
 
     @property
     def utilization(self) -> float:
         """The WAM's mu signal."""
-        return self.occupancy / self.capacity
+        return (len(self._staged) + self._inflight_count) / self.capacity
 
     @property
     def free_slots(self) -> int:
-        return self.capacity - self.occupancy
+        return self.capacity - (len(self._staged) + self._inflight_count)
 
     def can_admit(self, lpn: int) -> bool:
         """Whether a write to ``lpn`` can enter now (coalescing is always

@@ -128,22 +128,33 @@ def with_arrivals(
     ``burstiness`` above 1 alternates between dense bursts and idle gaps
     of the same average rate (a simple on/off burst model).
     """
-    if rate_iops <= 0:
-        raise ValueError("rate_iops must be positive")
-    if burstiness < 1.0:
-        raise ValueError("burstiness must be >= 1")
+    # NaN fails every comparison, so a ``rate_iops <= 0`` test lets it
+    # through; an infinite rate would stamp every arrival at 0
+    if not (rate_iops > 0 and math.isfinite(rate_iops)):
+        raise ValueError("rate_iops must be positive and finite")
+    if not (burstiness >= 1.0 and math.isfinite(burstiness)):
+        raise ValueError("burstiness must be >= 1 and finite")
     import numpy as np
 
     rng = np.random.default_rng(seed)
     mean_gap_us = 1e6 / rate_iops
-    now = 0.0
+    if burstiness == 1.0:
+        # every gap in one draw: the generator fills the array with the
+        # values the same number of scalar calls return, and cumsum adds
+        # them one after another, as the loop below does
+        arrivals = np.cumsum(rng.exponential(mean_gap_us, len(trace))).tolist()
+        return Trace(
+            trace.name,
+            trace.logical_pages,
+            [request.at(arrival) for request, arrival in zip(trace, arrivals)],
+        )
     stamped = Trace(trace.name, trace.logical_pages)
-    for index, request in enumerate(trace):
-        if burstiness > 1.0 and rng.random() < 0.5:
+    now = 0.0
+    for request in trace:
+        if rng.random() < 0.5:
             gap = rng.exponential(mean_gap_us / burstiness)
         else:
-            gap = rng.exponential(mean_gap_us * burstiness) if burstiness > 1.0 \
-                else rng.exponential(mean_gap_us)
+            gap = rng.exponential(mean_gap_us * burstiness)
         now += gap
         stamped.append(request.at(now))
     return stamped

@@ -197,10 +197,6 @@ class TestSimulate:
     def test_under_program_when_window_too_short(self, ispp):
         """A window too short for a slow layer under-programs top states."""
         profile = ispp.wl_profile(1.0)  # needs 14 loops
-        params = ProgramParams(
-            v_final_mv=V_START_DEFAULT_MV + 10 * DV_ISPP_DEFAULT_MV,
-            v_start_mv=V_START_DEFAULT_MV,
-        )
         # note: v_final below default shrinks BOTH the window and the
         # targets; build an artificially narrow window at default targets
         result = ispp.simulate(

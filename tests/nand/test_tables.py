@@ -25,12 +25,17 @@ from repro.nand.reliability import (
 from repro.nand.tables import FastPathTables, hash_unit_array
 
 #: the paper's aging sweep: fresh, end-of-life cycling, and end-of-life
-#: cycling plus one year of retention
+#: cycling plus one year of retention; then the edges of the read
+#: retry's zero-drift branch: P/E just below and at its fresh threshold
+#: (100) without retention, and retention without P/E
 AGING_EPOCHS = [
     AgingState(),
     AgingState(2000, 0.0),
     AgingState(2000, 1.0),
     AgingState(2000, 12.0),
+    AgingState(99, 0.0),
+    AgingState(100, 0.0),
+    AgingState(0, 12.0),
 ]
 
 GEOMETRY = BlockGeometry(n_layers=10, wls_per_layer=4, pages_per_wl=3)
@@ -79,7 +84,9 @@ class TestBlockTables:
             # the premixed hash prefixes of the per-operation draws
             assert tables.noise_prefix == hash_state(seed, 0x9619, chip_id, block)
             for layer in range(GEOMETRY.n_layers):
-                assert tables.stable_opt[layer] == retry.stable_optimal(
+                stable = tables.stable_opt[layer]
+                assert type(stable) is int
+                assert stable == retry.stable_optimal(
                     chip.chip_id, block, layer, block_aging
                 )
                 assert tables.read_prefix[layer] == hash_state(

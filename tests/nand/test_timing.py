@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.nand.timing import NandTiming
-
 
 class TestNandTiming:
     def test_defaults_reproduce_paper_anchors(self, timing, ispp):

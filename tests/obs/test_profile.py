@@ -13,6 +13,7 @@ import pytest
 
 import repro.ftl.base as base_module
 import repro.nand.chip as chip_module
+import repro.persist.driver as driver_module
 from repro.api import run_simulation
 from repro.ftl.base import BaseFTL
 from repro.ftl.dftl import DFTL
@@ -24,9 +25,12 @@ from repro.obs.profile import (
     validate_profile,
 )
 from repro.obs.trace import Tracer
+from repro.persist.checkpoint import latest_checkpoint
 from repro.sim.engine import Engine
 from repro.sim.resources import FifoResource
+from repro.specs import SimulationSpec
 from repro.ssd.config import SSDConfig
+from repro.ssd.controller import SSDSimulation
 from repro.ssd.host import replay
 
 needs_sigprof = pytest.mark.skipif(
@@ -126,7 +130,7 @@ class TestProfileDict:
         profile.samples = {"sim.engine": 3, "nand.chip": 1}
         profile.replay_s = 0.02
         profile.handler_s = 0.0001
-        return profile.to_dict(setup_s=0.5, total_s=0.6)
+        return profile.to_dict(build_s=0.1, prefill_s=0.3, trace_s=0.1, total_s=0.6)
 
     def test_seconds_are_sample_shares_of_the_replay(self):
         data = self._profile()
@@ -144,13 +148,23 @@ class TestProfileDict:
         del data["handler_s"]
         assert validate_profile(data) == ["missing key 'handler_s'"]
 
+    def test_setup_is_the_sum_of_its_parts(self):
+        data = self._profile()
+        assert data["setup_s"] == 0.1 + 0.3 + 0.1
+        data["prefill_s"] = 0.2
+        assert validate_profile(data) == [
+            f"set-up parts sum to {0.1 + 0.2 + 0.1!r}, not setup_s"
+        ]
+
     def test_report_rows(self):
         report = profile_report(self._profile())
         lines = report.splitlines()
         assert lines[0].split("|")[1:] == [" samples ", " CPU s ", "  share"]
         assert lines[2].split() == ["sim.engine", "|", "3", "|", "0.015", "|",
                                     "75.0", "%"]
-        assert [line.split()[0] for line in lines[4:6]] == ["setup", "total"]
+        assert [line.split()[0] for line in lines[4:9]] == [
+            "build", "prefill", "trace", "setup", "total",
+        ]
         assert "sampler handler" in lines[-1]
 
 
@@ -229,3 +243,56 @@ class TestSignalSafety:
         assert profile_log == [
             "event=profile_unavailable reason='ITIMER_PROF is already armed'"
         ]
+
+
+def _spin(seconds):
+    end = thread_time() + seconds
+    while thread_time() < end:
+        pass
+
+
+def _planted(cls_or_module, name, monkeypatch, seconds=0.2):
+    """Make ``name`` burn ``seconds`` of CPU before doing its work."""
+    original = getattr(cls_or_module, name)
+
+    def slowed(*args, **kwargs):
+        _spin(seconds)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cls_or_module, name, slowed)
+
+
+@needs_sigprof
+class TestSetupSplit:
+    """``setup_s`` is split into building the simulation, its prefill
+    (the checkpoint restore on a resume) and the trace generation; a
+    cost planted in one phase shows up in its part only."""
+
+    @pytest.mark.parametrize(
+        "part, owner, name",
+        [
+            ("build_s", SSDSimulation, "__init__"),
+            ("prefill_s", SSDSimulation, "prefill"),
+            ("trace_s", SimulationSpec, "build_trace"),
+        ],
+    )
+    def test_planted_cost_lands_in_its_part(self, monkeypatch, part, owner, name):
+        _planted(owner, name, monkeypatch)
+        profile = _run(profile=True).profile
+        assert validate_profile(profile) == []
+        assert profile["setup_s"] == (
+            profile["build_s"] + profile["prefill_s"] + profile["trace_s"]
+        )
+        assert profile[part] >= 0.2
+        for other in {"build_s", "prefill_s", "trace_s"} - {part}:
+            assert profile[other] < 0.2, other
+
+    def test_a_resume_reports_its_restore_as_prefill(self, tmp_path, monkeypatch):
+        out = str(tmp_path / "ckpt")
+        _run(checkpoint_every=100, checkpoint_dir=out)
+        _planted(driver_module, "restore_state", monkeypatch)
+        _planted(driver_module, "load_checkpoint", monkeypatch)
+        profile = _run(profile=True, resume_from=latest_checkpoint(out)).profile
+        assert validate_profile(profile) == []
+        assert profile["prefill_s"] >= 0.4
+        assert profile["build_s"] < 0.2 and profile["trace_s"] < 0.2

@@ -58,6 +58,20 @@ class TestTenantSpec:
             TenantSpec("t", self._workload(), rate_iops=10,
                        partition=(0.5, 0.25))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 0.0])
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("rate_iops", "rate_iops must be positive and finite"),
+            ("rate_scale", "rate_scale must be positive and finite"),
+            ("burstiness", "burstiness must be >= 1 and finite"),
+        ],
+    )
+    def test_rates_must_be_finite(self, field, message, bad):
+        kwargs = {"rate_iops": 10.0, field: bad}
+        with pytest.raises(SpecError, match=f"tenant 't': {message}"):
+            TenantSpec("t", self._workload(), **kwargs)
+
     def test_round_trip(self):
         spec = TenantSpec("t", self._workload(), rate_iops=1000,
                           rate_scale=2.0, partition=(0.0, 0.5), seed=9)
@@ -85,6 +99,18 @@ class TestHostSpec:
         tenant = TenantSpec("t", WorkloadSpec("OLTP"), rate_iops=10)
         with pytest.raises(SpecError, match="unique"):
             HostSpec(tenants=(tenant, tenant))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 0.0])
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("rate_iops", "rate_iops must be positive and finite"),
+            ("burstiness", "burstiness must be >= 1 and finite"),
+        ],
+    )
+    def test_rates_must_be_finite(self, field, message, bad):
+        with pytest.raises(SpecError, match=message):
+            HostSpec(**{field: bad})
 
     def test_round_trip_with_tenants(self):
         tenants = (
