@@ -130,11 +130,14 @@ class _ActiveRequest:
 class _GCJob:
     """State of one in-progress garbage collection on a chip."""
 
-    __slots__ = ("victim", "pending", "next", "staged")
+    __slots__ = ("kind", "victim", "pending", "next", "staged")
 
-    def __init__(self, victim: int, pending: List[Tuple[int, int]]) -> None:
+    def __init__(self, kind: str, victim: int, pending: List[Tuple[int, int]]) -> None:
+        #: the victim's block kind
+        self.kind = kind
         self.victim = victim
-        #: the victim's valid (ppn, lpn) pairs, in page order
+        #: the victim's valid (ppn, key) pairs, in page order; the key is
+        #: what the kind's mapper maps (an LPN for data pages)
         self.pending = pending
         #: index in ``pending`` of the next pair to migrate
         self.next = 0
@@ -153,9 +156,12 @@ class BaseFTL:
         geometry = config.geometry
         self.geometry = geometry
         self.mapper = PageMapper(geometry, config.logical_pages)
-        #: block kind -> the mapper accounting that kind's pages;
-        #: demand-paged variants add their translation mapper
+        #: block kind -> the mapper accounting that kind's pages, in the
+        #: order GC visits the kinds; demand-paged variants add their
+        #: translation mapper
         self.kind_mappers: Dict[str, PageMapper] = {DATA_KIND: self.mapper}
+        #: block kind -> live pages one WL of its GC migration holds
+        self._gc_units: Dict[str, int] = {DATA_KIND: geometry.block.pages_per_wl}
         self.blocks = BlockManager(geometry)
         self.buffer = WriteBuffer(config.buffer_capacity_pages)
         self.counters = FTLCounters()
@@ -181,8 +187,9 @@ class BaseFTL:
         #: stays ACTIVE until its last program lands, so GC never takes
         #: it as a victim before that program's pages are bound
         self._block_programs: Dict[Tuple[int, int], int] = {}
-        self._gc_jobs: Dict[int, Optional[_GCJob]] = {
-            chip: None for chip in range(geometry.n_chips)
+        #: chip -> block kind -> the GC job in progress for that kind
+        self._gc_jobs: Dict[int, Dict[str, _GCJob]] = {
+            chip: {} for chip in range(geometry.n_chips)
         }
         # GC migrations get their own active block per chip (hot/cold
         # separation: host-written and GC-relocated data do not mix)
@@ -423,17 +430,10 @@ class BaseFTL:
         return total_inflight == 0 and self.buffer.inflight_pages == 0
 
     def _chip_eligible(self, chip_id: int) -> bool:
+        """Whether a host flush may go to the chip: a program slot is
+        open and a WL can be allocated without starving GC of blocks."""
         if self._inflight_programs[chip_id] >= self.config.max_inflight_programs:
             return False
-        return self._can_allocate(chip_id, for_gc=False)
-
-    def _can_allocate(self, chip_id: int, for_gc: bool) -> bool:
-        """Whether a WL can be allocated without starving GC of blocks."""
-        if for_gc:
-            cursor = self._gc_cursors[chip_id]
-            if cursor is not None and not cursor.exhausted:
-                return True
-            return self.blocks.free_count(chip_id) > 0
         if self.active_cursor_space(chip_id) > 0:
             return True
         return self.blocks.free_count(chip_id) > 1
@@ -674,7 +674,7 @@ class BaseFTL:
 
         if is_gc:
             self._bind_gc_pages(chip_id, allocation, gc_payload)
-            self._gc_continue(chip_id)
+            self._gc_continue(chip_id, DATA_KIND)
         else:
             self._bind_host_pages(chip_id, allocation, entries)
             self.buffer.complete(entries)
@@ -1074,57 +1074,86 @@ class BaseFTL:
     # ------------------------------------------------------------------
 
     def _maybe_gc(self, chip_id: int) -> None:
-        if self._gc_jobs[chip_id] is not None:
-            return
-        free = self.blocks.free_count(chip_id)
-        if (
-            free >= self.config.gc_trigger_blocks
-            and not self.blocks.failing_of_kind(chip_id, DATA_KIND)
-        ):
-            return
-        # data GC only: translation blocks are accounted in a different
-        # mapper, so a demand-paged FTL reclaims them through its own
-        # translation-GC state machine
-        full = self.blocks.full_blocks(chip_id, kind=DATA_KIND)
-        if not full:
-            return
-        victim = self.blocks.select_victim(chip_id, self.mapper, kind=DATA_KIND)
-        if not self.blocks.is_failing(chip_id, victim):
-            pages_per_block = self.geometry.block.pages_per_block
-            invalid = pages_per_block - self.mapper.valid_count(chip_id, victim)
-            min_invalid = int(pages_per_block * self.config.gc_min_invalid_fraction)
-            # migrating a nearly-full-valid block reclaims almost nothing
-            # while consuming a free block for the migrated copies; wait for
-            # the host to invalidate more pages first -- unless the pool is
-            # critical (failing victims skip this: they must leave service)
-            if invalid < max(1, min_invalid) and free > 1:
-                return
-            # the migration's final partial WL is padded with dead pages;
-            # unless the victim's invalid count exceeds that padding the
-            # move reclaims nothing net, and with no host writes arriving
-            # to invalidate pages (e.g. at a drain barrier) the
-            # erase -> _maybe_gc chain would ping-pong forever
-            valid = pages_per_block - invalid
-            waste = (-valid) % self.geometry.block.pages_per_wl
-            if invalid <= waste:
-                return
-        job = _GCJob(victim, self.mapper.valid_pages_of_block(chip_id, victim))
-        self._gc_jobs[chip_id] = job
-        self._gc_continue(chip_id)
+        """Start a GC job on the chip for each block kind, in
+        :attr:`kind_mappers` order, that has none, is below the trigger
+        (or holds a failing block), passes its start rule and has a
+        victim worth migrating."""
+        blocks = self.blocks
+        jobs = self._gc_jobs[chip_id]
+        for kind, mapper in self.kind_mappers.items():
+            if kind in jobs:
+                continue
+            free = blocks.free_count(chip_id)
+            if (
+                free >= self.config.gc_trigger_blocks
+                and not blocks.failing_of_kind(chip_id, kind)
+            ):
+                continue
+            if not self._gc_may_start(kind, free):
+                continue
+            if not blocks.full_blocks(chip_id, kind=kind):
+                continue
+            victim = blocks.select_victim(chip_id, mapper, kind=kind)
+            # failing victims skip the reclaim rule: they must leave service
+            if not blocks.is_failing(chip_id, victim) and not self._gc_reclaims(
+                mapper.valid_count(chip_id, victim), free, self._gc_units[kind]
+            ):
+                continue
+            jobs[kind] = _GCJob(
+                kind, victim, mapper.valid_pages_of_block(chip_id, victim)
+            )
+            self._gc_continue(chip_id, kind)
 
-    def _gc_continue(self, chip_id: int) -> None:
-        """Advance the chip's GC state machine by one batch."""
-        job = self._gc_jobs[chip_id]
+    def _gc_may_start(self, kind: str, free: int) -> bool:
+        """A block kind's start rule, given the chip's free blocks; the
+        base FTL has none."""
+        return True
+
+    def _gc_reclaims(self, valid: int, free: int, units: int) -> bool:
+        """The reclaim rule: whether a victim holding ``valid`` live
+        pages, migrated ``units`` to a WL, is worth its erase."""
+        block = self.geometry.block
+        # padding counts as invalid.  Migrating a nearly-full-valid block
+        # reclaims almost nothing while consuming a free block for the
+        # copies: wait for the host to invalidate more pages first --
+        # unless the pool is critical
+        invalid = block.pages_per_block - valid
+        min_invalid = int(block.pages_per_block * self.config.gc_min_invalid_fraction)
+        if invalid < max(1, min_invalid) and free > 1:
+            return False
+        # the copies must fill fewer WLs than the erase frees, or the
+        # move reclaims nothing net and, with no host writes arriving to
+        # invalidate pages (e.g. at a drain barrier), the erase ->
+        # _maybe_gc chain would ping-pong forever
+        return -(-valid // units) < block.wls_per_block
+
+    def _gc_steps(self, kind: str) -> Tuple[Callable, Callable]:
+        """A block kind's migrate step, which moves the next part of a
+        job's live pages and returns False once none is left, and its
+        erase hook."""
+        return self._gc_migrate, self._gc_erase
+
+    def _gc_continue(self, chip_id: int, kind: str) -> None:
+        """Advance the chip's GC job of ``kind`` by one step: the kind's
+        migrate step, or the victim's erase once that has nothing left."""
+        job = self._gc_jobs[chip_id].get(kind)
         if job is None:
             return
+        migrate, erase = self._gc_steps(kind)
+        if not migrate(chip_id, job):
+            erase(chip_id, job)
+
+    def _gc_migrate(self, chip_id: int, job: _GCJob) -> bool:
+        """Data GC's migrate step: program the staged batch, or read out
+        the next WL's worth of live pages (staged once the batch's last
+        read lands)."""
         if job.staged:
             payload, job.staged = job.staged, []
             self._program_entries(chip_id, [], is_gc=True, gc_payload=payload)
-            return
+            return True
         start = job.next
         if start >= len(job.pending):
-            self._gc_erase(chip_id, job)
-            return
+            return False
         batch = job.pending[start:start + self.geometry.block.pages_per_wl]
         job.next = start + len(batch)
 
@@ -1134,13 +1163,14 @@ class BaseFTL:
                 staged.append((lpn, result.data, ppn))
                 # the batch is staged once its last read lands
                 if len(staged) == len(batch):
-                    self._gc_continue(chip_id)
+                    self._gc_continue(chip_id, DATA_KIND)
 
             return on_data
 
         for ppn, lpn in batch:
             _chip, address = self.geometry.ppn_to_address(ppn)
             self._flash_read(chip_id, address, is_gc=True, on_data=make_on_data(ppn, lpn))
+        return True
 
     def rearm_gc(self) -> None:
         """Re-evaluate GC on every chip.
@@ -1152,20 +1182,19 @@ class BaseFTL:
             self._maybe_gc(chip_id)
 
     def _gc_erase(self, chip_id: int, job: _GCJob) -> None:
-        self._erase_victim(chip_id, job.victim, self.mapper, self._gc_jobs)
+        self._erase_victim(chip_id, job)
 
     def _erase_victim(
         self,
         chip_id: int,
-        victim: int,
-        mapper: PageMapper,
-        jobs: Dict[int, Optional[_GCJob]],
+        job: _GCJob,
         on_erased: Optional[Callable[[], None]] = None,
     ) -> None:
         """Erase a migrated GC victim -- or retire it -- then free the
-        chip's job slot in ``jobs`` and re-arm GC.  ``mapper`` is the one
-        accounting the victim's kind; ``on_erased`` runs on a successful
+        job's slot and re-arm GC.  ``on_erased`` runs on a successful
         erase."""
+        victim = job.victim
+        mapper = self.kind_mappers[job.kind]
         failing = self.blocks.is_failing(chip_id, victim)
 
         def erase_job():
@@ -1207,7 +1236,7 @@ class BaseFTL:
                 self.counters.retired_blocks += 1
                 self.blocks.retire(chip_id, victim, reason=outcome)
             self.on_block_erased(chip_id, victim)
-            jobs[chip_id] = None
+            del self._gc_jobs[chip_id][job.kind]
             self._maybe_gc(chip_id)
             self._drain_pending_writes()
             self._maybe_flush()
@@ -1256,9 +1285,7 @@ class BaseFTL:
             raise RuntimeError(
                 f"FTL not quiescent: {inflight} WL programs in flight"
             )
-        active_gc = sorted(
-            chip for chip, job in self._gc_jobs.items() if job is not None
-        )
+        active_gc = sorted(chip for chip, jobs in self._gc_jobs.items() if jobs)
         if active_gc:
             raise RuntimeError(
                 f"FTL not quiescent: GC active on chips {active_gc}"

@@ -22,8 +22,9 @@ allocation policy:
   every co-resident dirty entry of the same TVPN clean (batched
   writeback);
 - translation blocks fill up with superseded pages and are reclaimed
-  by **translation GC**: its own trigger and migration step on the base
-  FTL's GC job type and erase step.
+  by the base FTL's **GC engine**, which visits translation blocks
+  before data blocks; dftl supplies only the translation migrate step,
+  its erase hook, and the rule that data GC waits for a free block.
 
 The *authoritative* L2P state is :attr:`~repro.ftl.base.BaseFTL.mapper`
 (the union of CMT and flash-resident entries a real controller can
@@ -104,17 +105,16 @@ class DFTL(PageFTL):
         #: GTD + translation-block valid-page accounting: TVPN -> PPN of
         #: the current flash copy of that translation page
         self.tmapper = PageMapper(config.geometry, self.n_tpages)
-        self.kind_mappers[TRANS_KIND] = self.tmapper
+        # GC visits translation blocks first; a migrated translation
+        # page fills a WL of its own
+        self.kind_mappers = {TRANS_KIND: self.tmapper, **self.kind_mappers}
+        self._gc_units[TRANS_KIND] = 1
         #: LPN -> dirty flag, LRU order (oldest first)
         self._cmt: "OrderedDict[int, bool]" = OrderedDict()
         #: TVPN -> its dirty CMT LPNs, so a dirty eviction's batched
         #: writeback cleans them without scanning the whole CMT
         self._cmt_dirty: Dict[int, Set[int]] = {}
         self._trans_cursors: Dict[int, Optional[SequentialCursor]] = {
-            chip: None for chip in range(config.geometry.n_chips)
-        }
-        #: translation-GC jobs; their ``pending`` pairs are (ppn, tvpn)
-        self._trans_gc: Dict[int, Optional[_GCJob]] = {
             chip: None for chip in range(config.geometry.n_chips)
         }
         #: TVPN -> writebacks not yet landed (covers the audit window
@@ -539,7 +539,7 @@ class DFTL(PageFTL):
                 if self.tmapper.lookup(tvpn) == old_ppn:
                     self.tmapper.bind(tvpn, ppn)
                 self._maybe_mark_full(chip_id, allocation.block)
-                self._trans_gc_continue(chip_id)
+                self._gc_continue(chip_id, TRANS_KIND)
                 return
             self.dftl_stats.trans_programs += 1
             self.tmapper.bind(tvpn, ppn)
@@ -569,10 +569,7 @@ class DFTL(PageFTL):
         for (base ``_gc_allocate`` takes it unconditionally)."""
         cursor = self._trans_cursors[chip_id]
         if cursor is None or cursor.exhausted:
-            if for_gc:
-                reserve = 1 if self._gc_jobs[chip_id] is not None else 0
-            else:
-                reserve = 1
+            reserve = 0 if for_gc and DATA_KIND not in self._gc_jobs[chip_id] else 1
             if self.blocks.free_count(chip_id) <= reserve:
                 return None
             block = self._take_free_block(chip_id, kind=TRANS_KIND)
@@ -596,43 +593,26 @@ class DFTL(PageFTL):
         self._drain_trans_pending()
 
     # ------------------------------------------------------------------
-    # translation-block garbage collection
+    # translation-block garbage collection: the policy the base engine
+    # runs for the translation kind
     # ------------------------------------------------------------------
 
-    def _maybe_gc(self, chip_id: int) -> None:
-        self._maybe_trans_gc(chip_id)
-        if self.blocks.free_count(chip_id) == 0:
-            # translation GC holds the pool's last block; starting a
-            # data-GC job now would have no block to migrate into.  The
-            # pending translation erase calls back in here.
-            return
-        super()._maybe_gc(chip_id)
+    def _gc_may_start(self, kind: str, free: int) -> bool:
+        # translation GC may hold the pool's last block; a data-GC job
+        # started now would have no block to migrate into.  The pending
+        # translation erase re-arms GC.
+        return kind != DATA_KIND or free > 0
 
-    def _maybe_trans_gc(self, chip_id: int) -> None:
-        if self._trans_gc[chip_id] is not None:
-            return
-        free = self.blocks.free_count(chip_id)
-        failing = self.blocks.failing_of_kind(chip_id, TRANS_KIND)
-        if free >= self.config.gc_trigger_blocks and not failing:
-            return
-        full = self.blocks.full_blocks(chip_id, kind=TRANS_KIND)
-        if not full:
-            return
-        victim = self.blocks.select_victim(chip_id, self.tmapper, kind=TRANS_KIND)
-        if not self.blocks.is_failing(chip_id, victim):
-            # each migrated translation page consumes a whole WL, so a
-            # victim keeping >= wls_per_block live pages reclaims nothing
-            valid = self.tmapper.valid_count(chip_id, victim)
-            if valid >= self.geometry.block.wls_per_block and free > 1:
-                return
-        job = _GCJob(victim, self.tmapper.valid_pages_of_block(chip_id, victim))
-        self._trans_gc[chip_id] = job
-        self._trans_gc_continue(chip_id)
+    def _gc_steps(self, kind: str):
+        if kind == TRANS_KIND:
+            return self._trans_gc_migrate, self._trans_gc_erase
+        return self._gc_migrate, self._gc_erase
 
-    def _trans_gc_continue(self, chip_id: int) -> None:
-        job = self._trans_gc[chip_id]
-        if job is None:
-            return
+    def _trans_gc_migrate(self, chip_id: int, job: _GCJob) -> bool:
+        """Translation GC's migrate step: read the victim's next page
+        that no writeback has superseded, then move it
+        (:meth:`_migrate_tpage`); the job's ``pending`` pairs are
+        (ppn, tvpn)."""
         pending = job.pending
         while job.next < len(pending):
             ppn, tvpn = pending[job.next]
@@ -651,19 +631,19 @@ class DFTL(PageFTL):
             self._trans_flash_read(
                 chip_id, address, on_read, attempts_left=0, is_gc=True
             )
-            return
-        self._trans_gc_erase(chip_id, job)
+            return True
+        return False
 
     def _migrate_tpage(self, chip_id: int, tvpn: int, old_ppn: int) -> None:
         if self.tmapper.lookup(tvpn) != old_ppn:
-            self._trans_gc_continue(chip_id)
+            self._gc_continue(chip_id, TRANS_KIND)
             return
         allocation = self._trans_allocate(chip_id, for_gc=True)
         if allocation is None:
             self._trans_pending.append(
                 lambda: self._migrate_tpage(chip_id, tvpn, old_ppn)
             )
-            super()._maybe_gc(chip_id)
+            self._maybe_gc(chip_id)
             return
         self._program_tpage(chip_id, allocation, tvpn, is_gc=True, old_ppn=old_ppn)
 
@@ -671,7 +651,7 @@ class DFTL(PageFTL):
         def count() -> None:
             self.dftl_stats.trans_gc_erases += 1
 
-        self._erase_victim(chip_id, job.victim, self.tmapper, self._trans_gc, count)
+        self._erase_victim(chip_id, job, count)
 
     # ------------------------------------------------------------------
     # prefill
@@ -743,13 +723,6 @@ class DFTL(PageFTL):
             raise RuntimeError(
                 "DFTL not quiescent: deferred translation work pending"
             )
-        active = sorted(
-            chip for chip, job in self._trans_gc.items() if job is not None
-        )
-        if active:
-            raise RuntimeError(
-                f"DFTL not quiescent: translation GC active on chips {active}"
-            )
         state = super().variant_state_dict()
         state["dftl"] = {
             "cmt": [[lpn, dirty] for lpn, dirty in self._cmt.items()],
@@ -789,9 +762,6 @@ class DFTL(PageFTL):
         self._inflight_trans = {}
         self._inflight_trans_programs = 0
         self._trans_pending = deque()
-        self._trans_gc = {
-            chip: None for chip in range(self.geometry.n_chips)
-        }
 
     # ------------------------------------------------------------------
     # SPOR recovery
@@ -802,9 +772,6 @@ class DFTL(PageFTL):
         self._cmt = OrderedDict()
         self._cmt_dirty = {}
         self._trans_cursors = {
-            chip: None for chip in range(self.geometry.n_chips)
-        }
-        self._trans_gc = {
             chip: None for chip in range(self.geometry.n_chips)
         }
         self._inflight_trans = {}

@@ -49,11 +49,11 @@ FTL_LAYERS: Dict[str, Tuple[str, ...]] = {
         "_deliver_read", "_account_read",
     ),
     "ftl.gc": (
-        "_maybe_gc", "_gc_continue", "_gc_erase", "_erase_victim",
+        "_maybe_gc", "_gc_may_start", "_gc_reclaims", "_gc_steps",
+        "_gc_continue", "_gc_migrate", "_gc_erase", "_erase_victim",
         "_bind_gc_pages", "_gc_allocate", "rearm_gc",
-        # dftl's translation-block GC
-        "_maybe_trans_gc", "_trans_gc_continue", "_migrate_tpage",
-        "_trans_gc_erase",
+        # dftl's translation-block GC policy
+        "_trans_gc_migrate", "_migrate_tpage", "_trans_gc_erase",
     ),
     "ftl.dftl": (
         "_translate_read", "_cmt_note_update", "_cmt_fill",

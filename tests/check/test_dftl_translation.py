@@ -24,6 +24,7 @@ from repro.check import InvariantChecker, parse_check_level
 from repro.check.errors import InvariantViolation
 from repro.check.fuzz import random_trace
 from repro.faults.campaign import FaultCampaign
+from repro.ftl.blockmgr import TRANS_KIND
 from repro.ftl.mapping import UNMAPPED
 from repro.nand.errors import ProgramFailError
 from repro.ssd.config import SSDConfig
@@ -188,7 +189,7 @@ class TestTranslationProgramFailure:
                 tvpn = tag[1]
                 # a migration programs the pair its chip's translation-GC
                 # job took last; a writeback's TVPN is marked in flight
-                job = ftl._trans_gc[chip_id]
+                job = ftl._gc_jobs[chip_id].get(TRANS_KIND)
                 migrating = (
                     job is not None
                     and job.next > 0

@@ -54,7 +54,7 @@ def _nested(function, name):
 
 ATTRIBUTION = [
     ("BaseFTL._maybe_gc", BaseFTL._maybe_gc.__code__, False, "ftl.gc"),
-    ("_gc_continue.on_data", _nested(BaseFTL._gc_continue, "on_data"), False,
+    ("_gc_migrate.on_data", _nested(BaseFTL._gc_migrate, "on_data"), False,
      "ftl.gc"),
     ("_program_entries.job[gc]", _nested(BaseFTL._program_entries, "job"),
      True, "ftl.gc"),
@@ -63,6 +63,10 @@ ATTRIBUTION = [
     ("BaseFTL._translate_read", BaseFTL._translate_read.__code__, False,
      "ftl.read"),
     ("DFTL._translate_read", DFTL._translate_read.__code__, False, "ftl.dftl"),
+    # the translation kind's GC policy
+    ("DFTL._gc_may_start", DFTL._gc_may_start.__code__, False, "ftl.gc"),
+    ("_trans_gc_migrate.on_read", _nested(DFTL._trans_gc_migrate, "on_read"),
+     False, "ftl.gc"),
     ("DFTL._trans_gc_erase", DFTL._trans_gc_erase.__code__, False, "ftl.gc"),
     # the erase step both block kinds share, and the one translation-page
     # writer: a GC migration is ftl.gc, a writeback ftl.dftl
