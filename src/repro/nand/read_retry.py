@@ -116,7 +116,7 @@ class ReadRetryModel:
         Identical for every WL of the h-layer; deterministic per die
         location (the rounding noise models per-layer idiosyncrasy).
         """
-        severity = float(self.reliability.layer_severity[layer])
+        severity = float(self.reliability._severity[layer])
         drift = self._drift_continuous(severity, aging)
         if drift == 0.0:
             return 0

@@ -53,8 +53,8 @@ from repro.nand.reliability import AgingState
 from repro.nand.timing import NandTiming
 from repro.obs.timeseries import DEFAULT_INTERVAL_US
 from repro.ssd.config import SSDConfig
-from repro.workloads import build_workload, is_trace_path
-from repro.workloads.base import Trace
+from repro.workloads import build_columns, build_workload, is_trace_path
+from repro.workloads.base import Columns, Trace
 
 #: version stamp of the spec-file layout; bump on any key change
 SPEC_VERSION = 1
@@ -107,14 +107,17 @@ class WorkloadSpec:
 
     def build(self, config: SSDConfig, default_seed: int = 1) -> Trace:
         """Generate (or load) the request stream for a device config."""
+        return build_workload(*self._args(config, default_seed), **self.params)
+
+    def columns(self, config: SSDConfig, default_seed: int = 1) -> Columns:
+        """The stream :meth:`build` builds, as columns not yet built
+        (see :func:`repro.workloads.build_columns`)."""
+        return build_columns(*self._args(config, default_seed), **self.params)
+
+    def _args(self, config: SSDConfig, default_seed: int) -> tuple:
         seed = self.seed if self.seed is not None else default_seed
-        return build_workload(
-            self.name,
-            config.logical_pages,
-            None if self.is_trace else self.n_requests,
-            seed=seed,
-            **self.params,
-        )
+        n_requests = None if self.is_trace else self.n_requests
+        return self.name, config.logical_pages, n_requests, seed
 
     def to_dict(self) -> dict:
         out: Dict[str, Any] = {"name": self.name, "n_requests": self.n_requests}
@@ -635,28 +638,40 @@ class SimulationSpec:
         return self.workload.name
 
     def build_trace(self) -> Trace:
-        """Materialize the request stream this spec replays."""
+        """Materialize the request stream this spec replays.
+
+        A generated stream is stamped with arrivals (open loop) while it
+        is still columns, so each of its requests is built once; a
+        pre-built or recorded trace is returned as it is, or stamped by
+        :func:`~repro.workloads.base.with_arrivals` when it has none.
+        """
         from repro.workloads.tenants import compose_tenants
 
         if self.host.tenants:
             return compose_tenants(
                 self.host.tenants, self.config, base_seed=self.seed
             )
-        if isinstance(self.workload, Trace):
-            trace = self.workload
+        workload = self.workload
+        if isinstance(workload, WorkloadSpec) and not workload.is_trace:
+            stream = workload.columns(self.config, default_seed=self.seed)
         else:
-            trace = self.workload.build(self.config, default_seed=self.seed)
-        if self.host.rate_iops is not None and not trace.has_arrivals:
+            trace = (
+                workload
+                if isinstance(workload, Trace)
+                else workload.build(self.config, default_seed=self.seed)
+            )
+            if self.host.rate_iops is None or trace.has_arrivals:
+                return trace
+            stream = Columns.of(trace)
+        if self.host.rate_iops is not None:
             from repro.parallel.seeds import derive_seed
-            from repro.workloads.base import with_arrivals
 
-            trace = with_arrivals(
-                trace,
+            stream.stamp(
                 self.host.rate_iops,
-                burstiness=self.host.burstiness,
+                self.host.burstiness,
                 seed=derive_seed(self.seed, "host:arrivals"),
             )
-        return trace
+        return stream.build()
 
     def with_options(self, **changes) -> "SimulationSpec":
         """A copy with :class:`RunOptions` fields replaced."""

@@ -19,7 +19,13 @@ blktrace-style), anything else through the native
 """
 
 
-from repro.workloads.base import IORequest, Trace, trace_summary, with_arrivals
+from repro.workloads.base import (
+    Columns,
+    IORequest,
+    Trace,
+    trace_summary,
+    with_arrivals,
+)
 from repro.workloads.blocktrace import BlockTraceError, load_block_trace
 from repro.workloads.synthetic import (
     mixed_trace,
@@ -35,7 +41,9 @@ from repro.workloads.ycsb import mongo_trace, rocks_trace
 #: n_requests, seed=..., **params)``; the extra keyword params are
 #: forwarded verbatim (e.g. ``theta`` for ``zipf``, ``read_fraction``
 #: for ``uniform``), so registry entries are parameterizable rather
-#: than fixed 4-arg shapes.
+#: than fixed 4-arg shapes.  Each is made by
+#: :func:`~repro.workloads.base.trace_generator`, so ``.columns`` gives
+#: its stream unbuilt (see :func:`build_columns`).
 WORKLOAD_GENERATORS = {
     "Mail": mail_trace,
     "Web": web_trace,
@@ -81,6 +89,34 @@ def _load_trace_scheme(name: str, logical_pages: int, **params) -> Trace:
     return load_trace(path)
 
 
+def build_columns(
+    name: str,
+    logical_pages: int,
+    n_requests: int = None,
+    seed: int = 1,
+    **params,
+) -> Columns:
+    """The stream :func:`build_workload` builds, as columns not yet built.
+
+    A generated stream comes checked against ``logical_pages``, so a
+    caller can stamp, place or tag it and build each request once
+    (:meth:`Columns.build`).  A ``trace:`` reference is loaded and
+    returned as its trace's columns.
+    """
+    if is_trace_path(name):
+        return Columns.of(_load_trace_scheme(name, logical_pages, **params))
+    if n_requests is None:
+        raise TypeError("build_workload requires n_requests for generated workloads")
+    try:
+        generator = WORKLOAD_GENERATORS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown workload {name!r}; choose from {available_workloads()} "
+            "or a 'trace:<path>' reference"
+        ) from None
+    return generator.columns(logical_pages, n_requests, seed=seed, **params)
+
+
 def build_workload(
     name: str,
     logical_pages: int,
@@ -99,19 +135,11 @@ def build_workload(
     """
     if is_trace_path(name):
         return _load_trace_scheme(name, logical_pages, **params)
-    if n_requests is None:
-        raise TypeError("build_workload requires n_requests for generated workloads")
-    try:
-        generator = WORKLOAD_GENERATORS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown workload {name!r}; choose from {available_workloads()} "
-            "or a 'trace:<path>' reference"
-        ) from None
-    return generator(logical_pages, n_requests, seed=seed, **params)
+    return build_columns(name, logical_pages, n_requests, seed, **params).build()
 
 
 __all__ = [
+    "Columns",
     "IORequest",
     "Trace",
     "trace_summary",
@@ -135,5 +163,6 @@ __all__ = [
     "TRACE_SCHEME",
     "available_workloads",
     "is_trace_path",
+    "build_columns",
     "build_workload",
 ]

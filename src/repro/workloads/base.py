@@ -1,10 +1,14 @@
-"""Trace primitives: I/O requests and traces."""
+"""Trace primitives: I/O requests, traces, and the columns a generated
+stream is made of before its requests are built."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from itertools import repeat
+from operator import add
+from typing import Callable, Dict, Iterator, List, Optional
 
 READ = "R"
 WRITE = "W"
@@ -85,6 +89,16 @@ class Trace:
         self._check(request)
         self.requests.append(request)
 
+    @classmethod
+    def _checked(
+        cls, name: str, logical_pages: int, requests: List[IORequest]
+    ) -> "Trace":
+        """A trace over requests :meth:`Columns.check` already checked
+        against ``logical_pages``, without a second pass."""
+        trace = cls(name, logical_pages)
+        trace.requests = requests
+        return trace
+
     @property
     def has_arrivals(self) -> bool:
         """True when every request carries an arrival timestamp.
@@ -116,13 +130,128 @@ class Trace:
         return self.requests[index]
 
 
-def with_arrivals(
-    trace: Trace,
-    rate_iops: float,
-    burstiness: float = 1.0,
-    seed: int = 1,
-) -> Trace:
-    """Stamp a trace with arrival times for open-loop replay.
+@dataclass
+class Columns:
+    """A request stream before its requests are built: one list per field.
+
+    A generator fills ``ops``, ``lpns`` and ``sizes`` (each request's
+    ``n_pages``) through :meth:`add`, with Python ints in ``lpns`` and
+    ``sizes``; its stream is checked once against ``logical_pages``
+    (:meth:`check`).  Open-loop stamping sets ``arrivals``
+    (:meth:`stamp`), and tenant placement shifts ``lpns`` and sets
+    ``tenants``, all on the lists; :meth:`build` then constructs each
+    request once.
+    """
+
+    name: str
+    logical_pages: int
+    ops: List[str] = field(default_factory=list)
+    lpns: List[int] = field(default_factory=list)
+    sizes: List[int] = field(default_factory=list)
+    #: per-request arrival times (µs), ``None`` until stamped
+    arrivals: Optional[List[Optional[float]]] = None
+    #: per-request tenant tags, ``None`` for a single-stream trace
+    tenants: Optional[List[Optional[str]]] = None
+
+    @classmethod
+    def of(cls, trace: Trace) -> "Columns":
+        """The columns of an existing trace."""
+        requests = trace.requests
+        return cls(
+            trace.name,
+            trace.logical_pages,
+            [request.op for request in requests],
+            [request.lpn for request in requests],
+            [request.n_pages for request in requests],
+            [request.arrival_us for request in requests],
+            [request.tenant for request in requests],
+        )
+
+    def add(self, op: str, lpn: int, n_pages: int = 1) -> None:
+        self.ops.append(op)
+        self.lpns.append(lpn)
+        self.sizes.append(n_pages)
+
+    def __len__(self) -> int:
+        return len(self.ops)
+
+    @property
+    def has_arrivals(self) -> bool:
+        """True when every request carries an arrival time (as
+        :attr:`Trace.has_arrivals`)."""
+        return (
+            bool(self.ops) and self.arrivals is not None and None not in self.arrivals
+        )
+
+    def _requests(self) -> Iterator[IORequest]:
+        return map(
+            IORequest,
+            self.ops,
+            self.lpns,
+            self.sizes,
+            self.arrivals or repeat(None),
+            self.tenants or repeat(None),
+        )
+
+    def check(self) -> None:
+        """Raise what appending each request in order to a
+        :class:`Trace` over ``logical_pages`` would raise: the first
+        request that fails its own validation or ends past the space.
+
+        A scan of the columns shows that nothing fails; only when it
+        finds something are the requests built and appended one by one,
+        to raise that error."""
+        ops, lpns, sizes = self.ops, self.lpns, self.sizes
+        if not lpns or (
+            # counted, not hashed: an op of any type fails as IORequest's
+            # own test would
+            ops.count(READ) + ops.count(WRITE) == len(ops)
+            and min(lpns) >= 0
+            and min(sizes) >= 1
+            and max(map(add, lpns, sizes)) <= self.logical_pages
+        ):
+            return
+        trace = Trace(self.name, self.logical_pages)
+        for request in self._requests():
+            trace.append(request)
+
+    def stamp(self, rate_iops: float, burstiness: float = 1.0, seed: int = 1) -> None:
+        """Set ``arrivals`` to :func:`arrival_times` of this stream."""
+        self.arrivals = arrival_times(len(self), rate_iops, burstiness, seed)
+
+    def build(self) -> Trace:
+        """The trace of these columns, each request constructed once.
+
+        The columns must have passed :meth:`check`; each request still
+        runs its own validation as it is built."""
+        return Trace._checked(self.name, self.logical_pages, list(self._requests()))
+
+
+def trace_generator(make_columns: Callable[..., Columns]) -> Callable[..., Trace]:
+    """Make the public generator of a function that fills a stream's
+    columns: it returns the stream checked and built into a
+    :class:`Trace`.  ``.columns`` returns the checked columns unbuilt,
+    for callers that stamp, place or tag the stream before building it.
+    """
+
+    @functools.wraps(make_columns)
+    def columns(*args, **kwargs) -> Columns:
+        stream = make_columns(*args, **kwargs)
+        stream.check()
+        return stream
+
+    @functools.wraps(make_columns)
+    def generate(*args, **kwargs) -> Trace:
+        return columns(*args, **kwargs).build()
+
+    generate.columns = columns
+    return generate
+
+
+def arrival_times(
+    n: int, rate_iops: float, burstiness: float = 1.0, seed: int = 1
+) -> List[float]:
+    """``n`` arrival times (µs) of an open-loop stream.
 
     Inter-arrival gaps are exponential with mean ``1/rate_iops``; a
     ``burstiness`` above 1 alternates between dense bursts and idle gaps
@@ -142,22 +271,30 @@ def with_arrivals(
         # every gap in one draw: the generator fills the array with the
         # values the same number of scalar calls return, and cumsum adds
         # them one after another, as the loop below does
-        arrivals = np.cumsum(rng.exponential(mean_gap_us, len(trace))).tolist()
-        return Trace(
-            trace.name,
-            trace.logical_pages,
-            [request.at(arrival) for request, arrival in zip(trace, arrivals)],
-        )
-    stamped = Trace(trace.name, trace.logical_pages)
+        return np.cumsum(rng.exponential(mean_gap_us, n)).tolist()
+    arrivals = []
     now = 0.0
-    for request in trace:
+    for _ in range(n):
         if rng.random() < 0.5:
             gap = rng.exponential(mean_gap_us / burstiness)
         else:
             gap = rng.exponential(mean_gap_us * burstiness)
         now += gap
-        stamped.append(request.at(now))
-    return stamped
+        arrivals.append(now)
+    return arrivals
+
+
+def with_arrivals(
+    trace: Trace,
+    rate_iops: float,
+    burstiness: float = 1.0,
+    seed: int = 1,
+) -> Trace:
+    """Stamp a trace with arrival times for open-loop replay (see
+    :func:`arrival_times`)."""
+    stream = Columns.of(trace)
+    stream.stamp(rate_iops, burstiness, seed)
+    return stream.build()
 
 
 def trace_summary(trace: Trace) -> Dict[str, float]:

@@ -25,87 +25,97 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.workloads.base import READ, WRITE, IORequest, Trace
+from repro.workloads.base import READ, WRITE, Columns, trace_generator
+from repro.workloads.draws import ScalarDraws
 from repro.workloads.synthetic import ZipfSampler
 
 
-def mail_trace(logical_pages: int, n_requests: int, seed: int = 1) -> Trace:
+@trace_generator
+def mail_trace(logical_pages: int, n_requests: int, seed: int = 1) -> Columns:
     """Filebench varmail: ~55 % small sync writes, ~45 % small reads."""
-    rng = np.random.default_rng(seed)
-    trace = Trace("Mail", logical_pages)
+    draws = ScalarDraws(np.random.default_rng(seed))
+    random, integers = draws.random, draws.integers
+    stream = Columns("Mail", logical_pages)
+    add = stream.add
     working_set = max(16, int(logical_pages * 0.30))
-    base = rng.integers(0, max(1, logical_pages - working_set))
+    base = integers(0, max(1, logical_pages - working_set))
     for _ in range(n_requests):
-        lpn = int(base + rng.integers(0, working_set - 2))
-        if rng.random() < 0.55:
+        lpn = base + integers(0, working_set - 2)
+        if random() < 0.55:
             # small mail file append + fsync
-            trace.append(IORequest(WRITE, lpn, 1))
+            add(WRITE, lpn, 1)
         else:
             # whole-file read: one or two pages
-            trace.append(IORequest(READ, lpn, int(rng.integers(1, 3))))
-    return trace
+            add(READ, lpn, integers(1, 3))
+    return stream
 
 
-def web_trace(logical_pages: int, n_requests: int, seed: int = 1) -> Trace:
+@trace_generator
+def web_trace(logical_pages: int, n_requests: int, seed: int = 1) -> Columns:
     """Filebench webserver: ~92 % Zipf reads plus a sequential log."""
     rng = np.random.default_rng(seed)
-    trace = Trace("Web", logical_pages)
+    stream = Columns("Web", logical_pages)
+    add = stream.add
     log_region = max(8, int(logical_pages * 0.02))
     file_region = logical_pages - log_region
     sampler = ZipfSampler(max(1, file_region - 4), theta=0.9, rng=rng)
     log_cursor = 0
-    reads = sampler.sample(rng, n_requests)
+    reads = sampler.sample(rng, n_requests).tolist()
+    draws = ScalarDraws(rng)
+    random, integers = draws.random, draws.integers
     for i in range(n_requests):
-        if rng.random() < 0.92:
+        if random() < 0.92:
             # whole-file reads: 16 KB - 64 KB
-            trace.append(IORequest(READ, int(reads[i]), int(rng.integers(1, 5))))
+            add(READ, reads[i], integers(1, 5))
         else:
-            trace.append(IORequest(WRITE, file_region + log_cursor, 1))
+            add(WRITE, file_region + log_cursor, 1)
             log_cursor = (log_cursor + 1) % (log_region - 1)
-    return trace
+    return stream
 
 
-def proxy_trace(logical_pages: int, n_requests: int, seed: int = 1) -> Trace:
+@trace_generator
+def proxy_trace(logical_pages: int, n_requests: int, seed: int = 1) -> Columns:
     """Proxy cache: ~75 % near-uniform reads, ~25 % cache-fill writes."""
-    rng = np.random.default_rng(seed)
-    trace = Trace("Proxy", logical_pages)
+    draws = ScalarDraws(np.random.default_rng(seed))
+    random, integers = draws.random, draws.integers
+    stream = Columns("Proxy", logical_pages)
+    add = stream.add
     for _ in range(n_requests):
-        if rng.random() < 0.75:
+        if random() < 0.75:
             # whole cached objects: 16 KB - 128 KB (1-8 pages)
-            n_pages = int(rng.integers(1, 9))
-            lpn = int(rng.integers(0, logical_pages - n_pages))
-            trace.append(IORequest(READ, lpn, n_pages))
+            n_pages = integers(1, 9)
+            add(READ, integers(0, logical_pages - n_pages), n_pages)
         else:
             # cache fill of a fetched object
-            n_pages = int(rng.integers(1, 5))
-            lpn = int(rng.integers(0, logical_pages - n_pages))
-            trace.append(IORequest(WRITE, lpn, n_pages))
-    return trace
+            n_pages = integers(1, 5)
+            add(WRITE, integers(0, logical_pages - n_pages), n_pages)
+    return stream
 
 
-def oltp_trace(logical_pages: int, n_requests: int, seed: int = 1) -> Trace:
+@trace_generator
+def oltp_trace(logical_pages: int, n_requests: int, seed: int = 1) -> Columns:
     """OLTP: ~70 % small random writes arriving in bursts, ~30 % reads.
 
     Writes come in runs of 8-32 consecutive requests (log flushes /
     checkpoint storms) so the write buffer periodically saturates and the
     WAM switches to follower WLs.
     """
-    rng = np.random.default_rng(seed)
-    trace = Trace("OLTP", logical_pages)
+    draws = ScalarDraws(np.random.default_rng(seed))
+    random, integers = draws.random, draws.integers
+    stream = Columns("OLTP", logical_pages)
+    add = stream.add
     hot = max(16, int(logical_pages * 0.25))
-    base = rng.integers(0, max(1, logical_pages - hot))
+    base = integers(0, max(1, logical_pages - hot))
     produced = 0
     while produced < n_requests:
-        if rng.random() < 0.70:
-            burst = int(rng.integers(8, 33))
+        if random() < 0.70:
+            burst = integers(8, 33)
             for _ in range(min(burst, n_requests - produced)):
-                lpn = int(base + rng.integers(0, hot - 1))
-                trace.append(IORequest(WRITE, lpn, 1))
+                add(WRITE, base + integers(0, hot - 1), 1)
                 produced += 1
         else:
-            run = int(rng.integers(2, 9))
+            run = integers(2, 9)
             for _ in range(min(run, n_requests - produced)):
-                lpn = int(base + rng.integers(0, hot - 1))
-                trace.append(IORequest(READ, lpn, 1))
+                add(READ, base + integers(0, hot - 1), 1)
                 produced += 1
-    return trace
+    return stream

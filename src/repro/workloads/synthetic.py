@@ -6,7 +6,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.workloads.base import READ, WRITE, IORequest, Trace
+from repro.workloads.base import READ, WRITE, Columns, Trace, trace_generator
 
 
 class ZipfSampler:
@@ -30,10 +30,15 @@ class ZipfSampler:
         self._permutation = rng.permutation(n)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        ranks = np.searchsorted(self._cdf, rng.random(size), side="left")
+        return self.lookup(rng.random(size))
+
+    def lookup(self, uniforms) -> np.ndarray:
+        """The items that uniforms in [0, 1) pick."""
+        ranks = np.searchsorted(self._cdf, uniforms, side="left")
         return self._permutation[ranks]
 
 
+@trace_generator
 def uniform_random_trace(
     logical_pages: int,
     n_requests: int,
@@ -42,21 +47,25 @@ def uniform_random_trace(
     seed: int = 1,
     name: str = "uniform",
     region: Optional[Sequence[int]] = None,
-) -> Trace:
+) -> Columns:
     """Uniformly random single-size requests over a region of the space."""
     rng = np.random.default_rng(seed)
     lo, hi = region if region is not None else (0, logical_pages)
     span = hi - lo - n_pages
     if span < 1:
         raise ValueError("region too small for the request size")
-    trace = Trace(name, logical_pages)
-    ops = rng.random(n_requests) < read_fraction
-    lpns = lo + rng.integers(0, span, n_requests)
-    for is_read, lpn in zip(ops, lpns):
-        trace.append(IORequest(READ if is_read else WRITE, int(lpn), n_pages))
-    return trace
+    reads = (rng.random(n_requests) < read_fraction).tolist()
+    lpns = (lo + rng.integers(0, span, n_requests)).tolist()
+    return Columns(
+        name,
+        logical_pages,
+        [READ if is_read else WRITE for is_read in reads],
+        [int(lpn) for lpn in lpns],
+        [n_pages] * len(lpns),
+    )
 
 
+@trace_generator
 def sequential_trace(
     logical_pages: int,
     n_requests: int,
@@ -65,18 +74,19 @@ def sequential_trace(
     seed: int = 1,
     name: str = "sequential",
     start: int = 0,
-) -> Trace:
+) -> Columns:
     """Sequential stream wrapping around the logical space."""
-    trace = Trace(name, logical_pages)
+    stream = Columns(name, logical_pages)
     lpn = start
     for _ in range(n_requests):
         if lpn + n_pages > logical_pages:
             lpn = 0
-        trace.append(IORequest(op, lpn, n_pages))
+        stream.add(op, lpn, n_pages)
         lpn += n_pages
-    return trace
+    return stream
 
 
+@trace_generator
 def zipf_trace(
     logical_pages: int,
     n_requests: int,
@@ -85,16 +95,19 @@ def zipf_trace(
     n_pages: int = 1,
     seed: int = 1,
     name: str = "zipf",
-) -> Trace:
+) -> Columns:
     """Zipf-skewed random requests (YCSB-style hot set)."""
     rng = np.random.default_rng(seed)
     sampler = ZipfSampler(max(1, logical_pages - n_pages), theta, rng)
-    lpns = sampler.sample(rng, n_requests)
-    ops = rng.random(n_requests) < read_fraction
-    trace = Trace(name, logical_pages)
-    for is_read, lpn in zip(ops, lpns):
-        trace.append(IORequest(READ if is_read else WRITE, int(lpn), n_pages))
-    return trace
+    lpns = sampler.sample(rng, n_requests).tolist()
+    reads = (rng.random(n_requests) < read_fraction).tolist()
+    return Columns(
+        name,
+        logical_pages,
+        [READ if is_read else WRITE for is_read in reads],
+        lpns,
+        [n_pages] * len(lpns),
+    )
 
 
 def mixed_trace(traces: Sequence[Trace], weights: Sequence[float], seed: int = 1,

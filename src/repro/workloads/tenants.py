@@ -24,8 +24,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 from repro.parallel.seeds import derive_seed
-from repro.workloads import build_workload
-from repro.workloads.base import IORequest, Trace, with_arrivals
+from repro.workloads import build_columns
+from repro.workloads.base import Columns, Trace
 
 if TYPE_CHECKING:
     from repro.specs import TenantSpec
@@ -58,6 +58,44 @@ def _partition_pages(tenant: "TenantSpec", logical_pages: int):
     return lo, hi - lo
 
 
+def _tenant_columns(
+    tenant: "TenantSpec", config: "SSDConfig", base_seed: int
+) -> Columns:
+    """One tenant's placed, tagged and stamped stream, not yet built."""
+    logical_pages = config.logical_pages
+    base_lpn, region_pages = _partition_pages(tenant, logical_pages)
+    spec = tenant.workload
+    seed = tenant.seed if tenant.seed is not None else tenant_seed(
+        base_seed, tenant.name
+    )
+    stream = build_columns(
+        spec.name,
+        region_pages,
+        None if spec.is_trace else spec.n_requests,
+        seed=seed,
+        **spec.params,
+    )
+    stream.name = tenant.name
+    stream.logical_pages = logical_pages
+    stream.lpns = [lpn + base_lpn for lpn in stream.lpns]
+    stream.tenants = [tenant.name] * len(stream)
+    if spec.is_trace:
+        # a recorded trace keeps its own logical space, which may
+        # overhang the partition; a generated one was checked against it
+        stream.check()
+    if not stream.has_arrivals:
+        stream.stamp(
+            tenant.effective_rate_iops,
+            tenant.burstiness,
+            seed=tenant_arrival_seed(base_seed, tenant.name),
+        )
+    elif tenant.rate_scale != 1.0:
+        stream.arrivals = [
+            arrival / tenant.rate_scale for arrival in stream.arrivals
+        ]
+    return stream
+
+
 def tenant_trace(
     tenant: "TenantSpec", config: "SSDConfig", base_seed: int
 ) -> Trace:
@@ -70,43 +108,7 @@ def tenant_trace(
     ``rate_iops * rate_scale``; recorded traces that already carry
     arrivals keep their own timeline, compressed by ``rate_scale``.
     """
-    logical_pages = config.logical_pages
-    base_lpn, region_pages = _partition_pages(tenant, logical_pages)
-    spec = tenant.workload
-    seed = tenant.seed if tenant.seed is not None else tenant_seed(
-        base_seed, tenant.name
-    )
-    raw = build_workload(
-        spec.name,
-        region_pages,
-        None if spec.is_trace else spec.n_requests,
-        seed=seed,
-        **spec.params,
-    )
-    placed = Trace(tenant.name, logical_pages)
-    for request in raw:
-        placed.append(
-            IORequest(
-                request.op,
-                request.lpn + base_lpn,
-                request.n_pages,
-                request.arrival_us,
-                tenant.name,
-            )
-        )
-    if placed.has_arrivals:
-        if tenant.rate_scale == 1.0:
-            return placed
-        compressed = Trace(tenant.name, logical_pages)
-        for request in placed:
-            compressed.append(request.at(request.arrival_us / tenant.rate_scale))
-        return compressed
-    return with_arrivals(
-        placed,
-        tenant.effective_rate_iops,
-        burstiness=tenant.burstiness,
-        seed=tenant_arrival_seed(base_seed, tenant.name),
-    )
+    return _tenant_columns(tenant, config, base_seed).build()
 
 
 def compose_tenants(
@@ -116,24 +118,33 @@ def compose_tenants(
 
     The result always satisfies :attr:`Trace.has_arrivals` (tenant
     scenarios replay open-loop by construction) and every request
-    carries its tenant tag.
+    carries its tenant tag.  Each tenant's stream is merged as columns,
+    so each request is built once.
     """
     if not tenants:
         raise ValueError("compose_tenants needs at least one tenant")
     names = [tenant.name for tenant in tenants]
     if len(names) != len(set(names)):
         raise ValueError(f"tenant names must be unique, got {names}")
-    streams = [tenant_trace(tenant, config, base_seed) for tenant in tenants]
-    keyed = [
-        (request.arrival_us, tenant_index, sequence, request)
+    streams = [_tenant_columns(tenant, config, base_seed) for tenant in tenants]
+    # (arrival, tenant index, sequence) is unique, so sorting the whole
+    # tuples orders them by that key alone
+    keyed = sorted(
+        (arrival, tenant_index, sequence, op, lpn, n_pages)
         for tenant_index, stream in enumerate(streams)
-        for sequence, request in enumerate(stream)
-    ]
-    keyed.sort(key=lambda entry: entry[:3])
-    merged = Trace("+".join(names), config.logical_pages)
-    for _, _, _, request in keyed:
-        merged.append(request)
-    return merged
+        for sequence, (arrival, op, lpn, n_pages) in enumerate(
+            zip(stream.arrivals, stream.ops, stream.lpns, stream.sizes)
+        )
+    )
+    return Columns(
+        "+".join(names),
+        config.logical_pages,
+        [entry[3] for entry in keyed],
+        [entry[4] for entry in keyed],
+        [entry[5] for entry in keyed],
+        [entry[0] for entry in keyed],
+        [names[entry[1]] for entry in keyed],
+    ).build()
 
 
 __all__ = [

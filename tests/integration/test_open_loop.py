@@ -6,7 +6,8 @@ import pytest
 from repro.ssd.config import SSDConfig
 from repro.ssd.controller import SSDSimulation
 from repro.ssd.host import replay
-from repro.workloads.base import IORequest, with_arrivals
+from repro.workloads import build_workload
+from repro.workloads.base import IORequest, Trace, with_arrivals
 from repro.workloads.synthetic import uniform_random_trace
 
 
@@ -79,9 +80,22 @@ def _arrivals_by_loop(n, rate_iops, burstiness, seed):
     return arrivals, rng
 
 
+def _tagged_mongo_trace():
+    """Mongo's multi-page requests, each tagged with one of two tenants
+    or none."""
+    mongo = build_workload("Mongo", 4096, 900, seed=3)
+    tags = ("a", "b", None)
+    return Trace(
+        mongo.name,
+        mongo.logical_pages,
+        [request.tagged(tags[i % 3]) for i, request in enumerate(mongo)],
+    )
+
+
 class TestArrivalsMatchTheScalarLoop:
     """``with_arrivals`` draws the Poisson case's gaps in one call; the
-    arrivals and the generator state after them must be the loop's."""
+    arrivals and the generator state after them must be the loop's, and
+    every other field of every request stays as it was."""
 
     @pytest.mark.parametrize("seed", [1, 7, 12345])
     @pytest.mark.parametrize("rate_iops", [200.0, 20_000.0, 33_333.3])
@@ -89,25 +103,31 @@ class TestArrivalsMatchTheScalarLoop:
     def test_identical_arrivals_and_generator_state(
         self, monkeypatch, seed, rate_iops, burstiness
     ):
-        trace = uniform_random_trace(1000, 4000, seed=3)
-        generators = []
-        default_rng = np.random.default_rng
+        for trace in (uniform_random_trace(1000, 4000, seed=3), _tagged_mongo_trace()):
+            generators = []
+            default_rng = np.random.default_rng
 
-        def recording_rng(*args, **kwargs):
-            generators.append(default_rng(*args, **kwargs))
-            return generators[-1]
+            def recording_rng(*args, **kwargs):
+                generators.append(default_rng(*args, **kwargs))
+                return generators[-1]
 
-        monkeypatch.setattr(np.random, "default_rng", recording_rng)
-        stamped = with_arrivals(trace, rate_iops, burstiness=burstiness, seed=seed)
-        monkeypatch.undo()
-        expected, reference = _arrivals_by_loop(len(trace), rate_iops, burstiness, seed)
-        arrivals = [request.arrival_us for request in stamped]
-        assert arrivals == expected
-        assert all(type(arrival) is float for arrival in arrivals)
-        assert [(r.op, r.lpn, r.n_pages) for r in stamped] == [
-            (r.op, r.lpn, r.n_pages) for r in trace
-        ]
-        assert generators[0].bit_generator.state == reference.bit_generator.state
+            monkeypatch.setattr(np.random, "default_rng", recording_rng)
+            stamped = with_arrivals(trace, rate_iops, burstiness=burstiness, seed=seed)
+            monkeypatch.undo()
+            expected, reference = _arrivals_by_loop(
+                len(trace), rate_iops, burstiness, seed
+            )
+            arrivals = [request.arrival_us for request in stamped]
+            assert arrivals == expected
+            assert all(type(arrival) is float for arrival in arrivals)
+            assert [(r.op, r.lpn, r.n_pages, r.tenant) for r in stamped] == [
+                (r.op, r.lpn, r.n_pages, r.tenant) for r in trace
+            ]
+            assert (stamped.name, stamped.logical_pages) == (
+                trace.name,
+                trace.logical_pages,
+            )
+            assert generators[0].bit_generator.state == reference.bit_generator.state
 
     def test_empty_trace(self):
         trace = uniform_random_trace(1000, 0, seed=3)
