@@ -239,23 +239,25 @@ def run_simulation(
         change; see docs/PERSISTENCE.md) and can be resumed
         byte-identically from any checkpoint.  Composes with every
         observer (``trace``, ``profile``, ``telemetry``,
-        ``metrics_interval``, ``artifact_dir``) and with ``check``;
-        incompatible with ``max_events``, whose event cap cannot cross
-        a drained barrier, and with open-loop and multi-tenant hosts.
+        ``metrics_interval``, ``artifact_dir``), with ``check`` and with
+        every host model (a drain delays the open-loop arrivals it
+        overran); not with ``max_events``, which stops short of a drain.
     resume_from:
         Path to a checkpoint directory to resume from; the run goes
         through the same pipeline, restoring the checkpoint where a
-        fresh run prefills.  ``config``, ``ftl``, ``workload`` and
-        ``seed`` must match the original run (validated against the
-        checkpoint header); ``queue_depth``, ``warmup_requests``,
-        ``checkpoint_every`` and the check level are taken from the
-        header.  Further checkpoints go to ``checkpoint_dir`` (default:
-        the directory holding ``resume_from``).  A resumed ``trace``
-        numbers requests on from the checkpoint, so it is a byte suffix
-        of the straight run's trace.  The telemetry registry, time-series
-        recorder and exemplars carry on from the checkpoint's observer
-        state, so ``telemetry``, ``metrics`` and the artifact files
-        equal the straight run's; a resume asking for an observer the
+        fresh run prefills.  ``config``, ``ftl``, ``workload``,
+        ``seed`` and the arrival process (host mode, ``rate_iops``,
+        burstiness, tenants) must match the original run (validated
+        against the checkpoint header); ``queue_depth``,
+        ``warmup_requests``, ``checkpoint_every`` and the check level
+        are taken from the header.  Further checkpoints go to
+        ``checkpoint_dir`` (default: the directory holding
+        ``resume_from``).  A resumed ``trace`` numbers requests on from
+        the checkpoint, so it is a byte suffix of the straight run's
+        trace.  The telemetry registry, time-series recorder and
+        exemplars carry on from the checkpoint's observer state, so
+        ``telemetry``, ``metrics`` and the artifact files equal the
+        straight run's; a resume asking for an observer the
         checkpointed run did not have is refused by option name.
     artifact_dir:
         Write a self-contained run-artifact directory under this base
@@ -320,9 +322,7 @@ def run_spec(spec: SimulationSpec) -> SimulationResult:
     )
     # refuse before anything is built or any file is written
     if segmented:
-        check_segmentable(
-            host.mode, max_events=options.max_events, tenants=host.tenants
-        )
+        check_segmentable(max_events=options.max_events)
     elif options.checkpoint_dir is not None:
         raise ValueError(
             "checkpoint_dir without checkpoint_every writes no "

@@ -1209,7 +1209,10 @@ def _cmd_spor(args: argparse.Namespace) -> int:
         raise SystemExit(
             f"campaign {campaign.name!r} has no SPOR instant; pass --spor-at"
         )
-    campaign = dataclasses.replace(campaign, spor_at_us=spor_at)
+    try:
+        campaign = dataclasses.replace(campaign, spor_at_us=spor_at)
+    except ValueError as error:
+        raise SystemExit(f"--spor-at {spor_at}: {error}")
     config = _config(args)
     config = config.with_faults(campaign)
     report = run_spor_campaign(

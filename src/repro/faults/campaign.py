@@ -16,6 +16,7 @@ dies); the recovery semantics live in the FTL (see ``docs/MODEL.md``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -93,8 +94,9 @@ class FaultCampaign:
             raise ValueError("ort_skew_phase_reads must be >= 1")
         if self.stuck_latency_factor < 1.0:
             raise ValueError("stuck_latency_factor must be >= 1")
-        if self.spor_at_us is not None and self.spor_at_us < 0:
-            raise ValueError("spor_at_us must be >= 0")
+        # NaN or +inf would be a cut that never comes
+        if self.spor_at_us is not None and not 0 <= self.spor_at_us < math.inf:
+            raise ValueError("spor_at_us must be a finite number >= 0")
 
     @property
     def quiet(self) -> bool:

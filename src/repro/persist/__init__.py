@@ -6,13 +6,13 @@ Three independent layers (see docs/PERSISTENCE.md):
   :mod:`repro.persist.driver`): versioned on-disk snapshots of a running
   simulation at quiescent barriers, with byte-identical resume.  The
   run itself is :func:`repro.api.run_spec`'s, with checkpointing as the
-  replay's barrier hook, so it composes with tracing, profiling,
-  checking, telemetry, metrics sampling and run artifacts -- surfaced
-  as ``run_simulation(checkpoint_every=..., resume_from=...)`` and
-  ``repro-ssd simulate --checkpoint/--resume``.
+  replay's barrier hook, so it composes with every host model, tracing,
+  profiling, checking, telemetry, metrics sampling and run artifacts --
+  surfaced as ``run_simulation(checkpoint_every=..., resume_from=...)``
+  and ``repro-ssd simulate --checkpoint/--resume``.
 - **SPOR** (:mod:`repro.persist.spor`): sudden-power-off injection at a
-  simulated instant plus OOB-based FTL recovery, verified end-to-end by
-  the shadow-store oracle.
+  simulated instant (a replay stopped there) plus OOB-based FTL
+  recovery, verified end-to-end by the shadow-store oracle.
 - **Resumable sweeps** (:mod:`repro.persist.manifest`): a manifest +
   per-shard result directory so an interrupted ``repro-ssd sweep``
   reruns only unfinished shards.

@@ -5,9 +5,9 @@ A checkpoint is a *directory* named ``ckpt_<index:08d>`` holding
 - ``header.json`` -- small, human-readable run identity: the checkpoint
   schema version, a fingerprint of the :class:`~repro.ssd.config.SSDConfig`,
   the run parameters a resume must reproduce (FTL, workload, seed,
-  request count, queue depth, checkpoint cadence), and where in the run
-  the checkpoint was taken (segment index, completed requests, engine
-  clock).
+  request count, queue depth, arrival process, checkpoint cadence), and
+  where in the run the checkpoint was taken (segment index, completed
+  requests, engine clock).
 - ``state.pkl`` -- the pickled ``state_dict()`` tree of every stateful
   component (engine, chips, resources, FTL, injector, checker).
 - ``observers.pkl`` -- optional: the pickled state of the run's
@@ -43,7 +43,7 @@ from repro.ssd.config import SSDConfig
 
 #: version stamp of the checkpoint layout (header keys + state.pkl
 #: shape); bump on any change -- loads refuse mismatched versions
-CHECKPOINT_SCHEMA_VERSION = 2
+CHECKPOINT_SCHEMA_VERSION = 3
 
 HEADER_NAME = "header.json"
 STATE_NAME = "state.pkl"
@@ -52,6 +52,7 @@ OBSERVERS_NAME = "observers.pkl"
 _CKPT_RE = re.compile(r"^ckpt_(\d{8})$")
 
 #: header keys every checkpoint must carry, with their expected types
+#: (``bool`` passes for none of them)
 _HEADER_FIELDS = {
     "schema_version": int,
     "config_fingerprint": str,
@@ -59,13 +60,17 @@ _HEADER_FIELDS = {
     "workload": str,
     "seed": int,
     "n_requests": int,
-    "queue_depth": int,
+    "queue_depth": (int, type(None)),  # None: an unbounded host
+    "host_mode": str,
+    "rate_iops": (int, float, type(None)),
+    "burstiness": (int, float),
+    "tenants": list,
     "warmup_requests": int,
     "checkpoint_every": int,
     "check": (str, type(None)),
     "segment": int,
     "completed": int,
-    "clock_us": float,
+    "clock_us": (int, float),
 }
 
 
@@ -94,13 +99,7 @@ def validate_header(header: dict) -> List[str]:
             problems.append(f"missing key {key!r}")
             continue
         value = header[key]
-        if key == "clock_us":
-            ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        elif isinstance(expected, tuple):
-            ok = isinstance(value, expected)
-        else:
-            ok = isinstance(value, expected) and not isinstance(value, bool)
-        if not ok:
+        if not isinstance(value, expected) or isinstance(value, bool):
             problems.append(
                 f"key {key!r} has type {type(value).__name__}"
             )

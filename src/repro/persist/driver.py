@@ -33,6 +33,7 @@ bit-identical to builds without this module entirely.
 
 from __future__ import annotations
 
+import json
 import os
 from typing import Callable, Optional, Tuple
 
@@ -175,10 +176,28 @@ def _check_observers(observers: dict, spec: SimulationSpec, path: str) -> None:
         )
 
 
+def _identity(spec: SimulationSpec, trace: Trace) -> dict:
+    """The header keys a resume must match -- device, FTL, workload,
+    seed and arrival process -- as ``header.json`` holds them.  The
+    fingerprint is of ``spec.config`` as given, before a checker forces
+    ``store_tags`` on."""
+    host = spec.host
+    return json.loads(json.dumps({
+        "config_fingerprint": config_fingerprint(spec.config),
+        "ftl": spec.ftl,
+        "workload": trace.name,
+        "seed": spec.seed,
+        "n_requests": len(trace),
+        "host_mode": host.mode,
+        "rate_iops": host.rate_iops,
+        "burstiness": host.burstiness,
+        "tenants": [tenant.to_dict() for tenant in host.tenants],
+    }))
+
+
 def _new_header(spec: SimulationSpec, trace: Trace) -> dict:
     """The run identity and parameters every checkpoint of a fresh run
-    carries.  The fingerprint is of ``spec.config`` as given, before a
-    checker forces ``store_tags`` on."""
+    carries."""
     options = spec.options
     if options.checkpoint_every is None or options.checkpoint_every < 1:
         raise ValueError("checkpoint_every must be an integer >= 1")
@@ -186,11 +205,7 @@ def _new_header(spec: SimulationSpec, trace: Trace) -> dict:
         raise ValueError("checkpoint_dir is required when checkpointing")
     header = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
-        "config_fingerprint": config_fingerprint(spec.config),
-        "ftl": spec.ftl,
-        "workload": trace.name,
-        "seed": spec.seed,
-        "n_requests": len(trace),
+        **_identity(spec, trace),
         "queue_depth": spec.host.queue_depth,
         "warmup_requests": spec.warmup_requests,
         "checkpoint_every": options.checkpoint_every,
@@ -213,31 +228,22 @@ def _check_header(
     header: dict, spec: SimulationSpec, trace: Trace, path: str
 ) -> None:
     """Raise :class:`CheckpointError` unless the checkpoint at ``path``
-    was taken by a run of the same device, FTL, seed and workload."""
-    fingerprint = config_fingerprint(spec.config)
-    if header["config_fingerprint"] != fingerprint:
-        raise CheckpointError(
-            f"{path}: config fingerprint mismatch "
-            f"(checkpoint {header['config_fingerprint'][:12]}..., "
-            f"passed config {fingerprint[:12]}...)"
-        )
-    if header["ftl"] != spec.ftl:
-        raise CheckpointError(
-            f"{path}: checkpoint is for ftl={header['ftl']!r}, "
-            f"got {spec.ftl!r}"
-        )
+    was taken by a run of the same :func:`_identity`.  The trace was
+    built from the resuming spec, so other arrivals would replay
+    silently."""
+    passed = _identity(spec, trace)
     # a pre-built trace carries its own stream; the seed only names a
     # generated one
-    if not isinstance(spec.workload, Trace) and spec.seed != header["seed"]:
+    if isinstance(spec.workload, Trace):
+        del passed["seed"]
+    differ = [
+        f"{key} (checkpoint {header[key]!r}, passed {value!r})"
+        for key, value in passed.items()
+        if header[key] != value
+    ]
+    if differ:
         raise CheckpointError(
-            f"{path}: checkpoint seed {header['seed']} != "
-            f"passed seed {spec.seed}"
-        )
-    if trace.name != header["workload"] or len(trace) != header["n_requests"]:
-        raise CheckpointError(
-            f"{path}: checkpoint is for workload "
-            f"{header['workload']!r} x {header['n_requests']}, got "
-            f"{trace.name!r} x {len(trace)}"
+            f"{path}: checkpoint is of another run: {'; '.join(differ)}"
         )
 
 

@@ -2,7 +2,8 @@
 
 The SPOR model (see docs/PERSISTENCE.md):
 
-- Power is cut at ``campaign.spor_at_us`` simulated microseconds.  Every
+- Power is cut at ``campaign.spor_at_us`` simulated microseconds, where
+  phase 1's :func:`~repro.ssd.host.replay` stops.  Every
   volatile structure dies with it: the write buffer (staged and pending
   host writes), the FTL's mapping tables, block lifecycle state, GC
   progress, and all queued events.
@@ -30,7 +31,7 @@ returns a stale or lost copy raises immediately; a final deep audit
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Union
 
 from repro.ssd.config import SSDConfig
@@ -67,18 +68,7 @@ class SporReport:
         return self.audit is None and self.check.get("violations", 0) == 0
 
     def to_dict(self) -> dict:
-        return {
-            "spor_at_us": self.spor_at_us,
-            "issued_before": self.issued_before,
-            "completed_before": self.completed_before,
-            "lost_writes": self.lost_writes,
-            "dropped_reads": self.dropped_reads,
-            "remaining": self.remaining,
-            "recovery": dict(self.recovery),
-            "audit": self.audit,
-            "clean": self.clean,
-            "check": dict(self.check),
-        }
+        return {**asdict(self), "clean": self.clean}
 
 
 def run_spor_campaign(
@@ -119,85 +109,54 @@ def run_spor_campaign(
     else:
         trace = workload
 
-    # -- phase 1: run to the cut ---------------------------------------
-    checker1 = InvariantChecker(check_config)
-    checker1.context.update(
-        ftl=ftl, workload=trace.name, seed=seed, phase="pre-spor"
-    )
-    sim1 = SSDSimulation(
-        sim_config, ftl=ftl, checker=checker1, **ftl_kwargs
-    )
+    def build(phase: str) -> SSDSimulation:
+        """A fresh simulation under its own checker."""
+        checker = InvariantChecker(check_config)
+        checker.context.update(
+            ftl=ftl, workload=trace.name, seed=seed, phase=phase
+        )
+        return SSDSimulation(
+            sim_config, ftl=ftl, checker=checker, **ftl_kwargs
+        )
+
+    # -- phase 1: replay to the cut ------------------------------------
+    sim1 = build("pre-spor")
     if prefill > 0:
         sim1.prefill(prefill)
-    engine = sim1.controller.engine
-    requests = list(trace.requests)
-    progress = {"issued": 0, "completed": 0}
-    inflight = {}  # id(spec) -> (issue order, request)
-
-    def on_complete(active, now_us: float) -> None:
-        inflight.pop(id(active.spec), None)
-        progress["completed"] += 1
-        issue_next()
-
-    def issue_next() -> None:
-        if progress["issued"] >= len(requests):
-            return
-        request = requests[progress["issued"]]
-        inflight[id(request)] = (progress["issued"], request)
-        progress["issued"] += 1
-        sim1.ftl.submit(request, on_complete)
-
-    for _ in range(queue_depth):
-        issue_next()
-    engine.run(until=spor_at_us)
+    cut = replay(sim1, trace, queue_depth=queue_depth, until_us=spor_at_us)
 
     # -- the cut: volatile state dies, media and shadow survive --------
-    lost = sorted(inflight.values(), key=lambda item: item[0])
-    lost_writes = [req for _order, req in lost if not req.is_read]
-    dropped_reads = len(lost) - len(lost_writes)
+    # closed-loop replay issues in trace order and queues no request
+    lost = cut.unfinished
+    lost_writes = [request for request in lost if not request.is_read]
+    issued_before = cut.completed_requests + len(lost)
     media = [chip.state_dict() for chip in sim1.controller.chips]
-    shadow = checker1.oracle.shadow.state_dict()
-    remaining = requests[progress["issued"]:]
+    shadow = sim1.checker.oracle.shadow.state_dict()
+    remaining = trace.requests[issued_before:]
 
     # -- phase 2: fresh controller, recover, replay, continue ----------
-    checker2 = InvariantChecker(check_config)
-    checker2.context.update(
-        ftl=ftl, workload=trace.name, seed=seed, phase="post-spor"
-    )
-    sim2 = SSDSimulation(
-        sim_config, ftl=ftl, checker=checker2, **ftl_kwargs
-    )
+    sim2 = build("post-spor")
     # no prefill: the media state below IS the device content
     for chip, chip_state in zip(sim2.controller.chips, media):
         chip.load_state_dict(chip_state)
     # the oracle keeps the complete pre-cut expectation: every acked
     # write must still be served correctly by the recovered device
-    checker2.oracle.shadow.load_state_dict(shadow)
+    sim2.checker.oracle.shadow.load_state_dict(shadow)
     recovery = sim2.ftl.spor_recover()
-
-    if lost_writes:
-        journal = Trace(
-            name=trace.name,
-            logical_pages=trace.logical_pages,
-            requests=lost_writes,
-        )
-        replay(sim2, journal, queue_depth=queue_depth)
-    if remaining:
-        rest = Trace(
-            name=trace.name,
-            logical_pages=trace.logical_pages,
-            requests=remaining,
-        )
-        replay(sim2, rest, queue_depth=queue_depth)
+    # the lost window first, in issue order, then the rest of the trace
+    for requests in (lost_writes, remaining):
+        if requests:
+            rest = Trace(trace.name, trace.logical_pages, requests)
+            replay(sim2, rest, queue_depth=queue_depth)
 
     audit = sim2.ftl.mapper.audit()
-    report = checker2.finalize()
+    report = sim2.checker.finalize()
     return SporReport(
         spor_at_us=spor_at_us,
-        issued_before=progress["issued"],
-        completed_before=progress["completed"],
+        issued_before=issued_before,
+        completed_before=cut.completed_requests,
         lost_writes=len(lost_writes),
-        dropped_reads=dropped_reads,
+        dropped_reads=len(lost) - len(lost_writes),
         remaining=len(remaining),
         recovery=recovery,
         audit=audit,

@@ -34,10 +34,10 @@ carries tenant tags.
 The open-loop modes take their arrivals from one lazy cursor
 (:func:`_feed_arrivals`) that keeps a single arrival event queued, so
 the event heap stays as deep as the device's in-flight work instead of
-the trace's length.  Closed-loop replay can also run in drained
-segments with a barrier hook between them, which is how
-:mod:`repro.persist` checkpoints a run; :func:`check_segmentable` is
-the one rule for what such a replay refuses.
+the trace's length.  Every mode can also run in drained segments with
+a barrier hook between them (:mod:`repro.persist` checkpoints there;
+:func:`check_segmentable` is what such a replay refuses) and stop at a
+simulated instant (:mod:`repro.persist.spor` cuts power there).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from itertools import islice
-from typing import Callable, Dict, Iterator, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.obs.registry import bind_host
 from repro.ssd.controller import SimulationStalledError, _stall_message
@@ -86,50 +86,34 @@ def _require_arrivals(trace: Trace, mode: str) -> None:
 
 
 def check_segmentable(
-    mode: str, *, max_events: Optional[int], tenants
+    *, max_events: Optional[int], until_us: Optional[float] = None
 ) -> None:
     """Raise ``ValueError`` unless a replay with these settings can run
-    in drained segments (checkpointing).
-
-    A barrier is the drained instant between segments.  Open-loop
-    arrivals are pinned to trace times, so no drained instant exists
-    between them; ``max_events`` stops a segment before it drains; and
-    the barrier payload carries no per-tenant slices.  The message
-    names each conflict by its run option.
-    """
-    conflicts = [
-        name
-        for name, conflict in (
-            (f"open_loop ({mode} replay)", mode != "closed"),
-            ("max_events", max_events is not None),
-            ("tenants", bool(tenants)),
-        )
-        if conflict
-    ]
-    if conflicts:
+    in drained segments (checkpointing): ``max_events`` and ``until_us``
+    stop a segment before it drains.  The message names the option."""
+    if max_events is not None or until_us is not None:
+        name = "max_events" if max_events is not None else "until_us"
         raise ValueError(
             "checkpointing (segmented replay) is incompatible with "
-            f"{', '.join(conflicts)} (see docs/PERSISTENCE.md)"
+            f"{name} (see docs/PERSISTENCE.md)"
         )
 
 
 def _feed_arrivals(
-    engine, trace: Trace, start_us: float, arrive: Callable[[IORequest, float], None]
+    engine, requests: List[IORequest], times: List[float],
+    arrive: Callable[[IORequest, float], None],
 ) -> None:
-    """Call ``arrive(request, arrival_us)`` at ``start_us +
-    request.arrival_us`` for every request of ``trace``, keeping one
-    arrival event queued at a time.
+    """Call ``arrive(requests[k], times[k])`` at ``times[k]`` for every
+    ``k``, keeping one arrival event queued at a time.
 
-    The trace's whole sequence-number range is reserved here, and the
-    request at trace index ``k`` is scheduled with ``base + k`` once the
+    The requests' whole sequence-number range is reserved here, and the
+    request at index ``k`` is scheduled with ``base + k`` once the
     arrival before it (in stable (time, index) order) fires.  Each
     arrival therefore carries the (time, seq) it would have had if every
     request had been scheduled here, and the engine dispatches exactly
     the same order: unsorted traces and exact ties included.  Arrivals
     go through ``engine.schedule_at`` so wrappers on it see every one.
     """
-    requests = trace.requests
-    times = [start_us + request.arrival_us for request in requests]
     order = iter(sorted(range(len(requests)), key=times.__getitem__))
     base = engine.reserve(len(requests))
     upcoming = next(order, None)
@@ -157,16 +141,19 @@ def replay(
     segment_requests: Optional[int] = None,
     on_barrier: Optional[Callable[[dict], None]] = None,
     resume_accounting: Optional[dict] = None,
+    until_us: Optional[float] = None,
 ) -> SimulationStats:
     """Replay a trace through a simulation under one host model.
 
     ``segment_requests`` replays the trace that many requests at a
     time, each segment run until the event queue drains, so between
     segments the whole stack is quiescent; :func:`check_segmentable`
-    states what it refuses.  At every drained instant but the last,
-    ``on_barrier(accounting)`` receives the completed count,
-    measurement window and latency samples a resumed run needs;
-    :mod:`repro.persist` checkpoints there.
+    states what it refuses.  An open-loop segment is the next requests
+    in arrival order, all shifted later by however much the previous
+    drain overran its first arrival.  At every drained instant but the
+    last, ``on_barrier(accounting)`` receives what a resumed run needs
+    (the completed count, measurement window, latency samples, arrival
+    shift and tenant slices); :mod:`repro.persist` checkpoints there.
     ``resume_accounting`` is such a payload, loaded from a checkpoint:
     the requests it counts as completed are skipped and its accounting
     carries on.  The drains shape scheduling, so a segmented run equals
@@ -175,6 +162,12 @@ def replay(
     (:meth:`~repro.ftl.base.BaseFTL.rearm_gc`) and runs on; the replay
     raises :class:`SimulationStalledError` only when that schedules
     nothing.
+
+    ``until_us`` stops the replay at that simulated instant, as
+    ``max_events`` does after that many events: it returns without a
+    drain, with the requests in flight (in issue order), then those
+    waiting for a slot, in ``stats.unfinished``; requests not yet issued
+    or arrived are in neither.  :mod:`repro.persist.spor` cuts power this way.
 
     A telemetry registry on ``sim`` gets the host's completion count
     (:func:`~repro.obs.registry.bind_host`), and a time-series recorder
@@ -188,7 +181,10 @@ def replay(
     if segment_requests is not None:
         if segment_requests < 1:
             raise ValueError("segment_requests must be >= 1")
-        check_segmentable(mode, max_events=max_events, tenants=trace.tenants)
+        check_segmentable(max_events=max_events, until_us=until_us)
+    # ``not >=`` also refuses NaN; an earlier stop would move the clock back
+    if until_us is not None and not until_us >= sim.controller.engine.now:
+        raise ValueError("until_us must not lie before the clock")
     if mode == "unbounded":
         _require_arrivals(trace, "open-loop")
         queue_depth, warmup_requests = math.inf, 0
@@ -213,12 +209,19 @@ def replay(
     outstanding = completed = 0
     measure_start: Optional[float] = None
     start_us = engine.now
+    shift = 0.0  # how late each open-loop arrival comes
     if resume_accounting is not None:
         completed = resume_accounting["completed"]
         measure_start = resume_accounting["measure_start"]
         start_us = resume_accounting["start_us"]
         stats.read_latency.extend(resume_accounting["read_latency"])
         stats.write_latency.extend(resume_accounting["write_latency"])
+        shift = resume_accounting.get("shift_us", 0.0)
+        for name, (done, reads, writes) in resume_accounting.get("tenants", {}).items():
+            tenant = stats.tenants[name]
+            tenant.completed_requests = done
+            tenant.read_latency.extend(reads)
+            tenant.write_latency.extend(writes)
     if warmup_requests == 0 and measure_start is None:
         measure_start = start_us
     registry = getattr(sim, "telemetry", None)
@@ -272,21 +275,37 @@ def replay(
             if request is not None:
                 issue(request)
 
+    step = n_requests if segment_requests is None else segment_requests
     if mode != "closed":
-        _feed_arrivals(engine, trace, start_us, arrive)
+        times = [start_us + request.arrival_us for request in requests]
+        by_arrival = sorted(range(n_requests), key=times.__getitem__)
+
+    def feed(position: int) -> None:
+        # queue the arrivals of the segment at ``position`` of arrival order
+        nonlocal shift
+        members = sorted(by_arrival[position:position + step])
+        now = engine.now
+        shift = max(shift, now - times[by_arrival[position]])
+        # rounding can leave a shifted arrival a hair before the clock
+        shifted = [max(times[k] + shift, now) for k in members]
+        _feed_arrivals(engine, [requests[k] for k in members], shifted, arrive)
+
+    # arrivals take their sequence numbers before the recorder's first
+    # window; closed-loop requests issue after it
+    if mode != "closed":
+        feed(completed)
     if recorder is not None:
         recorder.start()
-    position = completed
-    while True:
-        end = n_requests
-        if segment_requests is not None:
-            end = min(position + segment_requests, n_requests)
+    for position in range(completed, n_requests, step):
         if mode == "closed":
-            backlog = iter(requests[position:end])
+            backlog = iter(requests[position:position + step])
             for request in islice(backlog, queue_depth):
                 issue(request)
-        engine.run(max_events=max_events)
-        while (pending or waiting) and max_events is None:
+        engine.run(until=until_us, max_events=max_events)
+        if until_us is not None or max_events is not None:
+            stats.unfinished = [*pending.values(), *waiting]
+            break
+        while pending or waiting:
             # drained with requests pending: a chip's GC is re-armed only
             # by its own completions, so re-evaluate every chip's
             sim.ftl.rearm_gc()
@@ -296,19 +315,27 @@ def replay(
                 sim._log_stall(completed, stalled)
                 raise SimulationStalledError(_stall_message(completed, stalled))
             engine.run()
-        position = end
-        if position >= n_requests:
+        if position + step >= n_requests:
             break
         if on_barrier is not None:
-            on_barrier(
-                {
-                    "completed": completed,
-                    "measure_start": measure_start,
-                    "start_us": start_us,
-                    "read_latency": stats.read_latency.sample_list(),
-                    "write_latency": stats.write_latency.sample_list(),
+            accounting = {
+                "completed": completed,
+                "measure_start": measure_start,
+                "start_us": start_us,
+                "read_latency": stats.read_latency.sample_list(),
+                "write_latency": stats.write_latency.sample_list(),
+            }
+            if mode != "closed":
+                accounting["shift_us"] = shift
+            if stats.tenants is not None:
+                accounting["tenants"] = {
+                    name: (t.completed_requests, t.read_latency.sample_list(),
+                           t.write_latency.sample_list())
+                    for name, t in stats.tenants.items()
                 }
-            )
+            on_barrier(accounting)
+        if mode != "closed":
+            feed(position + step)
     if measure_start is None:
         measure_start = start_us
     stats.duration_us = engine.now - measure_start

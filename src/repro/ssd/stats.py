@@ -9,6 +9,7 @@ import numpy as np
 
 if TYPE_CHECKING:
     from repro.ftl.base import FTLCounters
+    from repro.workloads.base import IORequest
 
 #: version stamp of the :meth:`SimulationStats.to_dict` layout; bump when
 #: keys change shape so downstream tooling can dispatch (v2: typed counter
@@ -173,6 +174,8 @@ class SimulationStats:
     #: per-tenant statistics of a multi-tenant run, keyed by tenant name;
     #: None on single-stream runs so their serialized output is unchanged
     tenants: Optional[Dict[str, TenantStats]] = None
+    #: what a stopped replay left in flight, then waiting (not serialized)
+    unfinished: List["IORequest"] = field(default_factory=list)
 
     @property
     def iops(self) -> float:

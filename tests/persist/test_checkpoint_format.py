@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from repro import api
 from repro.api import run_simulation, spec_from_kwargs
 from repro.persist import (
     CHECKPOINT_SCHEMA_VERSION,
@@ -33,6 +34,10 @@ def _header(**overrides):
         "seed": 7,
         "n_requests": 100,
         "queue_depth": 32,
+        "host_mode": "closed",
+        "rate_iops": None,
+        "burstiness": 1.0,
+        "tenants": [],
         "warmup_requests": 0,
         "checkpoint_every": 10,
         "check": None,
@@ -57,6 +62,12 @@ class TestHeaderSchema:
     def test_wrong_type_is_reported(self):
         problems = validate_header(_header(n_requests="100"))
         assert any("n_requests" in problem for problem in problems)
+
+    def test_unbounded_open_loop_header_passes(self):
+        """An unbounded host has no queue depth."""
+        header = _header(queue_depth=None, host_mode="unbounded",
+                         rate_iops=20_000)
+        assert validate_header(header) == []
 
     def test_bool_does_not_pass_as_int(self):
         problems = validate_header(_header(segment=True))
@@ -172,6 +183,79 @@ class TestResumeValidation:
                            n_requests=120, resume_from=checkpoint)
 
 
+class TestArrivalProcessValidation:
+    """``run_spec`` builds the trace from the resuming spec, so a resume
+    whose arrivals would differ is refused by the header, before the
+    simulation is built; the queue depth is the header's."""
+
+    HOST = HostSpec(queue_depth=8, open_loop=True, rate_iops=5000.0)
+    TENANTS = (
+        TenantSpec("a", WorkloadSpec("OLTP", n_requests=60), 5000.0,
+                   partition=(0.0, 0.5)),
+        TenantSpec("b", WorkloadSpec("Proxy", n_requests=60), 2000.0,
+                   partition=(0.5, 1.0)),
+    )
+
+    @staticmethod
+    def _spec(tmp_path, host):
+        spec = spec_from_kwargs(
+            SSDConfig.small(), "OLTP", ftl="cube", n_requests=120, seed=9,
+            prefill=0.4, checkpoint_every=40,
+            checkpoint_dir=str(tmp_path / "out"),
+        )
+        return dataclasses.replace(
+            spec, host=host, workload=None if host.tenants else spec.workload
+        )
+
+    def _resume(self, tmp_path, host, **changes):
+        """Checkpoint a run of ``host``, then resume it with ``changes``
+        made to the host."""
+        spec = self._spec(tmp_path, host)
+        straight = run_simulation(spec)
+        resume = dataclasses.replace(
+            spec, host=dataclasses.replace(host, **changes)
+        ).with_options(
+            resume_from=latest_checkpoint(str(tmp_path / "out")),
+            checkpoint_dir=str(tmp_path / "resumed"),
+        )
+        return straight, resume
+
+    @pytest.mark.parametrize(
+        "changes,key",
+        [
+            ({"rate_iops": 4000.0}, "rate_iops"),
+            ({"burstiness": 2.0}, "burstiness"),
+            ({"queue_depth": None}, "host_mode"),
+            ({"open_loop": False, "rate_iops": None}, "host_mode"),
+        ],
+    )
+    def test_other_arrivals_are_refused(
+        self, tmp_path, monkeypatch, changes, key
+    ):
+        _, resume = self._resume(tmp_path, self.HOST, **changes)
+
+        def refuse_build(*args, **kwargs):
+            raise AssertionError("the simulation was built")
+
+        monkeypatch.setattr(api, "SSDSimulation", refuse_build)
+        with pytest.raises(CheckpointError, match=f"another run: {key}"):
+            run_simulation(resume)
+        assert not (tmp_path / "resumed").exists()
+
+    def test_other_tenants_are_refused(self, tmp_path):
+        host = HostSpec(queue_depth=8, tenants=self.TENANTS)
+        slower = (dataclasses.replace(self.TENANTS[0], rate_iops=4000.0),
+                  self.TENANTS[1])
+        _, resume = self._resume(tmp_path, host, tenants=slower)
+        with pytest.raises(CheckpointError, match="another run: tenants"):
+            run_simulation(resume)
+
+    def test_queue_depth_comes_from_the_header(self, tmp_path):
+        straight, resume = self._resume(tmp_path, self.HOST, queue_depth=2)
+        resumed = run_simulation(resume)
+        assert resumed.stats.to_dict() == straight.stats.to_dict()
+
+
 class TestApiGuards:
     def test_checkpoint_without_dir_raises(self):
         with pytest.raises(ValueError, match="checkpoint_dir"):
@@ -191,7 +275,10 @@ class TestApiGuards:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"host": HostSpec(queue_depth=None, open_loop=True, rate_iops=5000.0)},
+            {
+                "host": HostSpec(queue_depth=None, open_loop=True, rate_iops=5000.0),
+                "max_events": 10,
+            },
             {
                 "host": HostSpec(
                     queue_depth=8,
@@ -202,14 +289,19 @@ class TestApiGuards:
                         ),
                     ),
                 ),
+                "max_events": 10,
             },
-            {"host": HostSpec(queue_depth=8, open_loop=True, rate_iops=5000.0)},
+            {
+                "host": HostSpec(queue_depth=8, open_loop=True, rate_iops=5000.0),
+                "max_events": 10,
+            },
             {"max_events": 10},
         ],
     )
     def test_incompatible_options_raise(self, tmp_path, monkeypatch, kwargs):
-        """Each option segmented replay cannot honour is refused by name
-        before the simulation is built or any file is written."""
+        """``max_events``, the option segmented replay cannot honour, is
+        refused by name on every host model (unbounded, tenants, NCQ,
+        closed) before the simulation is built or any file is written."""
         monkeypatch.chdir(tmp_path)
         kwargs = dict(kwargs)
         host = kwargs.pop("host", None)
@@ -217,17 +309,14 @@ class TestApiGuards:
             SSDConfig.small(), "OLTP", n_requests=40,
             checkpoint_every=10, checkpoint_dir="ckpts", **kwargs,
         )
-        if host is None:
-            option = next(iter(kwargs))
-        else:
-            option = "tenants" if host.tenants else "open_loop"
+        if host is not None:
             spec = dataclasses.replace(
                 spec, host=host,
                 workload=None if host.tenants else spec.workload,
             )
         with pytest.raises(ValueError, match="incompatible") as error:
             run_simulation(spec)
-        assert option in str(error.value)
+        assert "max_events" in str(error.value)
         assert os.listdir(tmp_path) == []
 
     @staticmethod

@@ -2,21 +2,29 @@
 byte-identical to the straight-through checkpointing run.
 
 The matrix covers every FTL variant, fresh and aged (2K P/E + 1 yr)
-devices, and fault campaigns.  "Byte-identical" is asserted on the
+devices, fault campaigns, and every host model (closed loop, NCQ,
+unbounded, tenants).  "Byte-identical" is asserted on the
 canonical JSON of the schema-v2 result *and* on the checker's
 ``state_digest`` of the final logical state.
 """
 
+import dataclasses
 import filecmp
 import json
 import os
 
 import pytest
 
-from repro.api import run_simulation
+from repro.api import run_simulation, spec_from_kwargs
 from repro.faults import get_campaign
 from repro.nand.reliability import AgingState
-from repro.persist import latest_checkpoint, list_checkpoints, read_header
+from repro.persist import (
+    latest_checkpoint,
+    list_checkpoints,
+    load_checkpoint,
+    read_header,
+)
+from repro.specs import HostSpec, TenantSpec, WorkloadSpec
 from repro.ssd.config import SSDConfig
 
 REQUESTS = 300
@@ -104,6 +112,62 @@ class TestResumeEquivalence:
             resume_from=checkpoint,
         )
         assert _key(resumed) == _key(straight)
+
+
+class TestEveryHostModelResumes:
+    """NCQ, unbounded and tenant runs checkpoint at drained barriers as
+    closed-loop runs do, and a resume equals the straight checkpointed
+    run.  At 20k IOPS the drains overrun the next segment's first
+    arrival, so the arrival shift rides in the barrier payload; on dftl
+    one shifted arrival rounds a hair below the clock, where only the
+    clamp keeps ``schedule_at`` from refusing it."""
+
+    EVERY = 150
+    HOSTS = {
+        "ncq-20k": HostSpec(queue_depth=8, open_loop=True, rate_iops=20_000.0),
+        "ncq-2k": HostSpec(queue_depth=8, open_loop=True, rate_iops=2_000.0),
+        "unbounded": HostSpec(
+            queue_depth=None, open_loop=True, rate_iops=20_000.0
+        ),
+        "tenants": HostSpec(
+            queue_depth=8,
+            tenants=(
+                TenantSpec("reader", WorkloadSpec("OLTP", n_requests=200),
+                           10_000.0, partition=(0.0, 0.5)),
+                TenantSpec("writer", WorkloadSpec("Proxy", n_requests=200),
+                           5_000.0, partition=(0.5, 1.0)),
+            ),
+        ),
+    }
+
+    @pytest.mark.parametrize("ftl", ["cube", "dftl"])
+    @pytest.mark.parametrize("host", sorted(HOSTS))
+    def test_resume_matches_straight_through(self, tmp_path, ftl, host):
+        host = self.HOSTS[host]
+        spec = spec_from_kwargs(
+            SSDConfig.small(), "OLTP", ftl=ftl, n_requests=450, seed=11,
+            prefill=0.5, check="on", checkpoint_every=self.EVERY,
+            checkpoint_dir=str(tmp_path / "straight"),
+        )
+        spec = dataclasses.replace(
+            spec, host=host, workload=None if host.tenants else spec.workload
+        )
+        straight = run_simulation(spec)
+        checkpoints = list_checkpoints(str(tmp_path / "straight"))
+        assert len(checkpoints) == 2
+        _, state = load_checkpoint(checkpoints[1])
+        accounting = state["accounting"]
+        assert accounting["shift_us"] >= 0.0
+        assert ("tenants" in accounting) == bool(host.tenants)
+        resumed = run_simulation(
+            spec.with_options(
+                resume_from=checkpoints[1],
+                checkpoint_dir=str(tmp_path / "resumed"),
+            )
+        )
+        assert _key(resumed) == _key(straight)
+        if host.rate_iops == 20_000.0:
+            assert accounting["shift_us"] > 0.0
 
 
 def _state_bytes(out_dir):

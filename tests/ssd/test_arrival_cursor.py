@@ -33,11 +33,10 @@ MODES = ("ncq", "unbounded")
 QUEUE_DEPTH = 8
 
 
-def _prescheduled(engine, trace, start_us, arrive):
+def _prescheduled(engine, requests, times, arrive):
     """The pre-cursor arrival loop: one closure per request, every one
     scheduled up front in trace order."""
-    for request in trace:
-        arrival_us = start_us + request.arrival_us
+    for request, arrival_us in zip(requests, times):
 
         def fire(request=request, arrival_us=arrival_us):
             arrive(request, arrival_us)

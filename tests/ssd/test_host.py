@@ -8,7 +8,7 @@ from repro.ssd.config import SSDConfig
 from repro.ssd.controller import SimulationStalledError, SSDSimulation
 from repro.ssd.host import REPLAY_MODES, replay
 from repro.workloads import build_workload
-from repro.workloads.base import Trace, with_arrivals
+from repro.workloads.base import with_arrivals
 from repro.workloads.synthetic import uniform_random_trace
 
 
@@ -19,6 +19,67 @@ def _stamped(config, n_requests, *, rate_iops, seed=3, burstiness=1.0):
     return with_arrivals(
         trace, rate_iops=rate_iops, burstiness=burstiness, seed=seed + 1
     )
+
+
+class TestStopTime:
+    """``until_us`` stops the replay at a simulated instant and hands
+    back what it left unfinished, without draining."""
+
+    def test_closed_stop_hands_back_in_flight_in_issue_order(self):
+        config = SSDConfig.small()
+        sim = SSDSimulation(config, ftl="page")
+        sim.prefill(0.5)
+        trace = uniform_random_trace(config.logical_pages, 400, seed=1)
+        stats = replay(sim, trace, queue_depth=8, until_us=2_000.0)
+        engine = sim.controller.engine
+        assert engine.now == 2_000.0 and engine.pending > 0
+        position = {id(request): k for k, request in enumerate(trace)}
+        issued = [position[id(request)] for request in stats.unfinished]
+        assert 0 < len(issued) <= 8
+        assert issued == sorted(issued)
+        # closed loop issues in trace order: the cut splits it there
+        assert max(issued) == stats.completed_requests + len(issued) - 1
+
+    def test_ncq_stop_hands_back_waiting_after_in_flight(self):
+        config = SSDConfig.small()
+        sim = SSDSimulation(config, ftl="page")
+        trace = _stamped(config, 400, rate_iops=200_000)
+        stats = replay(sim, trace, mode="ncq", queue_depth=2,
+                       until_us=1_000.0)
+        position = {id(request): k for k, request in enumerate(trace)}
+        unfinished = [position[id(request)] for request in stats.unfinished]
+        assert len(unfinished) > 2 and len(set(unfinished)) == len(unfinished)
+        # two slots in flight, then the waiting list in arrival order
+        assert unfinished[2:] == sorted(unfinished[2:])
+
+    def test_open_loop_stop_between_arrivals_hands_back_nothing(self):
+        """Requests that have not arrived by the stop are not handed
+        back: a stop in an idle gap returns an empty list, with the next
+        arrival still queued and the trace only partly completed."""
+        config = SSDConfig.small()
+        sim = SSDSimulation(config, ftl="page")
+        trace = _stamped(config, 20, rate_iops=100)
+        stop = trace.requests[7].arrival_us - 1_000.0
+        stats = replay(sim, trace, mode="ncq", queue_depth=8, until_us=stop)
+        assert stats.unfinished == [] and stats.completed_requests == 7
+        assert sim.controller.engine.pending == 1
+
+    @pytest.mark.parametrize("until_us", [-1.0, float("nan")])
+    def test_stop_before_the_clock_is_refused(self, until_us):
+        config = SSDConfig.small()
+        sim = SSDSimulation(config, ftl="page")
+        trace = uniform_random_trace(config.logical_pages, 5, seed=1)
+        with pytest.raises(ValueError, match="until_us"):
+            replay(sim, trace, queue_depth=8, until_us=until_us)
+        assert sim.controller.engine.now == 0.0
+
+    def test_stop_after_the_last_completion_finishes_the_run(self):
+        config = SSDConfig.small()
+        sim = SSDSimulation(config, ftl="page")
+        trace = uniform_random_trace(config.logical_pages, 50, seed=1)
+        stats = replay(sim, trace, queue_depth=8, until_us=1e9)
+        assert stats.unfinished == []
+        assert stats.completed_requests == 50
 
 
 class TestReplayValidation:
@@ -60,34 +121,15 @@ class TestReplayValidation:
         with pytest.raises(ValueError, match="logical space"):
             replay(sim, trace, mode="closed")
 
-    @pytest.mark.parametrize(
-        "conflict",
-        ["ncq", "unbounded", "ncq-unstamped", "max_events", "tenants"],
-    )
+    @pytest.mark.parametrize("conflict", ["max_events", "until_us"])
     def test_segmented_replay_refuses_each_conflict(self, conflict):
-        """Segments end at drained barriers; whatever cannot cross one is
-        refused by the option's name, before the arrival-time check."""
+        """Segments end at drained barriers; an option that cannot cross
+        one is refused by its name before anything runs."""
         config = SSDConfig.small()
         sim = SSDSimulation(config, ftl="page")
         trace = uniform_random_trace(config.logical_pages, 20, seed=1)
-        kwargs = {}
-        name = conflict
-        if conflict in ("ncq", "unbounded"):
-            trace = _stamped(config, 20, rate_iops=1000)
-            kwargs["mode"] = conflict
-            name = "open_loop"
-        elif conflict == "ncq-unstamped":
-            kwargs["mode"] = "ncq"
-            name = "open_loop"
-        elif conflict == "max_events":
-            kwargs["max_events"] = 100
-        else:
-            trace = Trace(
-                "mix", trace.logical_pages,
-                [request.tagged("a") for request in trace],
-            )
-        with pytest.raises(ValueError, match=f"incompatible.*{name}"):
-            replay(sim, trace, segment_requests=5, **kwargs)
+        with pytest.raises(ValueError, match=f"incompatible.*{conflict}"):
+            replay(sim, trace, segment_requests=5, **{conflict: 100})
         assert sim.controller.engine.now == 0.0
 
     def test_segmented_replay_composes_with_recorder(self):

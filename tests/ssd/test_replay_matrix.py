@@ -16,7 +16,11 @@ each such case pops exactly its plain case's entries
 ``latency`` and ``sampler`` digests kept their old values.  The
 ``closed-aged-faults`` case runs an aged device under the ``heavy``
 fault campaign, so the program-fail rewrite, read recovery and block
-retirement paths are pinned too.
+retirement paths are pinned too.  The ``ncq``, ``unbounded`` and
+``ncq-tenants`` ``-segmented`` cases were added when open-loop and
+tenant runs learned to checkpoint: their barrier payloads carry the
+arrival shift and the tenant slices, and each ``-resumed`` twin starts
+from the second barrier and must end equal to its straight run.
 
 Regenerate them only after an intentional model change::
 
@@ -65,6 +69,12 @@ CASES = (
     "ncq-warmup-max-events",
     "segmented",
     "segmented-resumed",
+    "ncq-segmented",
+    "ncq-segmented-resumed",
+    "unbounded-segmented",
+    "unbounded-segmented-resumed",
+    "ncq-tenants-segmented",
+    "ncq-tenants-segmented-resumed",
     "closed-aged-faults",
 )
 #: the aged, faulty device of the ``closed-aged-faults`` case
@@ -174,24 +184,25 @@ def _replay_case(ftl, mode, *, tenants=False, config=None, results=None,
     return _fingerprint(sim, stats, popped, [])
 
 
-def _segmented(sim, trace, **kwargs):
-    """Closed-loop replay in drained segments of SEGMENT requests."""
+def _segmented(sim, trace, mode, **kwargs):
+    """Replay in drained segments of SEGMENT requests."""
+    if mode != "unbounded":
+        kwargs["queue_depth"] = QUEUE_DEPTH
     return replay(
         sim,
         trace,
-        mode="closed",
-        queue_depth=QUEUE_DEPTH,
+        mode=mode,
         warmup_requests=50,
         segment_requests=SEGMENT,
         **kwargs,
     )
 
 
-def _segmented_cases(ftl):
+def _segmented_cases(ftl, mode="closed", tenants=False):
     """The straight-through segmented run and the run resumed from its
     second barrier; the resumed result must equal the straight one."""
     config = _config()
-    trace = _trace(config)
+    trace = _tenant_trace(config) if tenants else _trace(config)
     barriers, snapshots, popped = [], [], []
     sim = _sim(config, ftl)
 
@@ -200,9 +211,15 @@ def _segmented_cases(ftl):
         snapshots.append(pickle.dumps(capture_state(sim, accounting)))
 
     with _recording_pops(popped):
-        stats = _segmented(sim, trace, on_barrier=on_barrier)
+        stats = _segmented(sim, trace, mode, on_barrier=on_barrier)
     straight = _fingerprint(sim, stats, popped, barriers)
-    assert [b["completed"] for b in barriers] == [100, 200, 300]
+    assert [b["completed"] for b in barriers] == list(
+        range(SEGMENT, len(trace), SEGMENT)
+    )
+    # the drains overrun the next segment's first arrival, so the shift
+    # is pinned; closed-loop payloads carry no shift
+    assert (barriers[-1].get("shift_us", 0.0) > 0) == (mode != "closed")
+    assert ("tenants" in barriers[0]) == tenants
 
     state = pickle.loads(snapshots[1])
     resumed_sim = _sim(config, ftl, prefill=False)
@@ -212,6 +229,7 @@ def _segmented_cases(ftl):
         resumed_stats = _segmented(
             resumed_sim,
             trace,
+            mode,
             on_barrier=resumed_barriers.append,
             resume_accounting=state["accounting"],
         )
@@ -219,7 +237,10 @@ def _segmented_cases(ftl):
     resumed = _fingerprint(
         resumed_sim, resumed_stats, resumed_popped, resumed_barriers
     )
-    return {"segmented": straight, "segmented-resumed": resumed}
+    label = "segmented"
+    if mode != "closed":
+        label = f"{mode}{'-tenants' if tenants else ''}-segmented"
+    return {label: straight, f"{label}-resumed": resumed}
 
 
 def fingerprints(aged_results=None):
@@ -243,6 +264,9 @@ def fingerprints(aged_results=None):
             ftl, "ncq", warmup_requests=40, max_events=1200
         )
         cases.update(_segmented_cases(ftl))
+        for mode, tenants in (("ncq", False), ("unbounded", False),
+                              ("ncq", True)):
+            cases.update(_segmented_cases(ftl, mode, tenants))
         results = []
         cases["closed-aged-faults"] = _replay_case(
             ftl, "closed", config=_aged_faulty_config(), results=results
