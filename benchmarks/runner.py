@@ -6,7 +6,7 @@ import os
 from typing import Dict
 
 from benchmarks.conftest import BENCH_QUEUE_DEPTH, BENCH_REQUESTS, BENCH_WARMUP
-from repro.api import run_many
+from repro.api import run_many, spec_from_kwargs
 from repro.nand.reliability import AgingState
 from repro.parallel import RunSpec
 from repro.ssd.config import SSDConfig
@@ -41,22 +41,24 @@ def run_matrix(
     ftls = ftls if ftls is not None else FTLS
     workloads = workloads if workloads is not None else WORKLOADS
     aged = config.with_aging(aging)
-    specs = [
+    cells = [
         RunSpec(
             name=f"{workload}/{ftl}",
-            config=aged,
-            workload=workload,
-            ftl=ftl,
-            queue_depth=BENCH_QUEUE_DEPTH,
-            warmup_requests=BENCH_WARMUP,
-            prefill=0.9,
-            n_requests=BENCH_REQUESTS,
+            spec=spec_from_kwargs(
+                aged,
+                workload,
+                ftl,
+                queue_depth=BENCH_QUEUE_DEPTH,
+                warmup_requests=BENCH_WARMUP,
+                prefill=0.9,
+                n_requests=BENCH_REQUESTS,
+            ),
             seed=seed,
         )
         for workload in workloads
         for ftl in ftls
     ]
-    batch = run_many(specs, jobs=os.cpu_count() or 1)
+    batch = run_many(cells, jobs=os.cpu_count() or 1)
     if batch.errors:
         raise RuntimeError(
             "\n".join(
@@ -65,7 +67,7 @@ def run_matrix(
             )
         )
     results: Dict[str, Dict[str, SimulationStats]] = {}
-    for spec, result in zip(specs, batch.results):
+    for cell, result in zip(cells, batch.results):
         stats = result.stats
-        results.setdefault(spec.workload, {})[stats.ftl_name] = stats
+        results.setdefault(cell.spec.workload_name, {})[stats.ftl_name] = stats
     return results

@@ -1,14 +1,18 @@
 """Stable high-level entry point: configure, run, observe.
 
-:func:`run_simulation` is the one call every front end goes through
-(CLI, benchmarks, examples, notebooks): it builds the SSD, prefills it,
-replays a workload, and optionally attaches the :mod:`repro.obs`
-tracer, telemetry registry and time-series recorder.  Everything it
-returns is packed into a :class:`SimulationResult`, so callers never
-reach into the simulation objects themselves -- the facade is the
-compatibility surface; the internals behind it are free to move.
+Every run this module makes is one :class:`~repro.specs.SimulationSpec`,
+and :func:`run_spec` is the only code that executes one: it builds the SSD,
+prefills it (or restores a checkpoint), replays the workload, and
+optionally attaches the :mod:`repro.obs` tracer, telemetry registry and
+time-series recorder.  Everything it returns is packed into a
+:class:`SimulationResult`, so callers never reach into the simulation
+objects themselves -- the facade is the compatibility surface; the
+internals behind it are free to move.  :func:`run_many` runs a batch of
+named specs (:class:`~repro.parallel.RunSpec`) across worker processes,
+and the CLI turns each command's flags or ``--spec`` file into specs.
 
-Two call forms, verified byte-identical by the golden-trace suite:
+:func:`run_simulation` is the facade's one-call form, with two call
+forms verified byte-identical by the golden-trace suite:
 
 - **Spec form** (preferred): pass one
   :class:`~repro.specs.SimulationSpec` --
@@ -17,13 +21,13 @@ Two call forms, verified byte-identical by the golden-trace suite:
                             ftl="cube", seed=7)
       result = run_simulation(spec)
 
-- **Kwarg form** (back-compat shim): the historical flat signature --
+- **Kwarg form**: the flat signature --
 
       result = run_simulation(SSDConfig(), "OLTP", ftl="cube",
                               n_requests=2000, trace="memory")
 
-  It simply builds the equivalent spec (:func:`spec_from_kwargs`) and
-  runs it.
+  It builds the equivalent spec (:func:`spec_from_kwargs`, where its
+  keywords are listed and documented) and runs it.
 
 Multi-tenant scenarios, NCQ replay, and trace-file workloads are only
 reachable through the spec form (they do not fit flat kwargs -- that is
@@ -125,74 +129,16 @@ def spec_from_kwargs(
     artifact_dir: Optional[str] = None,
     **ftl_kwargs,
 ) -> SimulationSpec:
-    """The :class:`~repro.specs.SimulationSpec` equivalent of the legacy
-    flat-kwarg :func:`run_simulation` call -- the back-compat mapping,
-    pinned in one place.  The flat form replays closed-loop; open-loop
-    replay (NCQ or unbounded) is spec-form only.
-    """
-    if isinstance(workload, str):
-        workload = WorkloadSpec(workload, n_requests=n_requests)
-    host = HostSpec(queue_depth=queue_depth)
-    options = RunOptions(
-        trace=trace,
-        metrics_interval=metrics_interval,
-        telemetry=telemetry,
-        profile=profile,
-        check=check,
-        max_events=max_events,
-        checkpoint_every=checkpoint_every,
-        checkpoint_dir=checkpoint_dir,
-        resume_from=resume_from,
-        artifact_dir=artifact_dir,
-    )
-    return SimulationSpec(
-        config=config,
-        workload=workload,
-        ftl=ftl,
-        host=host,
-        options=options,
-        warmup_requests=warmup_requests,
-        prefill=prefill,
-        seed=seed,
-        ftl_kwargs=dict(ftl_kwargs),
-    )
-
-
-def run_simulation(
-    config: Union[SSDConfig, SimulationSpec],
-    workload: Union[str, Trace, None] = None,
-    ftl: str = "cube",
-    *,
-    queue_depth: int = 32,
-    warmup_requests: int = 0,
-    prefill: float = 0.9,
-    n_requests: int = 8000,
-    seed: int = 7,
-    trace: Optional[str] = None,
-    metrics_interval: Optional[float] = None,
-    telemetry: bool = False,
-    profile: bool = False,
-    max_events: Optional[int] = None,
-    check=None,
-    checkpoint_every: Optional[int] = None,
-    checkpoint_dir: Optional[str] = None,
-    resume_from: Optional[str] = None,
-    artifact_dir: Optional[str] = None,
-    **ftl_kwargs,
-) -> SimulationResult:
-    """Build, prefill, and run one SSD simulation.
-
-    Accepts either one :class:`~repro.specs.SimulationSpec` as the sole
-    positional argument (the preferred form) or the legacy flat kwargs
-    below, which :func:`spec_from_kwargs` maps to the equivalent spec --
-    the two forms produce byte-identical results.
+    """The :class:`~repro.specs.SimulationSpec` of a flat-kwarg
+    :func:`run_simulation` call -- the one place its keywords are
+    listed.  The flat form replays closed-loop; open-loop replay (NCQ or
+    unbounded) is spec-form only.  Keywords this signature does not name
+    pass to the FTL's constructor (``ftl_kwargs``).
 
     Parameters
     ----------
     config:
-        The SSD to simulate, or a complete
-        :class:`~repro.specs.SimulationSpec` (then every other argument
-        must be left at its default).
+        The SSD to simulate.
     workload:
         A workload name (``"OLTP"``, ``"Proxy"``, ...; generated with
         ``n_requests`` / ``seed``), a ``trace:<path>`` reference, or a
@@ -268,45 +214,67 @@ def run_simulation(
         artifacts; a run without them is bit-for-bit the plain run.
         The written path lands in ``result.artifact``.
     """
+    if isinstance(workload, str):
+        workload = WorkloadSpec(workload, n_requests=n_requests)
+    host = HostSpec(queue_depth=queue_depth)
+    options = RunOptions(
+        trace=trace,
+        metrics_interval=metrics_interval,
+        telemetry=telemetry,
+        profile=profile,
+        check=check,
+        max_events=max_events,
+        checkpoint_every=checkpoint_every,
+        checkpoint_dir=checkpoint_dir,
+        resume_from=resume_from,
+        artifact_dir=artifact_dir,
+    )
+    return SimulationSpec(
+        config=config,
+        workload=workload,
+        ftl=ftl,
+        host=host,
+        options=options,
+        warmup_requests=warmup_requests,
+        prefill=prefill,
+        seed=seed,
+        ftl_kwargs=dict(ftl_kwargs),
+    )
+
+
+def run_simulation(
+    config: Union[SSDConfig, SimulationSpec],
+    workload: Union[str, Trace, None] = None,
+    *args,
+    **kwargs,
+) -> SimulationResult:
+    """Build, prefill, and run one SSD simulation.
+
+    Accepts either one :class:`~repro.specs.SimulationSpec` as the sole
+    argument (the preferred form; any other argument beside it raises
+    ``TypeError``) or the flat form: an :class:`SSDConfig`, a workload,
+    and the arguments of :func:`spec_from_kwargs` (``ftl``,
+    ``queue_depth``, ``n_requests``, ``trace``, ``check``, ...), which
+    maps them to the equivalent spec -- the two forms produce
+    byte-identical results.
+    """
     if isinstance(config, SimulationSpec):
-        if workload is not None or ftl_kwargs:
+        if workload is not None or args or kwargs:
             raise TypeError(
                 "pass either one SimulationSpec or the flat kwarg form, "
                 "not both"
             )
         return run_spec(config)
-    return run_spec(
-        spec_from_kwargs(
-            config,
-            workload,
-            ftl,
-            queue_depth=queue_depth,
-            warmup_requests=warmup_requests,
-            prefill=prefill,
-            n_requests=n_requests,
-            seed=seed,
-            trace=trace,
-            metrics_interval=metrics_interval,
-            telemetry=telemetry,
-            profile=profile,
-            max_events=max_events,
-            check=check,
-            checkpoint_every=checkpoint_every,
-            checkpoint_dir=checkpoint_dir,
-            resume_from=resume_from,
-            artifact_dir=artifact_dir,
-            **ftl_kwargs,
-        )
-    )
+    return run_spec(spec_from_kwargs(config, workload, *args, **kwargs))
 
 
 def run_spec(spec: SimulationSpec) -> SimulationResult:
     """Execute one :class:`~repro.specs.SimulationSpec`.
 
     The single executor behind both :func:`run_simulation` call forms,
-    and the only code that builds and runs a simulation: every option
-    lives on the spec, so the kwarg shim cannot drift from the spec
-    path.  A checkpointed run replays in segments with
+    :func:`run_many`'s workers and the CLI, and the only code that
+    builds and runs a simulation: every option lives on the spec, so
+    the kwarg form cannot drift from the spec path.  A checkpointed run replays in segments with
     :func:`repro.persist.driver.checkpoint_hook` as the barrier hook; a
     resumed run takes the same path and restores the checkpoint where a
     fresh run prefills.
@@ -568,7 +536,8 @@ def run_many(
     SIGINT raises :class:`~repro.parallel.ShardsInterrupted` carrying
     the completed outcomes.
     """
-    from repro.parallel import merge_snapshots, run_shards, specs_to_shards
+    from repro.parallel import merge_snapshots, specs_to_shards
+    from repro.persist import run_shards_resumable
 
     shards = specs_to_shards(specs, base_seed)
     progress = None
@@ -579,28 +548,16 @@ def run_many(
             callback(outcome.name, outcome.ok)
 
     registry = TelemetryRegistry() if retries > 0 else None
-    if checkpoint_dir is not None:
-        from repro.persist import run_shards_resumable
-
-        outcomes = run_shards_resumable(
-            shards,
-            jobs=jobs,
-            checkpoint_dir=checkpoint_dir,
-            base_seed=base_seed,
-            on_progress=progress,
-            retries=retries,
-            registry=registry,
-            heartbeat=on_heartbeat,
-        )
-    else:
-        outcomes = run_shards(
-            shards,
-            jobs=jobs,
-            on_progress=progress,
-            retries=retries,
-            registry=registry,
-            heartbeat=on_heartbeat,
-        )
+    outcomes = run_shards_resumable(
+        shards,
+        jobs=jobs,
+        checkpoint_dir=checkpoint_dir,
+        base_seed=base_seed,
+        on_progress=progress,
+        retries=retries,
+        registry=registry,
+        heartbeat=on_heartbeat,
+    )
     results: List[Optional[SimulationResult]] = []
     errors: Dict[str, str] = {}
     for outcome in outcomes:
@@ -689,17 +646,13 @@ def run_tenant_scenario(
     :meth:`~TenantScenarioResult.interference_matrix` isolates
     cross-tenant interference.
     """
-    from dataclasses import replace as dc_replace
-
     from repro.parallel import RunSpec
 
     if not spec.host.tenants:
         raise ValueError("run_tenant_scenario needs a spec with host.tenants")
     run_specs = [RunSpec(name="shared", spec=spec, seed=spec.seed)]
     for tenant in spec.host.tenants:
-        solo_spec = dc_replace(
-            spec, host=replace(spec.host, tenants=(tenant,))
-        )
+        solo_spec = replace(spec, host=replace(spec.host, tenants=(tenant,)))
         run_specs.append(
             RunSpec(name=f"solo:{tenant.name}", spec=solo_spec, seed=spec.seed)
         )

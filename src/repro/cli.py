@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Three subcommands cover the common flows::
+Ten subcommands cover the common flows::
 
     repro-ssd characterize --chips 4 --blocks 8
         run the Section 3 study and print Delta-H / Delta-V summaries
@@ -39,25 +39,34 @@ Three subcommands cover the common flows::
         compare two run artifacts metric by metric with tolerance
         verdicts (exit 1 on regression, 2 on schema mismatch)
 
-``simulate`` and ``compare`` accept ``--check[=strict]`` to attach the
-runtime invariant checker to normal runs.  ``simulate``, ``sweep``, and
-``tenants`` accept ``--spec FILE`` with a JSON/TOML
-:class:`~repro.specs.SimulationSpec`; everywhere a workload name is
-accepted, a ``trace:<path>`` reference replays a recorded block trace.
+    repro-ssd spor --ftl cube --spor-at 20000
+        cut power mid-run, recover the FTL from per-page OOB metadata,
+        and verify the recovered device against the shadow-store oracle
+
+``simulate``, ``compare`` and ``sweep`` build one
+:class:`~repro.specs.SimulationSpec` per run: the command's flags, or
+its ``--spec FILE`` (JSON/TOML; ``simulate`` and ``sweep``), with the
+run-option flags (``--trace``, ``--telemetry``, ``--check``,
+``--artifacts``, ...) applied.  ``simulate`` and ``compare`` run each
+spec with :func:`repro.api.run_spec`, ``sweep`` its cells with
+:func:`repro.api.run_many`.  ``tenants`` also accepts ``--spec``.
+Everywhere a workload name is accepted, a ``trace:<path>`` reference
+replays a recorded block trace.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 from repro.analysis.tables import format_table
-from repro.api import run_simulation
+from repro.api import run_spec, spec_from_kwargs
 from repro.faults import CAMPAIGNS, get_campaign
-from repro.nand.geometry import BlockGeometry, SSDGeometry
 from repro.nand.reliability import AgingState
 from repro.obs.log import LEVELS, configure_logging, get_logger, log_event
+from repro.specs import SimulationSpec, load_spec_file
 from repro.ssd.config import SSDConfig
 from repro.workloads import WORKLOAD_GENERATORS, is_trace_path
 
@@ -527,15 +536,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _device(blocks_per_chip: int) -> SSDConfig:
+    """The CLI's drive: the default SSD with ``blocks_per_chip`` blocks
+    on each chip."""
+    geometry = replace(SSDConfig().geometry, blocks_per_chip=blocks_per_chip)
+    return SSDConfig(geometry=geometry)
+
+
 def _config(args: argparse.Namespace) -> SSDConfig:
-    geometry = SSDGeometry(
-        n_channels=2,
-        chips_per_channel=4,
-        blocks_per_chip=args.blocks_per_chip,
-        block=BlockGeometry(),
-    )
     return (
-        SSDConfig(geometry=geometry)
+        _device(args.blocks_per_chip)
         .with_aging(AgingState(args.pe, args.retention))
         .with_faults(get_campaign(args.faults))
     )
@@ -565,26 +575,37 @@ def _run_options(args: argparse.Namespace) -> dict:
     }
 
 
-def _run(args: argparse.Namespace, ftl: str):
-    config = _config(args)
-    ftl_kwargs = {}
-    cmt_capacity = getattr(args, "cmt_capacity", None)
-    if cmt_capacity is not None:
-        if ftl != "dftl":
-            raise SystemExit("--cmt-capacity only applies to --ftl dftl")
-        ftl_kwargs["cmt_capacity"] = cmt_capacity
-    return run_simulation(
-        config,
-        args.workload,
-        ftl=ftl,
-        queue_depth=args.queue_depth,
-        warmup_requests=args.warmup,
-        prefill=args.prefill,
-        n_requests=args.requests,
-        seed=args.seed,
-        **_run_options(args),
-        **ftl_kwargs,
-    )
+def _spec(
+    args: argparse.Namespace,
+    config: Optional[SSDConfig] = None,
+    workload: Optional[str] = None,
+    ftl: str = "cube",
+) -> SimulationSpec:
+    """The run a command describes, with its run-option flags applied:
+    its ``--spec`` file, or else ``workload`` on ``config`` under
+    ``ftl`` with the flat flags (queue depth, warm-up, prefill,
+    requests, seed, ``--cmt-capacity``)."""
+    if getattr(args, "spec", None):
+        spec = load_spec_file(args.spec)
+    else:
+        ftl_kwargs = {}
+        cmt_capacity = getattr(args, "cmt_capacity", None)
+        if cmt_capacity is not None:
+            if ftl != "dftl":
+                raise SystemExit("--cmt-capacity only applies to --ftl dftl")
+            ftl_kwargs["cmt_capacity"] = cmt_capacity
+        spec = spec_from_kwargs(
+            config,
+            workload,
+            ftl,
+            queue_depth=args.queue_depth,
+            warmup_requests=args.warmup,
+            prefill=args.prefill,
+            n_requests=args.requests,
+            seed=args.seed,
+            **ftl_kwargs,
+        )
+    return spec.with_options(**_run_options(args))
 
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
@@ -621,13 +642,7 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if args.spec:
-        from repro.specs import load_spec_file
-
-        spec = load_spec_file(args.spec).with_options(**_run_options(args))
-        result = run_simulation(spec)
-    else:
-        result = _run(args, args.ftl)
+    result = run_spec(_spec(args, _config(args), args.workload, args.ftl))
     stats = result.stats
     print(stats.summary())
     if stats.tenants:
@@ -713,10 +728,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    config = _config(args)
     rows = []
     base = None
     for ftl in ("page", "vert", "cube", "dftl"):
-        stats = _run(args, ftl).stats
+        stats = run_spec(_spec(args, config, args.workload, ftl)).stats
         if base is None:
             base = stats.iops
         rows.append(
@@ -766,9 +782,11 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_specs(args: argparse.Namespace):
+def _sweep_cells(args: argparse.Namespace):
     """RunSpecs for the sweep's cross product, in deterministic order.
 
+    A base spec (the ``--spec`` file, or the flags' spec of each
+    workload) crossed with every FTL, aging state and fault campaign.
     Each cell's name encodes every swept dimension, and the name is all
     the seed derivation sees -- so a cell keeps its seed (and its
     results) when other cells are added to or removed from the sweep.
@@ -776,7 +794,6 @@ def _sweep_specs(args: argparse.Namespace):
     from repro.parallel import RunSpec
 
     ftls = [f for f in args.ftls.split(",") if f]
-    workloads = [w for w in args.workloads.split(",") if w]
     agings = []
     for pair in args.aging:
         try:
@@ -786,73 +803,33 @@ def _sweep_specs(args: argparse.Namespace):
             raise SystemExit(
                 f"bad --aging value {pair!r} (expected PE:MONTHS, e.g. 2000:12)"
             )
-    if getattr(args, "spec", None):
-        import dataclasses
-
-        from repro.specs import load_spec_file
-
-        base_spec = load_spec_file(args.spec)
-        specs = []
-        for ftl in ftls:
+    if args.spec:
+        bases = [_spec(args)]
+    else:
+        device = _device(args.blocks_per_chip)
+        bases = [
+            _spec(args, device, workload)
+            for workload in args.workloads.split(",")
+            if workload
+        ]
+    cells = []
+    for ftl in ftls:
+        for base in bases:
             for aging in agings:
                 for fault in args.faults:
                     name = (
-                        f"{ftl}-{base_spec.workload_name}"
+                        f"{ftl}-{base.workload_name}"
                         f"-pe{aging.pe_cycles}-ret{aging.retention_months:g}"
                     )
                     if fault != "none":
                         name += f"-{fault}"
-                    cell = dataclasses.replace(
-                        base_spec,
-                        ftl=ftl,
-                        config=base_spec.config.with_aging(aging).with_faults(
-                            get_campaign(fault)
-                        ),
-                    )
-                    specs.append(
-                        RunSpec(
-                            name=name,
-                            workload=base_spec.workload_name,
-                            ftl=ftl,
-                            telemetry=args.telemetry,
-                            spec=cell,
-                            artifact_dir=getattr(args, "artifacts", None),
-                        )
-                    )
-        return specs
-    geometry = SSDGeometry(
-        n_channels=2,
-        chips_per_channel=4,
-        blocks_per_chip=args.blocks_per_chip,
-        block=BlockGeometry(),
-    )
-    base_config = SSDConfig(geometry=geometry)
-    specs = []
-    for ftl in ftls:
-        for workload in workloads:
-            for aging in agings:
-                for fault in args.faults:
-                    name = f"{ftl}-{workload}-pe{aging.pe_cycles}-ret{aging.retention_months:g}"
-                    if fault != "none":
-                        name += f"-{fault}"
-                    config = base_config.with_aging(aging).with_faults(
+                    config = base.config.with_aging(aging).with_faults(
                         get_campaign(fault)
                     )
-                    specs.append(
-                        RunSpec(
-                            name=name,
-                            config=config,
-                            workload=workload,
-                            ftl=ftl,
-                            queue_depth=args.queue_depth,
-                            warmup_requests=args.warmup,
-                            prefill=args.prefill,
-                            n_requests=args.requests,
-                            telemetry=args.telemetry,
-                            artifact_dir=getattr(args, "artifacts", None),
-                        )
+                    cells.append(
+                        RunSpec(name, replace(base, ftl=ftl, config=config))
                     )
-    return specs
+    return cells
 
 
 def _heartbeat_printer(n_runs: int):
@@ -899,7 +876,7 @@ def _heartbeat_printer(n_runs: int):
     return heartbeat, clear
 
 
-def _partial_sweep_payload(specs, outcomes, base_seed):
+def _partial_sweep_payload(cells, outcomes, base_seed):
     """Sweep JSON for an interrupted run: whatever completed, flagged
     ``"incomplete": true`` so downstream tooling never mistakes it for
     a full sweep."""
@@ -907,14 +884,14 @@ def _partial_sweep_payload(specs, outcomes, base_seed):
 
     by_name = {outcome.name: outcome for outcome in outcomes}
     runs = []
-    for spec in specs:
-        outcome = by_name.get(spec.name)
+    for cell in cells:
+        outcome = by_name.get(cell.name)
         runs.append(
             {
-                "name": spec.name,
-                "seed": resolve_seed(spec, base_seed),
-                "ftl": spec.ftl,
-                "workload": spec.workload,
+                "name": cell.name,
+                "seed": resolve_seed(cell, base_seed),
+                "ftl": cell.spec.ftl,
+                "workload": cell.spec.workload_name,
                 "stats": (
                     outcome.result.stats.to_dict()
                     if outcome is not None and outcome.ok
@@ -930,11 +907,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.api import run_many
     from repro.parallel import ShardsInterrupted, resolve_seed
 
-    specs = _sweep_specs(args)
-    if not specs:
+    cells = _sweep_cells(args)
+    if not cells:
         raise SystemExit("sweep is empty: no FTLs or workloads selected")
-    print(f"sweep: {len(specs)} cell(s), {args.jobs} job(s)")
-    heartbeat, clear_heartbeat = _heartbeat_printer(len(specs))
+    print(f"sweep: {len(cells)} cell(s), {args.jobs} job(s)")
+    heartbeat, clear_heartbeat = _heartbeat_printer(len(cells))
 
     def progress(name: str, ok: bool) -> None:
         clear_heartbeat()
@@ -942,7 +919,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     try:
         batch = run_many(
-            specs,
+            cells,
             jobs=args.jobs,
             base_seed=args.seed,
             on_progress=progress,
@@ -954,14 +931,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         clear_heartbeat()
         done = len(interrupt.outcomes)
         print(
-            f"\ninterrupted: {done}/{len(specs)} cell(s) complete",
+            f"\ninterrupted: {done}/{len(cells)} cell(s) complete",
             file=sys.stderr,
         )
         if args.json:
             import json
 
             payload = _partial_sweep_payload(
-                specs, interrupt.outcomes, args.seed
+                cells, interrupt.outcomes, args.seed
             )
             with open(args.json, "w") as handle:
                 json.dump(payload, handle, indent=2, sort_keys=True)
@@ -980,23 +957,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.artifacts:
         from repro.obs.artifact import write_sweep_manifest
 
-        cells = {
-            spec.name: (result.artifact if result is not None else None)
-            for spec, result in zip(specs, batch.results)
+        artifacts = {
+            cell.name: (result.artifact if result is not None else None)
+            for cell, result in zip(cells, batch.results)
         }
-        index = write_sweep_manifest(args.artifacts, cells, args.seed)
+        index = write_sweep_manifest(args.artifacts, artifacts, args.seed)
         print(f"sweep artifact index written to {index}")
     rows = []
-    for spec, result in zip(specs, batch.results):
+    for cell, result in zip(cells, batch.results):
         if result is None:
-            rows.append([spec.name, str(resolve_seed(spec, args.seed)),
+            rows.append([cell.name, str(resolve_seed(cell, args.seed)),
                          "FAILED", "-", "-", "-"])
             continue
         stats = result.stats
         rows.append(
             [
-                spec.name,
-                str(resolve_seed(spec, args.seed)),
+                cell.name,
+                str(resolve_seed(cell, args.seed)),
                 f"{stats.iops:.0f}",
                 f"{stats.read_latency.percentile(99):.0f}",
                 f"{stats.write_latency.percentile(99):.0f}",
@@ -1017,16 +994,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "base_seed": args.seed,
             "runs": [
                 {
-                    "name": spec.name,
-                    "seed": resolve_seed(spec, args.seed),
-                    "ftl": spec.ftl,
-                    "workload": spec.workload,
+                    "name": cell.name,
+                    "seed": resolve_seed(cell, args.seed),
+                    "ftl": cell.spec.ftl,
+                    "workload": cell.spec.workload_name,
                     "stats": result.stats.to_dict() if result else None,
-                    "error": batch.errors.get(spec.name),
-                    "retried": spec.name in batch.retried,
-                    "cached": spec.name in batch.cached,
+                    "error": batch.errors.get(cell.name),
+                    "retried": cell.name in batch.retried,
+                    "cached": cell.name in batch.cached,
                 }
-                for spec, result in zip(specs, batch.results)
+                for cell, result in zip(cells, batch.results)
             ],
         }
         if batch.telemetry is not None:
@@ -1045,7 +1022,7 @@ def _default_tenant_spec(args: argparse.Namespace):
     """The built-in 4-tenant mixed scenario: OLTP, Mail, Web, and Proxy
     streams at the same arrival rate, each confined to one quarter of the
     logical space."""
-    from repro.specs import HostSpec, SimulationSpec, TenantSpec, WorkloadSpec
+    from repro.specs import HostSpec, TenantSpec, WorkloadSpec
 
     names = ("OLTP", "Mail", "Web", "Proxy")
     tenants = tuple(
@@ -1057,14 +1034,8 @@ def _default_tenant_spec(args: argparse.Namespace):
         )
         for index, name in enumerate(names)
     )
-    geometry = SSDGeometry(
-        n_channels=2,
-        chips_per_channel=4,
-        blocks_per_chip=args.blocks_per_chip,
-        block=BlockGeometry(),
-    )
     return SimulationSpec(
-        config=SSDConfig(geometry=geometry),
+        config=_device(args.blocks_per_chip),
         ftl=getattr(args, "ftl", "cube"),
         host=HostSpec(queue_depth=args.queue_depth, tenants=tenants),
         prefill=args.prefill,
@@ -1074,7 +1045,6 @@ def _default_tenant_spec(args: argparse.Namespace):
 
 def _cmd_tenants(args: argparse.Namespace) -> int:
     from repro.api import run_tenant_scenario
-    from repro.specs import load_spec_file
 
     if args.spec:
         spec = load_spec_file(args.spec)
@@ -1175,16 +1145,9 @@ def _cmd_contract(args: argparse.Namespace) -> int:
     from repro.obs.contract import analyze_contract, contract_report
     from repro.specs import WorkloadSpec
 
-    geometry = SSDGeometry(
-        n_channels=2,
-        chips_per_channel=4,
-        blocks_per_chip=args.blocks_per_chip,
-        block=BlockGeometry(),
-    )
-    config = SSDConfig(geometry=geometry)
     trace = WorkloadSpec(
         args.workload, n_requests=args.requests, seed=args.seed
-    ).build(config)
+    ).build(_device(args.blocks_per_chip))
     scores = analyze_contract(trace)
     print(contract_report(scores))
     if args.json:

@@ -13,8 +13,9 @@ exactly what a serial run would have produced:
   killing the batch, outcomes always return in input order.
 - :mod:`~repro.parallel.merge` -- ``merge_snapshots``: fold per-shard
   telemetry registries into one combined snapshot.
-- :mod:`~repro.parallel.experiments` -- ``RunSpec``: a picklable
-  description of one simulation run for :func:`repro.api.run_many`.
+- :mod:`~repro.parallel.experiments` -- ``RunSpec``: a name, a
+  :class:`~repro.specs.SimulationSpec` and an optional pinned seed,
+  one picklable run for :func:`repro.api.run_many`.
 - :mod:`~repro.parallel.progress` -- the process-wide live-progress
   sink: running shards stream ``completed``/``total``/``sim_us``
   heartbeats back over their result pipes for the CLI status line.

@@ -1,11 +1,13 @@
 """Experiment-level shard specs for the parallel runner.
 
 :class:`RunSpec` names one simulation run (a benchmark case, one cell of
-a parameter sweep, one fault campaign) declaratively, so it pickles into
-a worker process; :func:`execute_run_spec` is the module-level worker
-the runner invokes.  :func:`specs_to_shards` turns RunSpecs into
-:class:`~repro.parallel.runner.ShardSpec` items, resolving each spec's
-seed through the fixed derivation rule when the spec does not pin one:
+a parameter sweep, one fault campaign): a name, a
+:class:`~repro.specs.SimulationSpec`, and an optional pinned seed, all
+of which pickle into a worker process; :func:`execute_run_spec` is the
+module-level worker the runner invokes.  :func:`specs_to_shards` turns
+RunSpecs into :class:`~repro.parallel.runner.ShardSpec` items, resolving
+each spec's seed through the fixed derivation rule when the spec does
+not pin one:
 
     spec.seed if spec.seed is not None else derive_seed(base_seed, spec.name)
 
@@ -16,82 +18,36 @@ bit-for-bit reproducible under any ``--jobs`` value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 from repro.parallel.runner import ShardSpec
 from repro.parallel.seeds import derive_seed
 from repro.specs import SimulationSpec
-from repro.ssd.config import SSDConfig
 
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One named simulation run, fully described by values that pickle.
+    """One named simulation run: ``spec`` with its seed replaced by the
+    shard's resolved seed.
 
     ``seed=None`` (the default) means "derive from the base seed and my
     name"; pin an explicit seed to opt out (the benchmark harness does,
-    to stay comparable with its committed baselines).
-
-    Two forms: the flat legacy fields (``config``/``workload``/...), or
-    a full :class:`~repro.specs.SimulationSpec` in ``spec`` -- then the
-    flat fields are ignored and the run is the spec with its seed
-    replaced by this shard's resolved seed.  The spec form is how NCQ
-    hosts, trace files, workload params, and tenant scenarios enter
-    sweeps.
+    to stay comparable with its committed baselines).  Telemetry, an
+    artifact directory and every other run option ride on
+    ``spec.options``.
     """
 
     name: str
-    config: Optional[SSDConfig] = None
-    workload: str = ""
-    ftl: str = "cube"
-    queue_depth: int = 32
-    warmup_requests: int = 0
-    prefill: float = 0.9
-    n_requests: int = 8000
+    spec: SimulationSpec
     seed: Optional[int] = None
-    telemetry: bool = False
-    ftl_kwargs: Dict[str, Any] = field(default_factory=dict)
-    spec: Optional[SimulationSpec] = None
-    #: base directory for a per-run artifact (see repro.obs.artifact);
-    #: None disables -- sweeps set it to give every cell its own artifact
-    artifact_dir: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.spec is None:
-            if self.config is None or not self.workload:
-                raise ValueError(
-                    f"RunSpec {self.name!r} needs either a SimulationSpec "
-                    "(spec=) or config + workload"
-                )
 
 
 def execute_run_spec(spec: RunSpec, seed: int):
     """Worker entry point: run one spec, return its SimulationResult."""
-    from dataclasses import replace as dc_replace
+    from repro.api import run_spec
 
-    from repro.api import run_simulation, run_spec
-
-    if spec.spec is not None:
-        resolved = dc_replace(spec.spec, seed=seed)
-        if spec.telemetry and not resolved.options.telemetry:
-            resolved = resolved.with_options(telemetry=True)
-        if spec.artifact_dir is not None:
-            resolved = resolved.with_options(artifact_dir=spec.artifact_dir)
-        return run_spec(resolved)
-    return run_simulation(
-        spec.config,
-        spec.workload,
-        ftl=spec.ftl,
-        queue_depth=spec.queue_depth,
-        warmup_requests=spec.warmup_requests,
-        prefill=spec.prefill,
-        n_requests=spec.n_requests,
-        seed=seed,
-        telemetry=spec.telemetry,
-        artifact_dir=spec.artifact_dir,
-        **spec.ftl_kwargs,
-    )
+    return run_spec(replace(spec.spec, seed=seed))
 
 
 def resolve_seed(spec: RunSpec, base_seed: int) -> int:

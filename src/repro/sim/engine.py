@@ -192,9 +192,11 @@ class Engine:
 
     def run(
         self, until: Optional[float] = None, max_events: Optional[int] = None
-    ) -> None:
+    ) -> float:
         """Run until the queue drains, ``until`` is reached, or
-        ``max_events`` have executed.
+        ``max_events`` have executed, and return the clock before any
+        move to ``until``: the instant of the last batch run (or the
+        clock it started from, if it ran none).
 
         The loop drains *runs of same-timestamp events* in one
         iteration: within a batch the clock, the ``until`` bound and
@@ -218,10 +220,11 @@ class Engine:
         while queue:
             batch_time = queue[0][0]
             if until is not None and batch_time > until:
+                last = self._now
                 self._advance(until)
-                return
+                return last
             if max_events is not None and executed >= max_events:
-                return
+                return self._now
             if batch_time >= self.next_window:
                 self._take_windows(batch_time)
             self._now = batch_time
@@ -234,5 +237,7 @@ class Engine:
                 executed += 1
                 if max_events is not None and executed >= max_events:
                     break
-        if until is not None and until > self._now:
+        last = self._now
+        if until is not None and until > last:
             self._advance(until)
+        return last

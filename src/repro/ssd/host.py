@@ -168,6 +168,9 @@ def replay(
     drain, with the requests in flight (in issue order), then those
     waiting for a slot, in ``stats.unfinished``; requests not yet issued
     or arrived are in neither.  :mod:`repro.persist.spor` cuts power this way.
+    A replay whose events all ran before the stop reports what the
+    unstopped replay would: its measured window ends at its last event,
+    not at the stop the clock moved on to.
 
     A telemetry registry on ``sim`` gets the host's completion count
     (:func:`~repro.obs.registry.bind_host`), and a time-series recorder
@@ -296,12 +299,13 @@ def replay(
         feed(completed)
     if recorder is not None:
         recorder.start()
+    last_us = engine.now
     for position in range(completed, n_requests, step):
         if mode == "closed":
             backlog = iter(requests[position:position + step])
             for request in islice(backlog, queue_depth):
                 issue(request)
-        engine.run(until=until_us, max_events=max_events)
+        last_us = engine.run(until=until_us, max_events=max_events)
         if until_us is not None or max_events is not None:
             stats.unfinished = [*pending.values(), *waiting]
             break
@@ -338,7 +342,10 @@ def replay(
             feed(position + step)
     if measure_start is None:
         measure_start = start_us
-    stats.duration_us = engine.now - measure_start
+    # a replay that drained before its stop ends at its last event: the
+    # clock's move to the stop is idle time, not part of the run
+    end_us = last_us if until_us is not None and not engine.pending else engine.now
+    stats.duration_us = end_us - measure_start
     stats.completed_requests = completed - warmup_requests
     stats.counters = sim.ftl.counters
     stats.recovery = sim.ftl.recovery

@@ -6,7 +6,7 @@ produce exactly the stats of an unchecked run, and shard-parallel
 execution must reproduce serial execution bit for bit.
 """
 
-from repro.api import run_simulation, run_many
+from repro.api import run_many, run_simulation, spec_from_kwargs
 from repro.parallel import RunSpec
 from repro.ssd.config import SSDConfig
 from tests.helpers.determinism import (
@@ -65,13 +65,10 @@ class TestShardEquality:
         return [
             RunSpec(
                 name=f"{ftl}-{workload}",
-                config=config,
-                workload=workload,
-                ftl=ftl,
-                queue_depth=8,
-                prefill=0.4,
-                n_requests=150,
-                telemetry=True,
+                spec=spec_from_kwargs(
+                    config, workload, ftl, queue_depth=8, prefill=0.4,
+                    n_requests=150, telemetry=True,
+                ),
             )
             for ftl in ("page", "cube")
             for workload in ("OLTP", "Mail")

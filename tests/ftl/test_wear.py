@@ -1,10 +1,7 @@
-"""Tests for wear tracking and wear-aware allocation."""
+"""Tests for wear-aware allocation."""
 
-
-import pytest
 
 from repro.ftl.blockmgr import BlockManager
-from repro.ftl.wear import chip_wear_stats, min_wear_selector, wear_imbalance
 from repro.nand.chip import NandChip
 from repro.ssd.config import SSDConfig
 from repro.ssd.controller import SSDSimulation
@@ -12,32 +9,11 @@ from repro.ssd.host import replay
 from repro.workloads.synthetic import uniform_random_trace
 
 
-class TestWearStats:
-    def test_fresh_chip_no_spread(self):
-        chip = NandChip(n_blocks=8, env_shift_prob=0.0)
-        stats = chip_wear_stats(chip)
-        assert stats.min_pe == stats.max_pe == 0
-        assert stats.spread == 0
-
-    def test_spread_after_skewed_erases(self):
-        chip = NandChip(n_blocks=8, env_shift_prob=0.0)
-        for _ in range(5):
-            chip.erase_block(0)
-        stats = chip_wear_stats(chip)
-        assert stats.max_pe == 5
-        assert stats.spread == 5
-        assert stats.mean_pe == pytest.approx(5 / 8)
-
-    def test_imbalance_over_chips(self):
-        a = NandChip(chip_id=0, n_blocks=4, env_shift_prob=0.0)
-        b = NandChip(chip_id=1, n_blocks=4, env_shift_prob=0.0)
-        b.erase_block(2)
-        b.erase_block(2)
-        assert wear_imbalance([a, b]) == 2
-
-    def test_imbalance_requires_chips(self):
-        with pytest.raises(ValueError):
-            wear_imbalance([])
+def _erase_spread(chip: NandChip) -> int:
+    """The max-min erase gap over a chip's blocks: what wear leveling
+    minimizes."""
+    counts = [chip.block_pe(block) for block in range(chip.n_blocks)]
+    return max(counts) - min(counts)
 
 
 class TestWearAwareSelection:
@@ -48,7 +24,7 @@ class TestWearAwareSelection:
         for _ in range(4):
             chip.erase_block(0)
         chip.erase_block(1)
-        taken = manager.take_free(0, key=min_wear_selector(chip))
+        taken = manager.take_free(0, key=chip.block_pe)
         assert chip.block_pe(taken) == 0  # an unworn block wins
 
     def test_fifo_without_key(self, ssd_geometry):
@@ -73,5 +49,7 @@ class TestWearAwareSelection:
             )
             stats = replay(sim, trace, queue_depth=8)
             assert stats.counters.erases > 0
-            spreads[wear_aware] = wear_imbalance(sim.controller.chips)
+            spreads[wear_aware] = max(
+                _erase_spread(chip) for chip in sim.controller.chips
+            )
         assert spreads[True] <= spreads[False]

@@ -1,11 +1,38 @@
 """The repro.api facade: the stable entry point every front end uses."""
 
+import inspect
+
 import pytest
 
 import repro
-from repro.api import SimulationResult, run_simulation
+from repro.api import SimulationResult, run_simulation, spec_from_kwargs
+from repro.specs import HostSpec, SimulationSpec, WorkloadSpec
 from repro.ssd.config import SSDConfig
 from repro.workloads.synthetic import uniform_random_trace
+
+#: a value for each argument of the flat form but ``config``, and one FTL
+#: constructor keyword; ``ftl`` is the spec's own FTL, so even an
+#: argument that agrees with the spec is refused beside it
+FLAT_ARGUMENTS = {
+    "workload": "OLTP",
+    "ftl": "cube",
+    "queue_depth": 1,
+    "warmup_requests": 1,
+    "prefill": 0.0,
+    "n_requests": 5,
+    "seed": 3,
+    "trace": "memory",
+    "metrics_interval": 100.0,
+    "telemetry": True,
+    "profile": True,
+    "max_events": 10,
+    "check": "strict",
+    "checkpoint_every": 10,
+    "checkpoint_dir": "checkpoints",
+    "resume_from": "checkpoints/ckpt_00000001",
+    "artifact_dir": "runs",
+    "cmt_capacity": 32,
+}
 
 
 class TestRunSimulation:
@@ -74,3 +101,32 @@ class TestRunSimulation:
     def test_exported_from_package_root(self):
         assert repro.run_simulation is run_simulation
         assert repro.SimulationResult is SimulationResult
+
+
+class TestSpecForm:
+    """A spec is the whole run: any argument beside it is refused
+    before anything runs, never silently dropped."""
+
+    SPEC = SimulationSpec(
+        config=SSDConfig.small(),
+        workload=WorkloadSpec("OLTP", n_requests=20),
+        host=HostSpec(queue_depth=8),
+        prefill=0.2,
+    )
+
+    def test_every_flat_argument_is_covered(self):
+        parameters = inspect.signature(spec_from_kwargs).parameters
+        named = {
+            name for name, parameter in parameters.items()
+            if parameter.kind is not parameter.VAR_KEYWORD
+        }
+        assert set(FLAT_ARGUMENTS) - {"cmt_capacity"} == named - {"config"}
+
+    @pytest.mark.parametrize("argument", sorted(FLAT_ARGUMENTS))
+    def test_argument_beside_a_spec_is_refused(self, argument):
+        with pytest.raises(TypeError, match="not both"):
+            run_simulation(self.SPEC, **{argument: FLAT_ARGUMENTS[argument]})
+
+    def test_positional_ftl_beside_a_spec_is_refused(self):
+        with pytest.raises(TypeError, match="not both"):
+            run_simulation(self.SPEC, None, "cube")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import run_many
+from repro.api import run_many, spec_from_kwargs
 from repro.parallel import RunSpec, derive_seed, resolve_seed, specs_to_shards
 from repro.ssd.config import SSDConfig
 
@@ -12,11 +12,10 @@ def _specs(telemetry=False):
     return [
         RunSpec(
             name=f"cell-{workload}",
-            config=config,
-            workload=workload,
-            n_requests=200,
-            prefill=0.3,
-            telemetry=telemetry,
+            spec=spec_from_kwargs(
+                config, workload, n_requests=200, prefill=0.3,
+                telemetry=telemetry,
+            ),
         )
         for workload in ("OLTP", "Proxy")
     ]
@@ -40,7 +39,10 @@ class TestRunMany:
 
     def test_failed_spec_is_isolated(self):
         specs = _specs() + [
-            RunSpec(name="broken", config=SSDConfig.small(), workload="NOPE")
+            RunSpec(
+                name="broken",
+                spec=spec_from_kwargs(SSDConfig.small(), "NOPE"),
+            )
         ]
         batch = run_many(specs, jobs=2)
         assert not batch.ok
@@ -60,7 +62,9 @@ class TestRunMany:
         spec = _specs()[0]
         assert resolve_seed(spec, 7) == derive_seed(7, spec.name)
         pinned = RunSpec(
-            name="pinned", config=SSDConfig.small(), workload="OLTP", seed=42
+            name="pinned",
+            spec=spec_from_kwargs(SSDConfig.small(), "OLTP"),
+            seed=42,
         )
         assert resolve_seed(pinned, 7) == 42
 

@@ -74,12 +74,26 @@ class TestStopTime:
         assert sim.controller.engine.now == 0.0
 
     def test_stop_after_the_last_completion_finishes_the_run(self):
+        """A stop the replay drained before reports the unstopped
+        replay, closed and NCQ: the clock's move to the stop is not
+        measured."""
         config = SSDConfig.small()
-        sim = SSDSimulation(config, ftl="page")
-        trace = uniform_random_trace(config.logical_pages, 50, seed=1)
-        stats = replay(sim, trace, queue_depth=8, until_us=1e9)
-        assert stats.unfinished == []
-        assert stats.completed_requests == 50
+        traces = {
+            "closed": uniform_random_trace(config.logical_pages, 50, seed=3),
+            "ncq": _stamped(config, 50, rate_iops=20_000),
+        }
+        for mode, trace in traces.items():
+            reports = []
+            for until_us in (None, 1e6):
+                sim = SSDSimulation(config, ftl="page")
+                sim.prefill(0.5)
+                reports.append(replay(sim, trace, mode=mode, queue_depth=8,
+                                      until_us=until_us))
+            straight, stopped = reports
+            assert stopped.unfinished == [], mode
+            assert stopped.completed_requests == 50, mode
+            assert stopped.duration_us < 1e6, mode
+            assert stopped.to_dict() == straight.to_dict(), mode
 
 
 class TestReplayValidation:

@@ -1,6 +1,17 @@
-"""Tests for the command-line interface."""
+"""Tests for the command-line interface.
 
+``golden/sweep_digests.json`` pins the SHA-256 of the ``--json`` files
+two ``sweep`` runs write (one from flags, one from a ``--spec`` file)
+and of the ``sweep.json`` index the second writes with ``--artifacts``.
+Regenerate it only after an intentional model change::
+
+    PYTHONPATH=src python tests/golden/regen_sweep_digests.py
+"""
+
+import hashlib
+import json
 import os
+import tempfile
 
 import pytest
 
@@ -9,6 +20,44 @@ from repro.cli import main
 SPEC_SMOKE = os.path.join(
     os.path.dirname(__file__), os.pardir, "examples", "spec_smoke.json"
 )
+SWEEP_GOLDEN = os.path.join(
+    os.path.dirname(__file__), "golden", "sweep_digests.json"
+)
+#: a flag sweep crossing every dimension: 3 FTLs x 2 workloads x 2
+#: aging states x 2 fault campaigns
+SWEEP_FLAGS = (
+    "--ftls", "page,cube,dftl", "--workloads", "OLTP,Mail",
+    "--aging", "0:0", "2000:12", "--faults", "none", "heavy",
+    "--requests", "150", "--warmup", "20", "--blocks-per-chip", "8",
+    "--prefill", "0.3", "--queue-depth", "8", "--jobs", "1",
+)
+#: a spec-file sweep with telemetry: 2 FTLs x 2 aging states
+SWEEP_SPEC = (
+    "--spec", SPEC_SMOKE, "--ftls", "page,cube", "--aging", "0:0",
+    "2000:12", "--telemetry", "--jobs", "1",
+)
+
+
+def _sha256(path: str) -> str:
+    with open(path, "rb") as handle:
+        return hashlib.sha256(handle.read()).hexdigest()
+
+
+def sweep_digests():
+    """The digest of each pinned sweep output, by case name."""
+    with tempfile.TemporaryDirectory() as tmp:
+        flags = os.path.join(tmp, "flags.json")
+        spec = os.path.join(tmp, "spec.json")
+        artifacts = os.path.join(tmp, "runs")
+        assert main(["sweep", *SWEEP_FLAGS, "--json", flags]) == 0
+        assert main(
+            ["sweep", *SWEEP_SPEC, "--json", spec, "--artifacts", artifacts]
+        ) == 0
+        return {
+            "flags": _sha256(flags),
+            "spec": _sha256(spec),
+            "spec-index": _sha256(os.path.join(artifacts, "sweep.json")),
+        }
 
 
 class TestCharacterize:
@@ -143,6 +192,18 @@ class TestCompare:
         out = capsys.readouterr().out
         for name in ("pageFTL", "vertFTL", "cubeFTL", "dftl"):
             assert name in out
+
+
+class TestSweep:
+    @pytest.fixture(scope="class")
+    def pinned(self):
+        with open(SWEEP_GOLDEN) as handle:
+            return json.load(handle), sweep_digests()
+
+    @pytest.mark.parametrize("case", ["flags", "spec", "spec-index"])
+    def test_output_matches_golden(self, pinned, case):
+        golden, current = pinned
+        assert current[case] == golden[case]
 
 
 class TestParser:
