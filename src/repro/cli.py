@@ -49,7 +49,9 @@ its ``--spec FILE`` (JSON/TOML; ``simulate`` and ``sweep``), with the
 run-option flags (``--trace``, ``--telemetry``, ``--check``,
 ``--artifacts``, ...) applied.  ``simulate`` and ``compare`` run each
 spec with :func:`repro.api.run_spec`, ``sweep`` its cells with
-:func:`repro.api.run_many`.  ``tenants`` also accepts ``--spec``.
+:func:`repro.api.run_many`.  ``tenants`` also accepts ``--spec``.  A
+flat flag that describes the run (``--ftl``, ``--requests``, ...) is
+refused beside ``--spec``.
 Everywhere a workload name is accepted, a ``trace:<path>`` reference
 replays a recorded block trace.
 """
@@ -85,6 +87,27 @@ def _workload_arg(value: str) -> str:
     )
 
 
+class _FlatFlag(argparse.Action):
+    """``store``, noting the flag as given: a flat flag describes the
+    run, so a command refuses it beside ``--spec``, whose file does."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        given = getattr(namespace, "flat_flags", [])
+        namespace.flat_flags = given + [option_string]
+
+
+def _refuse_flat_flags(args: argparse.Namespace) -> None:
+    """Refuse the flat flags given beside ``--spec``, by name, before
+    anything is built (they would otherwise be silently ignored)."""
+    given = list(dict.fromkeys(getattr(args, "flat_flags", [])))
+    if getattr(args, "spec", None) and given:
+        raise SystemExit(
+            f"{', '.join(given)} cannot be combined with --spec: the spec "
+            "file describes the run (edit the file instead)"
+        )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-ssd",
@@ -115,6 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_sim_args(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--workload",
+            action=_FlatFlag,
             type=_workload_arg,
             default="OLTP",
             metavar="NAME",
@@ -123,18 +147,25 @@ def _build_parser() -> argparse.ArgumentParser:
             "trace:<path> reference to a recorded block trace "
             "(default: OLTP)",
         )
-        p.add_argument("--pe", type=int, default=0, help="pre-cycled P/E count")
         p.add_argument(
-            "--retention", type=float, default=0.0, help="retention months"
+            "--pe", action=_FlatFlag, type=int, default=0,
+            help="pre-cycled P/E count",
         )
-        p.add_argument("--requests", type=int, default=8000)
-        p.add_argument("--warmup", type=int, default=2500)
-        p.add_argument("--queue-depth", type=int, default=32)
-        p.add_argument("--blocks-per-chip", type=int, default=48)
-        p.add_argument("--prefill", type=float, default=0.9)
-        p.add_argument("--seed", type=int, default=7)
+        p.add_argument(
+            "--retention", action=_FlatFlag, type=float, default=0.0,
+            help="retention months",
+        )
+        p.add_argument("--requests", action=_FlatFlag, type=int, default=8000)
+        p.add_argument("--warmup", action=_FlatFlag, type=int, default=2500)
+        p.add_argument("--queue-depth", action=_FlatFlag, type=int, default=32)
+        p.add_argument(
+            "--blocks-per-chip", action=_FlatFlag, type=int, default=48
+        )
+        p.add_argument("--prefill", action=_FlatFlag, type=float, default=0.9)
+        p.add_argument("--seed", action=_FlatFlag, type=int, default=7)
         p.add_argument(
             "--faults",
+            action=_FlatFlag,
             choices=sorted(CAMPAIGNS),
             default="none",
             help="fault-injection campaign (default: none)",
@@ -155,11 +186,13 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="replay a workload on one FTL")
     simulate.add_argument(
         "--ftl",
+        action=_FlatFlag,
         choices=["page", "vert", "cube", "cube-", "oracle", "dftl"],
         default="cube",
     )
     simulate.add_argument(
         "--cmt-capacity",
+        action=_FlatFlag,
         type=int,
         default=None,
         dest="cmt_capacity",
@@ -172,10 +205,11 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         default=None,
         help="run a SimulationSpec from a JSON/TOML file instead of the "
-        "flat flags (see docs/WORKLOADS.md); the run-option flags "
-        "(--trace, --metrics-interval, --telemetry, --profile, --check, "
-        "--checkpoint, --resume, --artifacts) override the file's "
-        "options, and --json / --log-level apply as usual",
+        "flat flags, which are refused beside it (see docs/WORKLOADS.md); "
+        "the run-option flags (--trace, --metrics-interval, --telemetry, "
+        "--profile, --check, --checkpoint, --resume, --artifacts) "
+        "override the file's options, and --json / --log-level apply as "
+        "usual",
     )
     simulate.add_argument(
         "--json",
@@ -305,7 +339,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="use a SimulationSpec file as the base cell; the sweep "
         "crosses it with --ftls x --aging x --faults (its workload, "
-        "host model, and geometry replace the flat flags)",
+        "host model, and geometry replace the flat flags, which are "
+        "refused beside it)",
     )
     sweep.add_argument(
         "--ftls",
@@ -315,6 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--workloads",
+        action=_FlatFlag,
         default="OLTP",
         help="comma-separated workload names (default: OLTP)",
     )
@@ -340,11 +376,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker processes to shard the sweep across (default 1: "
         "inline; results are identical for any value)",
     )
-    sweep.add_argument("--requests", type=int, default=2000)
-    sweep.add_argument("--warmup", type=int, default=500)
-    sweep.add_argument("--queue-depth", type=int, default=32)
-    sweep.add_argument("--blocks-per-chip", type=int, default=16)
-    sweep.add_argument("--prefill", type=float, default=0.5)
+    sweep.add_argument("--requests", action=_FlatFlag, type=int, default=2000)
+    sweep.add_argument("--warmup", action=_FlatFlag, type=int, default=500)
+    sweep.add_argument("--queue-depth", action=_FlatFlag, type=int, default=32)
+    sweep.add_argument(
+        "--blocks-per-chip", action=_FlatFlag, type=int, default=16
+    )
+    sweep.add_argument("--prefill", action=_FlatFlag, type=float, default=0.5)
     sweep.add_argument(
         "--seed",
         type=int,
@@ -400,10 +438,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="SimulationSpec file with host.tenants; without it, a "
         "built-in 4-tenant mixed scenario (OLTP/Mail/Web/Proxy, one "
-        "LPN-space quarter each) runs",
+        "LPN-space quarter each) runs, and the scenario flags below are "
+        "refused beside it",
     )
     tenants.add_argument(
         "--requests-per-tenant",
+        action=_FlatFlag,
         type=int,
         default=2000,
         dest="requests_per_tenant",
@@ -412,6 +452,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     tenants.add_argument(
         "--rate",
+        action=_FlatFlag,
         type=float,
         default=20000.0,
         help="per-tenant arrival rate in IOPS for the built-in "
@@ -419,15 +460,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     tenants.add_argument(
         "--ftl",
+        action=_FlatFlag,
         choices=["page", "vert", "cube", "cube-", "oracle", "dftl"],
         default="cube",
         help="FTL for the built-in scenario (a --spec file carries its "
         "own ftl field)",
     )
-    tenants.add_argument("--queue-depth", type=int, default=32)
-    tenants.add_argument("--blocks-per-chip", type=int, default=48)
-    tenants.add_argument("--prefill", type=float, default=0.9)
-    tenants.add_argument("--seed", type=int, default=7)
+    tenants.add_argument("--queue-depth", action=_FlatFlag, type=int, default=32)
+    tenants.add_argument(
+        "--blocks-per-chip", action=_FlatFlag, type=int, default=48
+    )
+    tenants.add_argument("--prefill", action=_FlatFlag, type=float, default=0.9)
+    tenants.add_argument("--seed", action=_FlatFlag, type=int, default=7)
     tenants.add_argument(
         "--jobs",
         type=int,
@@ -1220,6 +1264,7 @@ def _cmd_spor(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    _refuse_flat_flags(args)
     configure_logging(args.log_level)
     if args.command == "characterize":
         return _cmd_characterize(args)

@@ -311,7 +311,6 @@ class BlockManager:
         }
 
     def load_state_dict(self, state: dict) -> None:
-        kinds = state.get("kind")
         for chip_id in range(self.geometry.n_chips):
             self._free[chip_id] = _FreePool(state["free"][chip_id])
             self._state[chip_id] = [
@@ -321,12 +320,7 @@ class BlockManager:
             self._retired_reasons[chip_id] = dict(
                 state["retired_reasons"][chip_id]
             )
-            # absent in pre-kind checkpoints: every block held host data
-            self._kind[chip_id] = (
-                list(kinds[chip_id])
-                if kinds is not None
-                else [DATA_KIND] * self.geometry.blocks_per_chip
-            )
+            self._kind[chip_id] = list(state["kind"][chip_id])
 
     # ------------------------------------------------------------------
     # GC victim selection

@@ -20,7 +20,6 @@ parts program and how the paper's WL-granular allocation (the WAM) works.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Sequence, Tuple
 
@@ -48,8 +47,6 @@ from repro.nand.read_retry import (
 from repro.nand.reliability import (
     AgingState,
     ReliabilityModel,
-    hash_fold,
-    hash_state,
     hash_unit,
     hash_unit_tail,
 )
@@ -175,14 +172,10 @@ class NandChip:
         see transient BER spikes or stale-offset sweep failures, and any
         operation can hit stuck-die latency.  Without it (the default)
         the chip behaves bit-for-bit like the fault-free model.
-    fast_path:
-        Serve the program/read hot path from precomputed per-(block,
-        erase-epoch) reliability tables (:mod:`repro.nand.tables`).
-        The tables are bitwise identical to the scalar model, so this is
-        purely a wall-clock switch.  ``None`` (the default) follows the
-        ``REPRO_FAST_PATH`` environment variable: set to ``0`` to force
-        the scalar path (equivalence smokes); unset or anything else
-        enables the tables.
+
+    Every program and read is served from the block's precomputed
+    per-erase-epoch tables (:mod:`repro.nand.tables`), which are bitwise
+    identical to the scalar reliability and read-retry models.
     """
 
     def __init__(
@@ -201,7 +194,6 @@ class NandChip:
         read_disturb_per_read: float = 0.0,
         fault_injector: Optional[FaultInjector] = None,
         store_oob: bool = False,
-        fast_path: Optional[bool] = None,
     ) -> None:
         if n_blocks < 1:
             raise ValueError("n_blocks must be >= 1")
@@ -266,25 +258,10 @@ class NandChip:
         #: (block, wl_index, page) -> (lpn, seq) spare-area metadata
         self._oob: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
         self._features: Dict[int, Tuple[int, ...]] = {}
-        # allocation caches for the per-operation hot path: AgingState is
-        # frozen, so one instance per (block, erase-epoch) can be shared
-        # by every read of the block instead of being rebuilt per page
-        # read.  Invalidated on erase and on baseline changes; bounded by
-        # n_blocks (and by distinct dynamic P/E values for the
-        # zero-retention states the program path uses).
-        self._block_aging_cache: Dict[int, AgingState] = {}
-        self._fresh_aging_cache: Dict[int, AgingState] = {}
-        if fast_path is None:
-            fast_path = os.environ.get("REPRO_FAST_PATH", "1") != "0"
-        self._fast = FastPathTables(self) if fast_path else None
-        # premixed hash-chain prefixes of the two per-program draws
-        # (environment shift and program-instance noise): the leading
-        # (seed, tag, chip_id) keys never change, so folding them per
-        # operation is wasted work.  The fast-path tables fold each
-        # block's location keys onto these once per erase epoch.
-        seed = self.reliability.seed
-        self._env_hash_state = hash_state(seed, 0xE47, chip_id)
-        self._prog_noise_hash_state = hash_state(seed, 0x9619, chip_id)
+        #: each block's derived state for its current erase epoch (BER
+        #: surfaces, read offsets, hash prefixes), built on first use;
+        #: the chip's only cache of derived state
+        self._fast = FastPathTables(self)
 
     # ------------------------------------------------------------------
     # aging control (experiment pre-conditioning)
@@ -297,31 +274,15 @@ class NandChip:
     def set_baseline_aging(self, aging: AgingState) -> None:
         """Pre-condition the chip (e.g. "2 K P/E with 1-year retention")."""
         self._baseline = aging
-        self._block_aging_cache.clear()
-        self._fresh_aging_cache.clear()
-        if self._fast is not None:
-            self._fast.invalidate()
+        self._fast.invalidate()
 
     def block_aging(self, block: int) -> AgingState:
         """Effective aging of one block: baseline plus dynamic erases."""
         self._check_block(block)
-        aging = self._block_aging_cache.get(block)
-        if aging is None:
-            aging = AgingState(
-                pe_cycles=self._baseline.pe_cycles + self._erase_counts[block],
-                retention_months=self._baseline.retention_months,
-            )
-            self._block_aging_cache[block] = aging
-        return aging
-
-    def _fresh_aging(self, pe_cycles: int) -> AgingState:
-        """Shared zero-retention AgingState for a dynamic P/E count (the
-        immediate post-program read-back condition)."""
-        aging = self._fresh_aging_cache.get(pe_cycles)
-        if aging is None:
-            aging = AgingState(pe_cycles, 0.0)
-            self._fresh_aging_cache[pe_cycles] = aging
-        return aging
+        return AgingState(
+            pe_cycles=self._baseline.pe_cycles + self._erase_counts[block],
+            retention_months=self._baseline.retention_months,
+        )
 
     def block_pe(self, block: int) -> int:
         self._check_block(block)
@@ -350,9 +311,7 @@ class NandChip:
                 t_us=self._op_latency(self.timing.t_erase_us),
             )
         self._erase_counts[block] += 1
-        self._block_aging_cache.pop(block, None)
-        if self._fast is not None:
-            self._fast.invalidate_block(block)
+        self._fast.invalidate_block(block)
         self.erases_done += 1
         if self.telemetry is not None:
             self.telemetry.record_erase()
@@ -414,20 +373,16 @@ class NandChip:
         if params is None:
             params = ProgramParams.default(self.ispp.n_states)
 
-        if self._fast is not None:
-            tables = self._fast.block(block)
-            env_prefix = tables.env_prefix[wl_index]
-            noise_prefix = tables.noise_prefix
-        else:
-            tables = None
-            env_prefix = hash_fold(self._env_hash_state, block, layer, wl)
-            noise_prefix = hash_fold(self._prog_noise_hash_state, block)
+        tables = self._fast.block(block)
         # environment shift: a fresh draw per program over the WL's
         # premixed (block, layer, wl) chain; shifts of +/-1 loop, the
         # direction from a second hash
         self._program_nonce += 1
         env_shift = 0
-        if hash_unit_tail(env_prefix, self._program_nonce) < self.env_shift_prob:
+        if (
+            hash_unit_tail(tables.env_prefix[wl_index], self._program_nonce)
+            < self.env_shift_prob
+        ):
             env_shift = (
                 1
                 if hash_unit(self.reliability.seed, 0xD17, block, layer, wl) < 0.5
@@ -457,7 +412,9 @@ class NandChip:
         self._programmed_counts[block] += 1
         self.programs_done += 1
         self._penalty[block][wl_index] = ispp_result.ber_penalty
-        noise_u = hash_unit_tail(noise_prefix, wl_index, self._program_nonce)
+        noise_u = hash_unit_tail(
+            tables.noise_prefix, wl_index, self._program_nonce
+        )
         self._prog_noise[block][wl_index] = 1.0 + 0.01 * (2.0 * noise_u - 1.0)
         if self.store_tags and data is not None:
             for page, tag in enumerate(data):
@@ -467,24 +424,11 @@ class NandChip:
                 if record is not None:
                     self._oob[(block, wl_index, page)] = record
 
-        if tables is not None:
-            # immediate read-back BER: no retention yet, current block P/E
-            post_ber = tables.wl_ber_fresh[layer][wl] * ispp_result.ber_penalty
-            # E<->P1 health indicator under the block's effective aging
-            ber_ep1 = tables.ep1[layer][wl]
-        else:
-            # immediate read-back BER: no retention yet, current block P/E
-            aging_now = self._fresh_aging(self.block_pe(block))
-            post_ber = (
-                self.reliability.wl_ber(self.chip_id, block, layer, wl, aging_now)
-                * ispp_result.ber_penalty
-            )
-            # E<->P1 health indicator must reflect how the *stored* data
-            # will age, so it is evaluated under the block's effective
-            # aging state
-            ber_ep1 = self.reliability.ber_ep1(
-                self.chip_id, block, layer, wl, self.block_aging(block)
-            )
+        # immediate read-back BER: no retention yet, current block P/E
+        post_ber = tables.wl_ber_fresh[layer][wl] * ispp_result.ber_penalty
+        # E<->P1 health indicator: it must reflect how the *stored* data
+        # will age, so it is taken under the block's effective aging
+        ber_ep1 = tables.ep1[layer][wl]
         t_prog = ispp_result.t_prog_us
         if params.window_squeeze_mv != 0 or params.verify_plan.skips_verifies:
             t_prog += self.timing.t_param_set_us
@@ -553,35 +497,20 @@ class NandChip:
                 f"page (block={block}, layer={layer}, wl={wl}, page={page}) "
                 "was never programmed"
             )
-        aging = self._block_aging_cache.get(block)
-        if aging is None:
-            aging = self.block_aging(block)
-        if self._fast is not None:
-            tables = self._fast.block(block)
-            ber = (
-                tables.wl_ber[layer][wl]
-                * self._penalty[block][wl_index]
-                * self._prog_noise[block][wl_index]
-            )
-        else:
-            ber = (
-                self.reliability.wl_ber(self.chip_id, block, layer, wl, aging)
-                * self._penalty[block][wl_index]
-                * self._prog_noise[block][wl_index]
-            )
+        tables = self._fast.block(block)
+        ber = (
+            tables.wl_ber[layer][wl]
+            * self._penalty[block][wl_index]
+            * self._prog_noise[block][wl_index]
+        )
         if self.read_disturb_per_read:
             disturb = 1.0 + self.read_disturb_per_read * self._block_reads[block]
             ber *= disturb
         self._block_reads[block] += 1
-        if self._fast is not None:
-            optimal = self.retry_model.transient_optimal(
-                self.chip_id, block, layer, tables.stable_opt[layer], aging,
-                self._read_nonce, tables.read_prefix[layer],
-            )
-        else:
-            optimal = self.retry_model.read_optimal(
-                self.chip_id, block, layer, aging, self._read_nonce
-            )
+        optimal = self.retry_model.transient_optimal(
+            self.chip_id, block, layer, tables.stable_opt[layer], tables.aging,
+            self._read_nonce, tables.read_prefix[layer],
+        )
         self._read_nonce += 1
         sweep_failed = False
         if self.faults is not None:
@@ -712,8 +641,8 @@ class NandChip:
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot; derived aging caches
-        are dropped and rebuilt lazily."""
+        """Restore a :meth:`state_dict` snapshot; the block tables are
+        dropped and rebuilt lazily."""
         self._erase_counts = [int(n) for n in state["erase_counts"]]
         programmed = np.asarray(state["programmed"], dtype=bool)
         self._programmed = programmed.tolist()
@@ -734,10 +663,7 @@ class NandChip:
         self._tags = dict(state["tags"])
         self._oob = dict(state["oob"])
         self._features = dict(state["features"])
-        self._block_aging_cache.clear()
-        self._fresh_aging_cache.clear()
-        if self._fast is not None:
-            self._fast.invalidate()
+        self._fast.invalidate()
 
     def _op_latency(self, base_us: float) -> float:
         """Apply stuck-die latency faults to one operation's service time."""

@@ -1,12 +1,13 @@
-"""Precomputed per-h-layer reliability/timing lookup tables (fast path).
+"""Precomputed per-h-layer reliability tables, read by every chip operation.
 
 The paper's central observation is that NAND behaviour is a function of a
 *small discrete state*: h-layer group, aging epoch (P/E cycles plus
 retention), and the per-WL RTN term drawn from a fixed per-location hash.
-The scalar device model in :mod:`repro.nand.reliability` therefore
-recomputes values drawn from a tiny domain once per page operation --
-millions of times per run.  This module materializes that domain into
-numpy lookup tables once per (block, erase epoch):
+Evaluating the scalar device model in :mod:`repro.nand.reliability` per
+page operation would recompute values drawn from a tiny domain millions
+of times per run.  This module materializes that domain into lookup
+tables once per (block, erase epoch), and :class:`~repro.nand.chip.NandChip`
+serves every program and read from them:
 
 - ``wl_ber[layer, wl]`` -- raw retention BER under the block's effective
   aging (the read path and the E<->P1 health base);
@@ -15,6 +16,8 @@ numpy lookup tables once per (block, erase epoch):
 - ``ep1[layer, wl]`` -- the E<->P1 health indicator under block aging;
 - ``stable_opt[layer]`` -- the stable optimal read-offset level shared
   by every WL of the h-layer;
+- ``aging`` -- the block's effective aging state itself (the read
+  path's transient draw reads its P/E count);
 - ``read_prefix[layer]``, ``env_prefix[wl_index]`` and
   ``noise_prefix`` -- the premixed location prefixes of the per-read
   transient draw and of the two per-program draws (environment shift,
@@ -29,7 +32,10 @@ Bitwise identity with the scalar model is a hard contract: the hash is a
 vectorized transliteration of :func:`repro.nand.reliability.hash_unit`
 over ``uint64`` lanes, and every floating-point expression preserves the
 scalar evaluation order, so table reads reproduce the scalar results
-bit for bit (asserted exhaustively by the metamorphic test suite).
+bit for bit.  The scalar model stays the reference: characterization
+and oracleFTL evaluate it directly, and ``tests/nand/test_tables.py``
+compares the tables and the chip's program and read results with it
+over the whole (h-layer x WL x aging-epoch) domain.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.nand.read_retry import MAX_OFFSET
-from repro.nand.reliability import _splitmix64, hash_fold
+from repro.nand.reliability import AgingState, _splitmix64, hash_fold, hash_state
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _ADD = np.uint64(0x9E3779B97F4A7C15)
@@ -118,6 +124,7 @@ class BlockTables:
         "wl_ber_fresh",
         "ep1",
         "stable_opt",
+        "aging",
         "read_prefix",
         "env_prefix",
         "noise_prefix",
@@ -129,6 +136,7 @@ class BlockTables:
         wl_ber_fresh: List[List[float]],
         ep1: List[List[float]],
         stable_opt: List[int],
+        aging: AgingState,
         read_prefix: List[int],
         env_prefix: List[int],
         noise_prefix: int,
@@ -137,6 +145,8 @@ class BlockTables:
         self.wl_ber_fresh = wl_ber_fresh
         self.ep1 = ep1
         self.stable_opt = stable_opt
+        #: the block's effective aging state the tables were built for
+        self.aging = aging
         #: premixed (seed, 0x7EAD, chip_id, block, layer) chain of the
         #: per-read transient draw, per h-layer
         self.read_prefix = read_prefix
@@ -156,13 +166,22 @@ class FastPathTables:
     scalar model evaluated once and memoized in array form.
     """
 
-    __slots__ = ("_chip", "_layer_keys", "_wl_keys", "_cache")
+    __slots__ = (
+        "_chip", "_layer_keys", "_wl_keys", "_env_state", "_noise_state",
+        "_cache",
+    )
 
     def __init__(self, chip) -> None:
         self._chip = chip
         geometry = chip.geometry
         self._layer_keys = np.arange(geometry.n_layers, dtype=np.uint64)[:, None]
         self._wl_keys = np.arange(geometry.wls_per_layer, dtype=np.uint64)[None, :]
+        # premixed (seed, tag, chip_id) chains of the two per-program
+        # draws (environment shift, program noise); each block's tables
+        # fold its location keys onto them
+        seed = chip.reliability.seed
+        self._env_state = hash_state(seed, 0xE47, chip.chip_id)
+        self._noise_state = hash_state(seed, 0x9619, chip.chip_id)
         #: block -> tables for the block's current erase epoch
         self._cache: Dict[int, BlockTables] = {}
 
@@ -238,7 +257,7 @@ class FastPathTables:
         chip = self._chip
         rel = chip.reliability
         aging = chip.block_aging(block)
-        fresh = chip._fresh_aging(chip.block_pe(block))
+        fresh = AgingState(aging.pe_cycles, 0.0)
         wl_ber = self._wl_ber(block, aging)
         # without retention the read-back state is the block's own aging
         # (same P/E): the same inputs, so the same surface
@@ -258,10 +277,10 @@ class FastPathTables:
             self._layer_keys[:, 0],
         )
         env_prefix = hash_fold_array(
-            chip._env_hash_state, block, self._layer_keys, self._wl_keys
+            self._env_state, block, self._layer_keys, self._wl_keys
         )
         return BlockTables(
             wl_ber.tolist(), wl_ber_fresh.tolist(), ep1.tolist(), stable_opt,
-            read_prefix.tolist(), env_prefix.ravel().tolist(),
-            hash_fold(chip._prog_noise_hash_state, block),
+            aging, read_prefix.tolist(), env_prefix.ravel().tolist(),
+            hash_fold(self._noise_state, block),
         )

@@ -11,6 +11,7 @@ full 32-GB configuration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -80,15 +81,27 @@ class SSDConfig:
     scrub_margin_threshold: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.buffer_capacity_pages < self.geometry.block.pages_per_wl:
-            raise ValueError("buffer must hold at least one WL group")
+        # every test is written so that NaN fails it (a spec file can
+        # carry one: JSON NaN, TOML nan)
+        if not self.buffer_capacity_pages >= self.geometry.block.pages_per_wl:
+            raise ValueError(
+                "buffer_capacity_pages must hold at least one WL group"
+            )
+        if not 0.0 <= self.buffer_read_us < math.inf:
+            raise ValueError("buffer_read_us must be finite and >= 0")
+        if not 0.0 < self.mu_threshold <= 1.0:
+            raise ValueError("mu_threshold must be in (0, 1]")
+        if not self.active_blocks_per_chip >= 1:
+            raise ValueError("active_blocks_per_chip must be >= 1")
+        if not 0.0 <= self.gc_min_invalid_fraction <= 1.0:
+            raise ValueError("gc_min_invalid_fraction must be in [0, 1]")
         if not 0.0 < self.logical_fraction < 1.0:
             raise ValueError("logical_fraction must be in (0, 1)")
-        if self.gc_trigger_blocks < 2:
+        if not self.gc_trigger_blocks >= 2:
             raise ValueError("gc_trigger_blocks must be >= 2")
-        if self.max_inflight_programs < 1:
+        if not self.max_inflight_programs >= 1:
             raise ValueError("max_inflight_programs must be >= 1")
-        if self.read_recovery_attempts < 1:
+        if not self.read_recovery_attempts >= 1:
             raise ValueError("read_recovery_attempts must be >= 1")
         if not 0.0 <= self.scrub_margin_threshold < 1.0:
             raise ValueError("scrub_margin_threshold must be in [0, 1)")

@@ -1,13 +1,14 @@
 """Metamorphic suite: precomputed tables == direct scalar evaluation.
 
-The fast path (:mod:`repro.nand.tables`) is only allowed to exist
-because it is *bitwise identical* to the scalar device model.  These
-tests assert that contract exhaustively over the full (h-layer x WL x
-aging-epoch) domain, through every consumer surface: the vectorized
-hash, the per-block tables (surfaces and premixed hash prefixes), and
-the chip's program/read results across all retry offset hints,
-erase-epoch transitions, baseline-aging changes and checkpoint
-restores.
+The chip serves every program and read from the per-block tables
+(:mod:`repro.nand.tables`), which must be *bitwise identical* to the
+scalar device model.  These tests assert that contract exhaustively
+over the full (h-layer x WL x aging-epoch) domain, through every
+consumer surface: the vectorized hash, the per-block tables (surfaces
+and premixed hash prefixes), and the chip's program/read results
+against the scalar model evaluated in the test, across all retry
+offset hints, erase-epoch transitions, baseline-aging changes and
+checkpoint restores.
 """
 
 import numpy as np
@@ -22,7 +23,7 @@ from repro.nand.reliability import (
     hash_state,
     hash_unit,
 )
-from repro.nand.tables import FastPathTables, hash_unit_array
+from repro.nand.tables import hash_unit_array
 
 #: the paper's aging sweep: fresh, end-of-life cycling, and end-of-life
 #: cycling plus one year of retention; then the edges of the read
@@ -66,7 +67,7 @@ class TestBlockTables:
     def _chip(self, aging, **kwargs):
         chip = NandChip(
             chip_id=2, n_blocks=3, geometry=GEOMETRY, store_tags=False,
-            fast_path=True, **kwargs,
+            **kwargs,
         )
         chip.set_baseline_aging(aging)
         return chip
@@ -79,8 +80,9 @@ class TestBlockTables:
         for block in range(chip.n_blocks):
             tables = chip._fast.block(block)
             block_aging = chip.block_aging(block)
-            fresh = chip._fresh_aging(chip.block_pe(block))
+            fresh = AgingState(chip.block_pe(block), 0.0)
             seed, chip_id = reliability.seed, chip.chip_id
+            assert tables.aging == block_aging
             # the premixed hash prefixes of the per-operation draws
             assert tables.noise_prefix == hash_state(seed, 0x9619, chip_id, block)
             for layer in range(GEOMETRY.n_layers):
@@ -140,66 +142,77 @@ class TestBlockTables:
 
 
 class TestChipFastSlowEquivalence:
-    """End-to-end: a fast-path chip and a scalar chip produce identical
-    program/read results over every (h-layer x WL x aging x offset-hint)
+    """End-to-end: every program and read result the chip serves from
+    its tables (the fast path) equals the scalar model evaluated here
+    (the slow path), over every (h-layer x WL x aging x offset-hint)
     combination, including across erase epochs."""
 
-    def _pair(self, aging):
-        chips = []
-        for fast in (True, False):
-            chip = NandChip(
-                chip_id=1, n_blocks=2, geometry=GEOMETRY, store_tags=False,
-                fast_path=fast,
+    @staticmethod
+    def _assert_matches_scalar_model(aging, n_epochs):
+        # frequent environment shifts, so both sides of the per-program
+        # draw are taken
+        chip = NandChip(
+            chip_id=1, n_blocks=2, geometry=GEOMETRY, store_tags=False,
+            env_shift_prob=0.1,
+        )
+        chip.set_baseline_aging(aging)
+        reliability, retry = chip.reliability, chip.retry_model
+        seed, chip_id = reliability.seed, chip.chip_id
+        program_nonce = read_nonce = 0
+        for epoch in range(n_epochs):
+            block_aging = AgingState(
+                aging.pe_cycles + epoch, aging.retention_months
             )
-            chip.set_baseline_aging(aging)
-            chips.append(chip)
-        return chips
+            fresh = AgingState(block_aging.pe_cycles, 0.0)
+            for layer in range(GEOMETRY.n_layers):
+                for wl in range(GEOMETRY.wls_per_layer):
+                    program = chip.program_wl(0, layer, wl)
+                    program_nonce += 1
+                    env_shift = 0
+                    if hash_unit(
+                        seed, 0xE47, chip_id, 0, layer, wl, program_nonce
+                    ) < chip.env_shift_prob:
+                        env_shift = (
+                            1 if hash_unit(seed, 0xD17, 0, layer, wl) < 0.5
+                            else -1
+                        )
+                    assert program.env_shift == env_shift
+                    penalty = program.ispp.ber_penalty
+                    assert program.post_program_ber == reliability.wl_ber(
+                        chip_id, 0, layer, wl, fresh
+                    ) * penalty
+                    assert program.ber_ep1 == reliability.ber_ep1(
+                        chip_id, 0, layer, wl, block_aging
+                    )
+                    noise_u = hash_unit(
+                        seed, 0x9619, chip_id, 0, GEOMETRY.wl_index(layer, wl),
+                        program_nonce,
+                    )
+                    ber = (
+                        reliability.wl_ber(chip_id, 0, layer, wl, block_aging)
+                        * penalty
+                        * (1.0 + 0.01 * (2.0 * noise_u - 1.0))
+                    )
+                    for hint in range(MAX_OFFSET + 1):
+                        read = chip.read_page(
+                            0, layer, wl, 0, ReadParams(offset_hint=hint)
+                        )
+                        optimal = retry.read_optimal(
+                            chip_id, 0, layer, block_aging, read_nonce
+                        )
+                        read_nonce += 1
+                        assert read.ber == ber
+                        assert read.final_offset == optimal
+                        assert read.num_retry == abs(optimal - hint)
+            chip.erase_block(0)
 
     @pytest.mark.parametrize("aging", AGING_EPOCHS, ids=str)
     def test_program_and_read_identical(self, aging):
-        fast, slow = self._pair(aging)
-        for chip in (fast, slow):
-            results = []
-            for layer in range(GEOMETRY.n_layers):
-                for wl in range(GEOMETRY.wls_per_layer):
-                    pr = chip.program_wl(0, layer, wl)
-                    results.append(
-                        (pr.t_prog_us, pr.post_program_ber, pr.ber_ep1,
-                         pr.env_shift)
-                    )
-                    for hint in range(MAX_OFFSET + 1):
-                        rr = chip.read_page(
-                            0, layer, wl, 0, ReadParams(offset_hint=hint)
-                        )
-                        results.append(
-                            (rr.t_read_us, rr.num_retry, rr.final_offset,
-                             rr.ber, rr.correctable, rr.t_retry_us)
-                        )
-            chip.results = results
-        assert fast.results == slow.results
+        self._assert_matches_scalar_model(aging, n_epochs=1)
 
     def test_identical_across_erase_epochs(self):
-        fast, slow = self._pair(AgingState(2000, 1.0))
-        for chip in (fast, slow):
-            results = []
-            for _ in range(3):  # three erase epochs of block 0
-                pr = chip.program_wl(0, 2, 1)
-                rr = chip.read_page(0, 2, 1, 0)
-                results.append(
-                    (pr.post_program_ber, pr.ber_ep1, rr.ber, rr.num_retry,
-                     rr.final_offset)
-                )
-                chip.erase_block(0)
-            chip.results = results
-        assert fast.results == slow.results
-
-    def test_env_default_enables_fast_path(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAST_PATH", raising=False)
-        chip = NandChip(geometry=GEOMETRY)
-        assert isinstance(chip._fast, FastPathTables)
-        monkeypatch.setenv("REPRO_FAST_PATH", "0")
-        chip = NandChip(geometry=GEOMETRY)
-        assert chip._fast is None
+        for aging in AGING_EPOCHS:  # three erase epochs of block 0 each
+            self._assert_matches_scalar_model(aging, n_epochs=3)
 
 
 class TestTransientOptimal:

@@ -1,11 +1,14 @@
 """Tests for SSD configuration."""
 
 import dataclasses
+import math
 
 import pytest
 
 from repro.nand.reliability import AgingState
 from repro.ssd.config import SSDConfig
+
+NAN = float("nan")
 
 
 class TestSSDConfig:
@@ -41,12 +44,33 @@ class TestSSDConfig:
         assert config.geometry.n_chips == 2
         assert config.logical_pages > 0
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            dataclasses.replace(SSDConfig(), buffer_capacity_pages=2)
-        with pytest.raises(ValueError):
-            dataclasses.replace(SSDConfig(), logical_fraction=1.5)
-        with pytest.raises(ValueError):
-            dataclasses.replace(SSDConfig(), gc_trigger_blocks=1)
-        with pytest.raises(ValueError):
-            dataclasses.replace(SSDConfig(), max_inflight_programs=0)
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("buffer_capacity_pages", 2),
+            ("buffer_capacity_pages", NAN),
+            ("buffer_read_us", -5.0),
+            ("buffer_read_us", NAN),
+            ("buffer_read_us", math.inf),
+            ("mu_threshold", 0.0),
+            ("mu_threshold", 7.0),
+            ("mu_threshold", NAN),
+            ("active_blocks_per_chip", 0),
+            ("active_blocks_per_chip", -3),
+            ("active_blocks_per_chip", NAN),
+            ("gc_min_invalid_fraction", -0.1),
+            ("gc_min_invalid_fraction", 2.0),
+            ("gc_min_invalid_fraction", NAN),
+            ("logical_fraction", 1.5),
+            ("gc_trigger_blocks", 1),
+            ("gc_trigger_blocks", NAN),
+            ("max_inflight_programs", 0),
+            ("max_inflight_programs", NAN),
+            ("read_recovery_attempts", NAN),
+        ],
+    )
+    def test_validation(self, field, value):
+        """Each out-of-domain value (NaN included: a spec file can carry
+        one) is refused by name when the config is built."""
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(SSDConfig(), **{field: value})

@@ -20,6 +20,9 @@ from repro.cli import main
 SPEC_SMOKE = os.path.join(
     os.path.dirname(__file__), os.pardir, "examples", "spec_smoke.json"
 )
+SPEC_TENANTS = os.path.join(
+    os.path.dirname(__file__), os.pardir, "examples", "spec_tenants.json"
+)
 SWEEP_GOLDEN = os.path.join(
     os.path.dirname(__file__), "golden", "sweep_digests.json"
 )
@@ -178,6 +181,75 @@ class TestSimulateSpec:
         assert f"trace written to {trace}" in out
         assert "stage group" in out  # the breakdown table header
         assert "IOPS per interval" in out
+
+
+#: each command's flat flags, which describe the run and so are refused
+#: beside --spec, with a value for each
+FLAT_FLAGS = [
+    ("simulate", "--ftl", "dftl"),
+    ("simulate", "--workload", "Mail"),
+    ("simulate", "--pe", "2000"),
+    ("simulate", "--retention", "12"),
+    ("simulate", "--faults", "heavy"),
+    ("simulate", "--requests", "50"),
+    ("simulate", "--warmup", "10"),
+    ("simulate", "--queue-depth", "4"),
+    ("simulate", "--blocks-per-chip", "8"),
+    ("simulate", "--prefill", "0.3"),
+    ("simulate", "--seed", "3"),
+    ("simulate", "--cmt-capacity", "16"),
+    ("sweep", "--workloads", "Mail"),
+    ("sweep", "--requests", "50"),
+    ("sweep", "--warmup", "10"),
+    ("sweep", "--queue-depth", "4"),
+    ("sweep", "--blocks-per-chip", "8"),
+    ("sweep", "--prefill", "0.3"),
+    ("tenants", "--requests-per-tenant", "50"),
+    ("tenants", "--rate", "5000"),
+    ("tenants", "--ftl", "page"),
+    ("tenants", "--queue-depth", "4"),
+    ("tenants", "--blocks-per-chip", "8"),
+    ("tenants", "--prefill", "0.3"),
+    ("tenants", "--seed", "3"),
+]
+
+#: the flags each command keeps beside --spec: run options, and the
+#: sweep's dimensions and base seed
+SPEC_COMPANIONS = {
+    "simulate": ["--telemetry", "--check", "--checkpoint-every", "100"],
+    "sweep": [
+        "--ftls", "page", "--aging", "0:0", "--faults", "none",
+        "--jobs", "1", "--seed", "3",
+    ],
+    "tenants": ["--jobs", "1"],
+}
+
+
+class TestFlatFlagsBesideSpec:
+    @pytest.fixture
+    def no_runs(self, monkeypatch):
+        """A run that starts fails the test: the refusal comes first."""
+
+        def run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr("repro.cli.run_spec", run)
+        monkeypatch.setattr("repro.api.run_many", run)
+        monkeypatch.setattr("repro.api.run_tenant_scenario", run)
+
+    @pytest.mark.parametrize(
+        "command, flag, value", FLAT_FLAGS,
+        ids=[f"{command}{flag}" for command, flag, _ in FLAT_FLAGS],
+    )
+    def test_refused_by_name(self, no_runs, command, flag, value):
+        """The flag is named and refused; the companion flags are not."""
+        spec = SPEC_TENANTS if command == "tenants" else SPEC_SMOKE
+        argv = [command, "--spec", spec, *SPEC_COMPANIONS[command], flag, value]
+        with pytest.raises(SystemExit) as refusal:
+            main(argv)
+        assert str(refusal.value.code).startswith(
+            f"{flag} cannot be combined with --spec"
+        )
 
 
 class TestCompare:
