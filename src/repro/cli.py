@@ -68,7 +68,8 @@ from repro.api import run_spec, spec_from_kwargs
 from repro.faults import CAMPAIGNS, get_campaign
 from repro.nand.reliability import AgingState
 from repro.obs.log import LEVELS, configure_logging, get_logger, log_event
-from repro.specs import SimulationSpec, load_spec_file
+from repro.persist.checkpoint import CheckpointError
+from repro.specs import SimulationSpec, SpecError, load_spec_file
 from repro.ssd.config import SSDConfig
 from repro.workloads import WORKLOAD_GENERATORS, is_trace_path
 
@@ -1266,6 +1267,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     _refuse_flat_flags(args)
     configure_logging(args.log_level)
+    try:
+        return _run_command(args)
+    except (SpecError, CheckpointError) as error:
+        # a bad --spec file or --resume checkpoint: its one-line
+        # message, exit 1
+        raise SystemExit(str(error)) from None
+
+
+def _run_command(args: argparse.Namespace) -> int:
     if args.command == "characterize":
         return _cmd_characterize(args)
     if args.command == "simulate":

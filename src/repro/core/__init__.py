@@ -13,7 +13,8 @@ from the device model it runs against:
 - :mod:`repro.core.ort` -- the optimal read-reference-offset table
   (Sec. 4.2 / 5.1);
 - :mod:`repro.core.opm` -- the Optimal Parameter Manager (Sec. 5.1);
-- :mod:`repro.core.wam` -- the WL Allocation Manager (Sec. 5.2).
+- :mod:`repro.core.wam` -- the WL Allocation Manager (Sec. 5.2) and the
+  horizontal-first allocator of the PS-unaware FTLs.
 """
 
 from repro.core.latency_predictor import LatencyPredictor, PredictionStats

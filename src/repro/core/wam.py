@@ -13,9 +13,12 @@ fashion based on the MOS: per active block it keeps two h-layer pointers,
 on h-layers whose leader has already been programmed
 (``i_Follower < i_Leader``).
 
-The module also provides the :class:`SequentialCursor` used by the
-PS-unaware FTLs and by cubeFTL- (WAM disabled): plain horizontal-first
-allocation.
+The module also provides :class:`SequentialAllocator`, plain
+horizontal-first allocation through :class:`SequentialCursor` objects:
+the PS-unaware FTLs and cubeFTL- (WAM disabled) allocate host WLs with
+it, and every FTL its GC and translation WLs.  Both allocators keep
+each chip's open blocks as a list of cursors, in the order the blocks
+were opened, behind one interface (:class:`BlockAllocator`).
 """
 
 from __future__ import annotations
@@ -176,9 +179,8 @@ class SequentialCursor:
     def free_wls(self) -> int:
         return self._wls_per_block - self._next
 
-    def take(self, prefer_follower: bool = False) -> Allocation:
-        """Allocate the next WL in order (the preference is ignored --
-        that is exactly what cubeFTL- gives up)."""
+    def take(self) -> Allocation:
+        """Allocate the next WL in order."""
         index = self._next
         if index >= self._wls_per_block:
             raise LookupError(f"block {self.block}: exhausted")
@@ -198,48 +200,28 @@ class SequentialCursor:
         return cursor
 
 
-class WLAllocationManager:
-    """Workload-aware WL allocation across a chip's active blocks.
+class BlockAllocator:
+    """A chip's open blocks as cursors, in the order they were opened.
 
-    Each chip keeps ``active_blocks_per_chip`` active blocks (the paper
-    uses two as the memory/flexibility compromise) whose WLs are
-    allocated through MOS cursors.
+    The interface every FTL allocates WLs through: blocks come in
+    through :meth:`install_block` (``BaseFTL._open_wl`` opens them), WLs
+    go out through :meth:`allocate`, and a cursor is dropped as soon as
+    its block is exhausted.  Subclasses set :attr:`cursor_type` and the
+    choice :meth:`allocate` makes among the open blocks.
     """
 
-    def __init__(
-        self,
-        geometry: BlockGeometry,
-        active_blocks_per_chip: int = 2,
-        mu_threshold: float = 0.9,
-    ) -> None:
-        if active_blocks_per_chip < 1:
-            raise ValueError("active_blocks_per_chip must be >= 1")
-        if not 0.0 < mu_threshold <= 1.0:
-            raise ValueError("mu_threshold must be in (0, 1]")
+    cursor_type: type
+
+    def __init__(self, geometry: BlockGeometry) -> None:
         self.geometry = geometry
-        self.active_blocks_per_chip = active_blocks_per_chip
-        self.mu_threshold = mu_threshold
-        self._cursors: Dict[int, List[ActiveBlockCursor]] = {}
-        self.leader_allocations = 0
-        self.follower_allocations = 0
+        self._cursors: Dict[int, List] = {}
 
-    @property
-    def follower_fraction(self) -> float:
-        """Share of allocations that used fast follower WLs (the
-        burst-absorption signal the metrics timeline tracks)."""
-        total = self.leader_allocations + self.follower_allocations
-        return self.follower_allocations / total if total else 0.0
-
-    def cursors(self, chip_id: int) -> List[ActiveBlockCursor]:
+    def cursors(self, chip_id: int) -> List:
         return self._cursors.setdefault(chip_id, [])
 
-    def blocks_needed(self, chip_id: int) -> int:
-        """How many fresh active blocks the chip should be given."""
-        return self.active_blocks_per_chip - len(self.cursors(chip_id))
-
     def install_block(self, chip_id: int, block: int) -> None:
-        """Register an erased block as a new active block."""
-        self.cursors(chip_id).append(ActiveBlockCursor(block, self.geometry))
+        """Register an erased block as a new open block."""
+        self.cursors(chip_id).append(self.cursor_type(block, self.geometry))
 
     def discard_block(self, chip_id: int, block: int) -> bool:
         """Drop a block's cursor without exhausting it (the block left
@@ -254,6 +236,96 @@ class WLAllocationManager:
 
     def free_wls(self, chip_id: int) -> int:
         return sum(cursor.free_wls() for cursor in self.cursors(chip_id))
+
+    def allocate(self, chip_id: int, utilization: float) -> Optional[Allocation]:
+        """The chip's next WL given the write-buffer ``utilization``, or
+        ``None`` when no block is open."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # checkpointing
+    # ------------------------------------------------------------------
+
+    def state_dict(self) -> dict:
+        """Cursor order within a chip is allocation order and must be
+        preserved exactly (the allocation scans depend on it)."""
+        return {
+            "cursors": {
+                chip_id: [cursor.state_dict() for cursor in cursors]
+                for chip_id, cursors in self._cursors.items()
+            }
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        self._cursors = {
+            chip_id: [
+                self.cursor_type.from_state(cursor_state, self.geometry)
+                for cursor_state in cursor_states
+            ]
+            for chip_id, cursor_states in state["cursors"].items()
+        }
+
+    def reset(self) -> None:
+        """Drop every cursor (SPOR: open blocks are sealed on recovery,
+        so no cursor survives)."""
+        self._cursors = {}
+
+
+class SequentialAllocator(BlockAllocator):
+    """Horizontal-first allocation: a chip's open blocks fill one at a
+    time, oldest first, each in the Fig. 12(a) order."""
+
+    cursor_type = SequentialCursor
+
+    def allocate(self, chip_id: int, utilization: float) -> Optional[Allocation]:
+        """The next WL of the chip's oldest open block.  The utilization
+        is ignored -- that is exactly what cubeFTL- gives up."""
+        cursors = self._cursors.get(chip_id)
+        if not cursors:
+            return None
+        cursor = cursors[0]
+        allocation = cursor.take()
+        if cursor.exhausted:
+            del cursors[0]
+        return allocation
+
+
+class WLAllocationManager(BlockAllocator):
+    """Workload-aware WL allocation across a chip's active blocks.
+
+    Each chip keeps ``active_blocks_per_chip`` active blocks (the paper
+    uses two as the memory/flexibility compromise) whose WLs are
+    allocated through MOS cursors.
+    """
+
+    cursor_type = ActiveBlockCursor
+
+    def __init__(
+        self,
+        geometry: BlockGeometry,
+        active_blocks_per_chip: int = 2,
+        mu_threshold: float = 0.9,
+    ) -> None:
+        if active_blocks_per_chip < 1:
+            raise ValueError("active_blocks_per_chip must be >= 1")
+        if not 0.0 < mu_threshold <= 1.0:
+            raise ValueError("mu_threshold must be in (0, 1]")
+        super().__init__(geometry)
+        self.active_blocks_per_chip = active_blocks_per_chip
+        self.mu_threshold = mu_threshold
+        self.leader_allocations = 0
+        self.follower_allocations = 0
+
+    @property
+    def follower_fraction(self) -> float:
+        """Share of allocations that used fast follower WLs (the
+        burst-absorption signal the metrics timeline tracks)."""
+        total = self.leader_allocations + self.follower_allocations
+        return self.follower_allocations / total if total else 0.0
+
+    def blocks_needed(self, chip_id: int) -> int:
+        """How many fresh active blocks the chip should be given."""
+        return self.active_blocks_per_chip - len(self.cursors(chip_id))
 
     def allocate(self, chip_id: int, utilization: float) -> Optional[Allocation]:
         """Pick the most appropriate WL for the next flush.
@@ -299,30 +371,12 @@ class WLAllocationManager:
     # ------------------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Cursor order within a chip is allocation order and must be
-        preserved exactly (the first-match scans in :meth:`allocate`
-        depend on it)."""
-        return {
-            "cursors": {
-                chip_id: [cursor.state_dict() for cursor in cursors]
-                for chip_id, cursors in self._cursors.items()
-            },
-            "leader_allocations": self.leader_allocations,
-            "follower_allocations": self.follower_allocations,
-        }
+        state = super().state_dict()
+        state["leader_allocations"] = self.leader_allocations
+        state["follower_allocations"] = self.follower_allocations
+        return state
 
     def load_state_dict(self, state: dict) -> None:
-        self._cursors = {
-            chip_id: [
-                ActiveBlockCursor.from_state(cursor_state, self.geometry)
-                for cursor_state in cursor_states
-            ]
-            for chip_id, cursor_states in state["cursors"].items()
-        }
+        super().load_state_dict(state)
         self.leader_allocations = state["leader_allocations"]
         self.follower_allocations = state["follower_allocations"]
-
-    def reset(self) -> None:
-        """Drop every cursor (SPOR: active blocks are sealed on recovery,
-        so no cursor survives)."""
-        self._cursors = {}

@@ -8,8 +8,9 @@ that the variants override:
 =====================  =====================================================
 hook                   policy it controls
 =====================  =====================================================
-``install_block``      how a fresh active block's WLs will be ordered
-``allocate_wl``        which WL serves the next flush (WAM vs. sequential)
+``allocator``          which WL serves the next host flush: horizontal-first
+                       (:class:`~repro.core.wam.SequentialAllocator`) or
+                       the WAM
 ``program_params``     operating parameters per WL (PS-aware or default)
 ``after_program``      post-program bookkeeping (leader recording, safety)
 ``read_params``        read offset hints (ORT vs. defaults)
@@ -26,7 +27,7 @@ from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.core.wam import Allocation, SequentialCursor
+from repro.core.wam import Allocation, BlockAllocator, SequentialAllocator
 from repro.faults.counters import RecoveryCounters
 from repro.ftl.blockmgr import (
     DATA_KIND,
@@ -149,6 +150,9 @@ class BaseFTL:
     """Page-level FTL with pluggable PS-awareness."""
 
     name = "base"
+    #: free blocks a host flush leaves in the pool when it opens a block
+    #: (see :meth:`_open_wl`)
+    HOST_RESERVE = 1
 
     def __init__(self, config: SSDConfig, controller) -> None:
         self.config = config
@@ -191,11 +195,11 @@ class BaseFTL:
         self._gc_jobs: Dict[int, Dict[str, _GCJob]] = {
             chip: {} for chip in range(geometry.n_chips)
         }
-        # GC migrations get their own active block per chip (hot/cold
+        #: the host flushes' open blocks; variants may swap the policy
+        self.allocator: BlockAllocator = SequentialAllocator(geometry.block)
+        # GC migrations get their own open block per chip (hot/cold
         # separation: host-written and GC-relocated data do not mix)
-        self._gc_cursors: Dict[int, Optional[SequentialCursor]] = {
-            chip: None for chip in range(geometry.n_chips)
-        }
+        self._gc_allocator = SequentialAllocator(geometry.block)
         self._rr_chip = 0
         # SPOR support: every host write carries a monotonic FTL-global
         # sequence number, programmed into the page's OOB area so that
@@ -214,22 +218,6 @@ class BaseFTL:
     # ------------------------------------------------------------------
     # policy hooks (overridden by FTL variants)
     # ------------------------------------------------------------------
-
-    def install_block(self, chip_id: int, block: int) -> None:
-        """Register a fresh active block with the allocation policy."""
-        raise NotImplementedError
-
-    def active_cursor_space(self, chip_id: int) -> int:
-        """Free WLs currently available through the allocation policy."""
-        raise NotImplementedError
-
-    def cursor_count(self, chip_id: int) -> int:
-        """Number of active blocks currently registered."""
-        raise NotImplementedError
-
-    def allocate_wl(self, chip_id: int) -> Allocation:
-        """Pick the WL for the next program on a chip."""
-        raise NotImplementedError
 
     def program_params(
         self, chip_id: int, allocation: Allocation
@@ -260,16 +248,11 @@ class BaseFTL:
     def on_block_erased(self, chip_id: int, block: int) -> None:
         """Invalidate any per-block monitored state."""
 
-    def discard_block(self, chip_id: int, block: int) -> None:
-        """Remove any allocation cursor referencing ``block``.
-
-        Called when a block leaves service early (program-status
-        failure): its remaining free WLs must never be allocated.
-        Variants extend this for their own cursor structures.
-        """
-        cursor = self._gc_cursors[chip_id]
-        if cursor is not None and cursor.block == block:
-            self._gc_cursors[chip_id] = None
+    def _allocators(self) -> Dict[str, BlockAllocator]:
+        """Every allocator holding open blocks, by its name in the
+        checkpoint; demand-paged variants add their translation
+        allocator."""
+        return {"host": self.allocator, "gc": self._gc_allocator}
 
     def on_uncorrectable(self, chip_id: int, block: int, layer: int) -> bool:
         """Read-recovery hook: drop any cached read parameters of the
@@ -434,11 +417,11 @@ class BaseFTL:
         open and a WL can be allocated without starving GC of blocks."""
         if self._inflight_programs[chip_id] >= self.config.max_inflight_programs:
             return False
-        if self.active_cursor_space(chip_id) > 0:
+        if self.allocator.cursors(chip_id):
             return True
-        return self.blocks.free_count(chip_id) > 1
+        return self.blocks.free_count(chip_id) > self.HOST_RESERVE
 
-    def _take_free_block(self, chip_id: int, kind: str = DATA_KIND) -> int:
+    def _take_free_block(self, chip_id: int, kind: str) -> int:
         """Draw a free block, wear-aware when configured."""
         key = None
         if self.config.wear_aware_allocation:
@@ -446,22 +429,64 @@ class BaseFTL:
             key = chip.block_pe
         return self.blocks.take_free(chip_id, key=key, kind=kind)
 
-    def _ensure_active_blocks(self, chip_id: int) -> None:
-        """Top up the chip's active blocks from the free pool."""
-        count = self.cursor_count(chip_id)
-        if count and count >= self.config.active_blocks_per_chip:
-            # a full set of cursors: neither the top-up nor the fallback
-            # below would install anything
-            return
-        while (
-            self.cursor_count(chip_id) < self.config.active_blocks_per_chip
-            and self.blocks.free_count(chip_id) > 1
-        ):
-            self.install_block(chip_id, self._take_free_block(chip_id))
-        if self.cursor_count(chip_id) == 0:
-            if self.blocks.free_count(chip_id) == 0:
+    def _open_wl(
+        self,
+        chip_id: int,
+        allocator: BlockAllocator,
+        reserve: int,
+        blocks: int,
+        kind: str = DATA_KIND,
+    ) -> Optional[Allocation]:
+        """The next WL ``allocator`` hands out on the chip, after opening
+        free blocks of ``kind`` for it until it holds ``blocks`` open
+        ones or the pool is down to ``reserve`` free blocks; ``None``
+        when no block is open.
+
+        This is the only code that takes a free block for writing, so
+        its callers' numbers are the one statement of who may take the
+        pool's last blocks:
+
+        =============================  ===========  ======  ======================
+        taker                          reserve      blocks  when no block is open
+        =============================  ===========  ======  ======================
+        host flush                     1            active  takes the pool's last
+                                                            block; out of space
+                                                            if the pool is empty
+        data-GC migration              0            1       out of space
+        dftl writeback                 1            1       the writeback defers
+        dftl translation-GC migration  0, or 1      1       the migration defers
+                                       while a
+                                       data-GC job
+                                       runs on the
+                                       chip
+        =============================  ===========  ======  ======================
+
+        The takers are :meth:`_host_allocate` (its reserve is
+        :attr:`HOST_RESERVE`, its blocks ``config.active_blocks_per_chip``),
+        :meth:`_gc_allocate` and ``DFTL._trans_allocate``.  A host flush
+        also waits in :meth:`_chip_eligible` while its chip has no open
+        block and only ``HOST_RESERVE`` free ones, and dftl's data GC
+        needs a free block to start (``DFTL._gc_may_start``).
+        """
+        cursors = allocator.cursors(chip_id)
+        while len(cursors) < blocks and self.blocks.free_count(chip_id) > reserve:
+            allocator.install_block(chip_id, self._take_free_block(chip_id, kind))
+        return allocator.allocate(chip_id, self.buffer.utilization)
+
+    def _host_allocate(self, chip_id: int) -> Allocation:
+        """The WL for the chip's next host flush."""
+        allocation = self._open_wl(
+            chip_id,
+            self.allocator,
+            self.HOST_RESERVE,
+            self.config.active_blocks_per_chip,
+        )
+        if allocation is None:
+            # no open block and the pool at the reserve: take its last block
+            allocation = self._open_wl(chip_id, self.allocator, 0, 1)
+            if allocation is None:
                 raise OutOfSpaceError(f"chip {chip_id}: no active block available")
-            self.install_block(chip_id, self._take_free_block(chip_id))
+        return allocation
 
     def _dispatch_group(self, chip_id: int) -> None:
         entries = self.buffer.pop_group(self.geometry.block.pages_per_wl)
@@ -470,13 +495,11 @@ class BaseFTL:
         self._program_entries(chip_id, entries, is_gc=False)
 
     def _gc_allocate(self, chip_id: int) -> Allocation:
-        """Allocate a WL from the chip's dedicated GC block."""
-        cursor = self._gc_cursors[chip_id]
-        if cursor is None or cursor.exhausted:
-            block = self._take_free_block(chip_id)
-            cursor = SequentialCursor(block, self.geometry.block)
-            self._gc_cursors[chip_id] = cursor
-        return cursor.take()
+        """The WL for the chip's next GC migration, in its GC block."""
+        allocation = self._open_wl(chip_id, self._gc_allocator, 0, 1)
+        if allocation is None:
+            raise OutOfSpaceError(f"chip {chip_id} has no free blocks")
+        return allocation
 
     def _program_entries(
         self,
@@ -489,8 +512,7 @@ class BaseFTL:
         if is_gc:
             allocation = self._gc_allocate(chip_id)
         else:
-            self._ensure_active_blocks(chip_id)
-            allocation = self.allocate_wl(chip_id)
+            allocation = self._host_allocate(chip_id)
         pages_per_wl = self.geometry.block.pages_per_wl
         oob: Optional[List[Optional[Tuple[int, int]]]] = None
         if is_gc:
@@ -712,8 +734,10 @@ class BaseFTL:
 
     def note_program_fail(self, chip_id: int, block: int) -> None:
         """Route a failed block toward retirement: drop its allocation
-        cursors, freeze it FULL, and flag it for prioritized GC."""
-        self.discard_block(chip_id, block)
+        cursors (its remaining free WLs must never be allocated), freeze
+        it FULL, and flag it for prioritized GC."""
+        for allocator in self._allocators().values():
+            allocator.discard_block(chip_id, block)
         state = self.blocks.state(chip_id, block)
         if state is BlockState.ACTIVE:
             self.blocks.mark_full(chip_id, block)
@@ -919,14 +943,30 @@ class BaseFTL:
         is_gc: bool,
         on_data: Callable[[ReadResult], None],
         trace_ctx: Optional[Tuple[Optional[int], int]] = None,
+        attempts_left: Optional[int] = None,
     ) -> None:
         """One page read: die sense (with retries) then, for host reads,
-        the channel transfer out."""
+        the channel transfer out.
+
+        Under a fault campaign an uncorrectable read is followed by up to
+        ``config.read_recovery_attempts`` recovery reads, each made by
+        this method with the attempts left (``None`` on a first read).
+        A recovery read drops any cached read hint for the h-layer first
+        (the hint may be why the retry sweep never reached the optimum --
+        graceful ORT degradation), then senses the page from the
+        paper-default references with the full retry search available."""
+        recovering = attempts_left is not None
+        if recovering and self.on_uncorrectable(chip_id, address.block, address.layer):
+            self.recovery.ort_invalidations += 1
         tracer = self.tracer
         t_submit = self.controller.now if tracer is not None else 0.0
 
         def job():
-            params = self.read_params(chip_id, address.block, address.layer)
+            params = (
+                NOMINAL_READ
+                if recovering
+                else self.read_params(chip_id, address.block, address.layer)
+            )
             result = self.controller.chip(chip_id).read_page(
                 address.block, address.layer, address.wl, address.page, params
             )
@@ -939,25 +979,45 @@ class BaseFTL:
                 if trace_ctx is not None:
                     req, lpn = trace_ctx
                     tracer.span(req, lpn, "chip_queue", t_submit, start, chip=chip_id)
-                    tracer.span(
-                        req, lpn, "nand_read", start, end - result.t_retry_us,
-                        chip=chip_id, retries=result.num_retry,
-                    )
-                    if result.t_retry_us:
+                    if recovering:
                         tracer.span(
-                            req, lpn, "read_retry", end - result.t_retry_us, end,
+                            req, lpn, "recovery_read", start, end, chip=chip_id,
+                            retries=result.num_retry,
+                            correctable=result.correctable,
+                        )
+                    else:
+                        tracer.span(
+                            req, lpn, "nand_read", start, end - result.t_retry_us,
                             chip=chip_id, retries=result.num_retry,
                         )
+                        if result.t_retry_us:
+                            tracer.span(
+                                req, lpn, "read_retry", end - result.t_retry_us,
+                                end, chip=chip_id, retries=result.num_retry,
+                            )
                 elif is_gc:
                     tracer.span(None, None, "gc_read", start, end, chip=chip_id)
             self._account_read(result, is_gc)
             if self.faults is not None and not result.correctable:
-                self._recover_read(
-                    chip_id, address, is_gc, on_data,
-                    self.config.read_recovery_attempts,
-                    trace_ctx=trace_ctx,
+                if not recovering:
+                    attempts = self.config.read_recovery_attempts
+                elif attempts_left > 1:
+                    attempts = attempts_left - 1
+                else:
+                    # data loss in a real device; the simulation
+                    # completes the request and records the escape
+                    self.recovery.uncorrectable_after_recovery += 1
+                    self._deliver_read(
+                        chip_id, result, is_gc, on_data, trace_ctx=trace_ctx
+                    )
+                    return
+                self._flash_read(
+                    chip_id, address, is_gc, on_data, trace_ctx=trace_ctx,
+                    attempts_left=attempts,
                 )
                 return
+            if recovering:
+                self.recovery.recovered_reads += 1
             self.after_read(chip_id, address.block, address.layer, result)
             self._deliver_read(chip_id, result, is_gc, on_data, trace_ctx=trace_ctx)
 
@@ -1006,68 +1066,6 @@ class BaseFTL:
             self.controller.bus_resource(chip_id).submit(
                 self._page_transfer_job, lambda _ignored: on_data(result)
             )
-
-    def _recover_read(
-        self,
-        chip_id: int,
-        address: PageAddress,
-        is_gc: bool,
-        on_data: Callable[[ReadResult], None],
-        attempts_left: int,
-        trace_ctx: Optional[Tuple[Optional[int], int]] = None,
-    ) -> None:
-        """Bounded re-read with conservative nominal parameters after an
-        uncorrectable read.
-
-        Any cached read hint for the h-layer is dropped first (the hint
-        may be why the retry sweep never reached the optimum -- graceful
-        ORT degradation), then the page is re-sensed starting from the
-        paper-default references with the full retry search available."""
-        if self.on_uncorrectable(chip_id, address.block, address.layer):
-            self.recovery.ort_invalidations += 1
-        tracer = self.tracer
-        t_submit = self.controller.now if tracer is not None else 0.0
-
-        def job():
-            result = self.controller.chip(chip_id).read_page(
-                address.block,
-                address.layer,
-                address.wl,
-                address.page,
-                NOMINAL_READ,
-            )
-            return result.t_read_us, result
-
-        def on_done(result: ReadResult) -> None:
-            if tracer is not None:
-                end = self.controller.now
-                start = max(end - result.t_read_us, t_submit)
-                if trace_ctx is not None:
-                    req, lpn = trace_ctx
-                    tracer.span(req, lpn, "chip_queue", t_submit, start, chip=chip_id)
-                    tracer.span(
-                        req, lpn, "recovery_read", start, end, chip=chip_id,
-                        retries=result.num_retry, correctable=result.correctable,
-                    )
-                elif is_gc:
-                    tracer.span(None, None, "gc_read", start, end, chip=chip_id)
-            self._account_read(result, is_gc)
-            if result.correctable:
-                self.recovery.recovered_reads += 1
-                self.after_read(chip_id, address.block, address.layer, result)
-                self._deliver_read(chip_id, result, is_gc, on_data, trace_ctx=trace_ctx)
-            elif attempts_left > 1:
-                self._recover_read(
-                    chip_id, address, is_gc, on_data, attempts_left - 1,
-                    trace_ctx=trace_ctx,
-                )
-            else:
-                # data loss in a real device; the simulation completes the
-                # request and records the escape
-                self.recovery.uncorrectable_after_recovery += 1
-                self._deliver_read(chip_id, result, is_gc, on_data, trace_ctx=trace_ctx)
-
-        self.controller.chip_resource(chip_id).submit(job, on_done)
 
     # ------------------------------------------------------------------
     # garbage collection
@@ -1258,8 +1256,8 @@ class BaseFTL:
         return record[1] if record is not None else 0
 
     def variant_state_dict(self) -> dict:
-        """Serializable policy-specific state (allocation cursors,
-        monitored parameters); overridden by the FTL variants."""
+        """Serializable policy-specific state (monitored parameters,
+        cached mappings); overridden by the FTL variants."""
         return {}
 
     def load_variant_state(self, state: dict) -> None:
@@ -1297,9 +1295,9 @@ class BaseFTL:
             "counters": asdict(self.counters),
             "recovery": asdict(self.recovery),
             "scrubbed_lpns": sorted(self._scrubbed_lpns),
-            "gc_cursors": {
-                chip: (cursor.state_dict() if cursor is not None else None)
-                for chip, cursor in self._gc_cursors.items()
+            "allocators": {
+                name: allocator.state_dict()
+                for name, allocator in self._allocators().items()
             },
             "rr_chip": self._rr_chip,
             "write_seq": self._write_seq,
@@ -1313,14 +1311,8 @@ class BaseFTL:
         self.counters = FTLCounters(**state["counters"])
         self.recovery = RecoveryCounters(**state["recovery"])
         self._scrubbed_lpns = set(state["scrubbed_lpns"])
-        self._gc_cursors = {
-            chip: (
-                SequentialCursor.from_state(cursor_state, self.geometry.block)
-                if cursor_state is not None
-                else None
-            )
-            for chip, cursor_state in state["gc_cursors"].items()
-        }
+        for name, allocator in self._allocators().items():
+            allocator.load_state_dict(state["allocators"][name])
         self._rr_chip = state["rr_chip"]
         self._write_seq = state["write_seq"]
         self.load_variant_state(state["variant"])
@@ -1332,9 +1324,9 @@ class BaseFTL:
     def _post_spor_reset(self) -> None:
         """Clear every volatile allocation structure after recovery (all
         blocks come back sealed FULL or FREE, so no cursor survives).
-        Variants extend this for their own cursor structures."""
-        for chip_id in self._gc_cursors:
-            self._gc_cursors[chip_id] = None
+        Variants extend this for their own volatile structures."""
+        for allocator in self._allocators().values():
+            allocator.reset()
         self._rr_chip = 0
         self._scrubbed_lpns = set()
 

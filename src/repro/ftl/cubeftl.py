@@ -18,11 +18,11 @@ horizontal-first order with no workload awareness (Section 6.3).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Tuple
 
 from repro.core.opm import OptimalParameterManager
 from repro.core.safety import SafetyVerdict
-from repro.core.wam import Allocation, SequentialCursor, WLAllocationManager
+from repro.core.wam import Allocation, WLAllocationManager
 from repro.ftl.base import BaseFTL
 from repro.nand.chip import ProgramResult, ReadResult
 from repro.nand.ispp import ProgramParams
@@ -47,7 +47,15 @@ class CubeFTL(BaseFTL):
     ) -> None:
         super().__init__(config, controller)
         self.wam_enabled = wam_enabled
-        if not wam_enabled:
+        if wam_enabled:
+            self.wam = self.allocator = WLAllocationManager(
+                config.geometry.block,
+                active_blocks_per_chip=config.active_blocks_per_chip,
+                mu_threshold=config.mu_threshold,
+            )
+        else:
+            # the base FTL's horizontal-first allocator stays
+            self.wam = None
             self.name = "cubeFTL-"
         self.opm = opm or OptimalParameterManager(
             controller.ispp,
@@ -58,52 +66,6 @@ class CubeFTL(BaseFTL):
         #: the (monitoring) leader program's parameters: immutable, so
         #: fetched once
         self._leader_params = ProgramParams.default(controller.ispp.n_states)
-        self.wam = WLAllocationManager(
-            config.geometry.block,
-            active_blocks_per_chip=config.active_blocks_per_chip,
-            mu_threshold=config.mu_threshold,
-        )
-        # horizontal-first cursors for the WAM-disabled ablation
-        self._seq_cursors: Dict[int, List[SequentialCursor]] = {
-            chip: [] for chip in range(config.geometry.n_chips)
-        }
-
-    # ------------------------------------------------------------------
-    # allocation policy
-    # ------------------------------------------------------------------
-
-    def install_block(self, chip_id: int, block: int) -> None:
-        if self.wam_enabled:
-            self.wam.install_block(chip_id, block)
-        else:
-            self._seq_cursors[chip_id].append(
-                SequentialCursor(block, self.geometry.block)
-            )
-
-    def cursor_count(self, chip_id: int) -> int:
-        if self.wam_enabled:
-            return len(self.wam.cursors(chip_id))
-        return len(self._seq_cursors[chip_id])
-
-    def active_cursor_space(self, chip_id: int) -> int:
-        if self.wam_enabled:
-            return self.wam.free_wls(chip_id)
-        return sum(cursor.free_wls() for cursor in self._seq_cursors[chip_id])
-
-    def allocate_wl(self, chip_id: int) -> Allocation:
-        if self.wam_enabled:
-            allocation = self.wam.allocate(chip_id, self.buffer.utilization)
-            if allocation is None:
-                raise LookupError(f"chip {chip_id}: no active cursor space")
-            return allocation
-        cursors = self._seq_cursors[chip_id]
-        for cursor in cursors:
-            if not cursor.exhausted:
-                allocation = cursor.take()
-                if cursor.exhausted:
-                    cursors.remove(cursor)
-                return allocation
-        raise LookupError(f"chip {chip_id}: no active cursor space")
 
     # ------------------------------------------------------------------
     # PS-aware program parameters
@@ -155,17 +117,6 @@ class CubeFTL(BaseFTL):
     def on_block_erased(self, chip_id: int, block: int) -> None:
         self.opm.invalidate_block(chip_id, block, self.geometry.block.n_layers)
 
-    def discard_block(self, chip_id: int, block: int) -> None:
-        super().discard_block(chip_id, block)
-        if self.wam_enabled:
-            self.wam.discard_block(chip_id, block)
-        else:
-            self._seq_cursors[chip_id] = [
-                cursor
-                for cursor in self._seq_cursors[chip_id]
-                if cursor.block != block
-            ]
-
     def on_uncorrectable(self, chip_id: int, block: int, layer: int) -> bool:
         if not self.enable_ort:
             return False
@@ -176,31 +127,12 @@ class CubeFTL(BaseFTL):
     # ------------------------------------------------------------------
 
     def variant_state_dict(self) -> dict:
-        return {
-            "wam": self.wam.state_dict(),
-            "opm": self.opm.state_dict(),
-            "seq_cursors": {
-                chip_id: [cursor.state_dict() for cursor in cursors]
-                for chip_id, cursors in self._seq_cursors.items()
-            },
-        }
+        return {"opm": self.opm.state_dict()}
 
     def load_variant_state(self, state: dict) -> None:
-        self.wam.load_state_dict(state["wam"])
         self.opm.load_state_dict(state["opm"])
-        self._seq_cursors = {
-            chip_id: [
-                SequentialCursor.from_state(cursor_state, self.geometry.block)
-                for cursor_state in cursor_states
-            ]
-            for chip_id, cursor_states in state["seq_cursors"].items()
-        }
 
     def _post_spor_reset(self) -> None:
         super()._post_spor_reset()
-        self.wam.reset()
-        self._seq_cursors = {
-            chip: [] for chip in range(self.geometry.n_chips)
-        }
         # monitored parameters and the ORT live in controller RAM: gone
         self.opm.reset_monitored()

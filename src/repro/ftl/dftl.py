@@ -45,7 +45,7 @@ from collections import OrderedDict, deque
 from dataclasses import asdict, dataclass
 from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
-from repro.core.wam import Allocation, SequentialCursor
+from repro.core.wam import Allocation, BlockAllocator, SequentialAllocator
 from repro.ftl.base import _GCJob
 from repro.ftl.blockmgr import DATA_KIND, TRANS_KIND, OutOfSpaceError
 from repro.ftl.mapping import UNMAPPED, PageMapper
@@ -114,9 +114,8 @@ class DFTL(PageFTL):
         #: TVPN -> its dirty CMT LPNs, so a dirty eviction's batched
         #: writeback cleans them without scanning the whole CMT
         self._cmt_dirty: Dict[int, Set[int]] = {}
-        self._trans_cursors: Dict[int, Optional[SequentialCursor]] = {
-            chip: None for chip in range(config.geometry.n_chips)
-        }
+        #: each chip's open translation block
+        self._trans_allocator = SequentialAllocator(config.geometry.block)
         #: TVPN -> writebacks not yet landed (covers the audit window
         #: between a dirty eviction and its translation-page bind)
         self._inflight_trans: Dict[int, int] = {}
@@ -559,34 +558,25 @@ class DFTL(PageFTL):
     def _trans_allocate(
         self, chip_id: int, for_gc: bool = False
     ) -> Optional[Allocation]:
-        """A WL in the chip's translation block, or ``None`` when taking
-        a block now would drain the pool GC needs (the caller defers).
+        """A WL in the chip's translation block, or ``None`` when opening
+        one now would drain the pool GC needs (the caller defers).
 
         Writebacks leave the last free block for GC; a translation-GC
         migration may take it (same rule as data GC: the erase it leads
         to frees a whole block right back) -- unless a data-GC job is
         mid-flight on this chip, in which case that last block is spoken
-        for (base ``_gc_allocate`` takes it unconditionally)."""
-        cursor = self._trans_cursors[chip_id]
-        if cursor is None or cursor.exhausted:
-            reserve = 0 if for_gc and DATA_KIND not in self._gc_jobs[chip_id] else 1
-            if self.blocks.free_count(chip_id) <= reserve:
-                return None
-            block = self._take_free_block(chip_id, kind=TRANS_KIND)
-            cursor = SequentialCursor(block, self.geometry.block)
-            self._trans_cursors[chip_id] = cursor
-        return cursor.take()
+        for (the data-GC migration takes it unconditionally).  The
+        reserves are tabled at :meth:`~repro.ftl.base.BaseFTL._open_wl`."""
+        reserve = 0 if for_gc and DATA_KIND not in self._gc_jobs[chip_id] else 1
+        return self._open_wl(chip_id, self._trans_allocator, reserve, 1, TRANS_KIND)
 
     def _drain_trans_pending(self) -> None:
         pending, self._trans_pending = self._trans_pending, deque()
         for thunk in pending:
             thunk()
 
-    def discard_block(self, chip_id: int, block: int) -> None:
-        super().discard_block(chip_id, block)
-        cursor = self._trans_cursors[chip_id]
-        if cursor is not None and cursor.block == block:
-            self._trans_cursors[chip_id] = None
+    def _allocators(self) -> Dict[str, BlockAllocator]:
+        return {**super()._allocators(), "trans": self._trans_allocator}
 
     def on_block_erased(self, chip_id: int, block: int) -> None:
         super().on_block_erased(chip_id, block)
@@ -727,10 +717,6 @@ class DFTL(PageFTL):
         state["dftl"] = {
             "cmt": [[lpn, dirty] for lpn, dirty in self._cmt.items()],
             "tmapper": self.tmapper.state_dict(),
-            "trans_cursors": {
-                chip: (cursor.state_dict() if cursor is not None else None)
-                for chip, cursor in self._trans_cursors.items()
-            },
             "trans_seq": self._trans_seq,
             "stats": asdict(self.dftl_stats),
         }
@@ -749,14 +735,6 @@ class DFTL(PageFTL):
                     lpn // self.mappings_per_tpage, set()
                 ).add(lpn)
         self.tmapper.load_state_dict(dftl["tmapper"])
-        self._trans_cursors = {
-            chip: (
-                SequentialCursor.from_state(cursor_state, self.geometry.block)
-                if cursor_state is not None
-                else None
-            )
-            for chip, cursor_state in dftl["trans_cursors"].items()
-        }
         self._trans_seq = dftl["trans_seq"]
         self.dftl_stats = DftlStats(**dftl["stats"])
         self._inflight_trans = {}
@@ -771,9 +749,6 @@ class DFTL(PageFTL):
         super()._post_spor_reset()
         self._cmt = OrderedDict()
         self._cmt_dirty = {}
-        self._trans_cursors = {
-            chip: None for chip in range(self.geometry.n_chips)
-        }
         self._inflight_trans = {}
         self._inflight_trans_programs = 0
         self._trans_pending = deque()

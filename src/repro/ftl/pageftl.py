@@ -8,75 +8,12 @@ default read references (paying the full retry sweep on aged blocks).
 
 from __future__ import annotations
 
-from typing import Dict, List
-
-from repro.core.wam import Allocation, SequentialCursor
 from repro.ftl.base import BaseFTL
-from repro.ssd.config import SSDConfig
 
 
 class PageFTL(BaseFTL):
-    """Baseline page-mapping FTL without process-similarity awareness."""
+    """Baseline page-mapping FTL without process-similarity awareness:
+    the base FTL's PS-unaware defaults (horizontal-first allocation,
+    default program and read parameters) and nothing more."""
 
     name = "pageFTL"
-
-    def __init__(self, config: SSDConfig, controller) -> None:
-        super().__init__(config, controller)
-        self._cursors: Dict[int, List[SequentialCursor]] = {
-            chip: [] for chip in range(config.geometry.n_chips)
-        }
-
-    # -- allocation policy: plain horizontal-first ----------------------
-
-    def install_block(self, chip_id: int, block: int) -> None:
-        self._cursors[chip_id].append(SequentialCursor(block, self.geometry.block))
-
-    def cursor_count(self, chip_id: int) -> int:
-        return len(self._cursors[chip_id])
-
-    def active_cursor_space(self, chip_id: int) -> int:
-        return sum(cursor.free_wls() for cursor in self._cursors[chip_id])
-
-    def allocate_wl(self, chip_id: int) -> Allocation:
-        cursors = self._cursors[chip_id]
-        for cursor in cursors:
-            if not cursor.exhausted:
-                allocation = cursor.take()
-                if cursor.exhausted:
-                    cursors.remove(cursor)
-                return allocation
-        raise LookupError(f"chip {chip_id}: no active cursor space")
-
-    def discard_block(self, chip_id: int, block: int) -> None:
-        super().discard_block(chip_id, block)
-        self._cursors[chip_id] = [
-            cursor for cursor in self._cursors[chip_id] if cursor.block != block
-        ]
-
-    # -- checkpointing ---------------------------------------------------
-
-    def variant_state_dict(self) -> dict:
-        return {
-            "cursors": {
-                chip_id: [cursor.state_dict() for cursor in cursors]
-                for chip_id, cursors in self._cursors.items()
-            }
-        }
-
-    def load_variant_state(self, state: dict) -> None:
-        self._cursors = {
-            chip_id: [
-                SequentialCursor.from_state(cursor_state, self.geometry.block)
-                for cursor_state in cursor_states
-            ]
-            for chip_id, cursor_states in state["cursors"].items()
-        }
-
-    def _post_spor_reset(self) -> None:
-        super()._post_spor_reset()
-        self._cursors = {
-            chip: [] for chip in range(self.geometry.n_chips)
-        }
-
-    # program_params / read_params / after_* inherit the PS-unaware
-    # defaults from BaseFTL.

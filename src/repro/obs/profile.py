@@ -39,9 +39,8 @@ FTL_LAYERS: Dict[str, Tuple[str, ...]] = {
     "ftl.submit": ("submit",),
     "ftl.write": (
         "_start_write", "_drain_pending_writes", "_maybe_flush",
-        "_dispatch_group", "_bind_host_pages", "_ensure_active_blocks",
-        "allocate_wl", "_program_entries", "_on_program_complete",
-        "_on_program_fail",
+        "_dispatch_group", "_bind_host_pages", "_host_allocate", "_open_wl",
+        "_program_entries", "_on_program_complete", "_on_program_fail",
     ),
     "ftl.read": (
         "_start_read", "_read_lpn", "_mapped_read", "_controller_read",

@@ -43,7 +43,7 @@ from repro.ssd.config import SSDConfig
 
 #: version stamp of the checkpoint layout (header keys + state.pkl
 #: shape); bump on any change -- loads refuse mismatched versions
-CHECKPOINT_SCHEMA_VERSION = 3
+CHECKPOINT_SCHEMA_VERSION = 4
 
 HEADER_NAME = "header.json"
 STATE_NAME = "state.pkl"

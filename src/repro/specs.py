@@ -737,10 +737,23 @@ class SimulationSpec:
 simulation_spec_from_dict = SimulationSpec.from_dict
 
 
+#: what building a spec from a malformed dict raises: its own checks'
+#: SpecError, and the TypeError, ValueError and KeyError of the
+#: constructors it calls (an SSDConfig field out of its domain, say)
+_SPEC_DICT_ERRORS = (SpecError, TypeError, ValueError, KeyError)
+
+
 def load_spec_file(path: Union[str, Path]) -> SimulationSpec:
-    """Load a :class:`SimulationSpec` from a ``.json`` or ``.toml`` file."""
+    """Load a :class:`SimulationSpec` from a ``.json`` or ``.toml`` file.
+
+    Every problem -- an unreadable file, malformed JSON, an unknown key,
+    an out-of-domain value -- is a :class:`SpecError` whose message
+    starts with the path."""
     path = Path(path)
-    text = path.read_text()
+    try:
+        text = path.read_text()
+    except OSError as error:
+        raise SpecError(f"{path}: {error.strerror or error}") from error
     if path.suffix.lower() == ".toml":
         try:
             import tomllib
@@ -749,7 +762,10 @@ def load_spec_file(path: Union[str, Path]) -> SimulationSpec:
                 f"{path}: TOML spec files need Python 3.11+ (tomllib); "
                 "use JSON instead"
             ) from None
-        data = tomllib.loads(text)
+        try:
+            data = tomllib.loads(text)
+        except tomllib.TOMLDecodeError as error:
+            raise SpecError(f"{path}: invalid TOML: {error}") from error
     else:
         try:
             data = json.loads(text)
@@ -759,7 +775,7 @@ def load_spec_file(path: Union[str, Path]) -> SimulationSpec:
         raise SpecError(f"{path}: spec root must be an object")
     try:
         return SimulationSpec.from_dict(data)
-    except SpecError as error:
+    except _SPEC_DICT_ERRORS as error:
         raise SpecError(f"{path}: {error}") from error
 
 
@@ -768,7 +784,7 @@ def validate_spec_dict(data: dict) -> List[str]:
     valid).  Used by ``tools/check_schema.py --spec``."""
     try:
         SimulationSpec.from_dict(data)
-    except (SpecError, TypeError, ValueError, KeyError) as error:
+    except _SPEC_DICT_ERRORS as error:
         return [str(error)]
     return []
 

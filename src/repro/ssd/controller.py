@@ -218,8 +218,7 @@ class SSDSimulation:
         store_oob = self.config.store_oob
         # the per-WL hooks, bound once: prefill runs before any observer
         # wraps them on the instance, and the FTL swaps none of them
-        ensure_active_blocks = ftl._ensure_active_blocks
-        allocate_wl = ftl.allocate_wl
+        host_allocate = ftl._host_allocate
         program_params = ftl.program_params
         after_program = ftl.after_program
         maybe_mark_full = ftl._maybe_mark_full
@@ -233,8 +232,7 @@ class SSDSimulation:
             pad = [None] * (pages_per_wl - (end - lpn))
             chip_id = chip_rr % n_chips
             chip_rr += 1
-            ensure_active_blocks(chip_id)
-            allocation = allocate_wl(chip_id)
+            allocation = host_allocate(chip_id)
             block = allocation.block
             layer, wl = allocation.address
             params, squeeze_mv = program_params(chip_id, allocation)

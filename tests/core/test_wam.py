@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from repro.core.wam import (
     ActiveBlockCursor,
     Allocation,
+    SequentialAllocator,
     SequentialCursor,
     WLAllocationManager,
 )
@@ -111,6 +112,77 @@ class TestSequentialCursor:
         assert cursor.exhausted
         with pytest.raises(LookupError):
             cursor.take()
+
+
+class TestSequentialAllocator:
+    @pytest.fixture
+    def allocator(self, geometry):
+        allocator = SequentialAllocator(geometry)
+        allocator.install_block(0, 10)
+        allocator.install_block(0, 11)
+        return allocator
+
+    def _drain(self, allocator, n, utilization=0.0):
+        return [
+            (allocation.block, allocation.address, allocation.is_leader)
+            for allocation in (
+                allocator.allocate(0, utilization) for _ in range(n)
+            )
+        ]
+
+    def test_oldest_block_first_horizontal_within(self, allocator, geometry):
+        order = self._drain(allocator, geometry.wls_per_block + 2)
+        assert order[:5] == [
+            (10, WLAddress(0, 0), True),
+            (10, WLAddress(0, 1), False),
+            (10, WLAddress(0, 2), False),
+            (10, WLAddress(0, 3), False),
+            (10, WLAddress(1, 0), True),
+        ]
+        assert {block for block, _address, _leader in order[:-2]} == {10}
+        assert order[-2:] == [
+            (11, WLAddress(0, 0), True),
+            (11, WLAddress(0, 1), False),
+        ]
+
+    def test_utilization_ignored(self, geometry):
+        orders = []
+        for utilization in (0.0, 1.0):
+            allocator = SequentialAllocator(geometry)
+            allocator.install_block(0, 10)
+            orders.append(self._drain(allocator, 9, utilization))
+        assert orders[0] == orders[1]
+
+    def test_exhausted_cursor_dropped(self, allocator, geometry):
+        self._drain(allocator, geometry.wls_per_block)
+        assert [cursor.block for cursor in allocator.cursors(0)] == [11]
+        assert allocator.free_wls(0) == geometry.wls_per_block
+        self._drain(allocator, geometry.wls_per_block)
+        assert allocator.cursors(0) == []
+        assert allocator.allocate(0, 0.0) is None
+
+    def test_discard_block(self, allocator, geometry):
+        allocator.allocate(0, 0.0)
+        assert allocator.discard_block(0, 10)
+        assert not allocator.discard_block(0, 10)
+        assert allocator.allocate(0, 0.0).block == 11
+        assert allocator.free_wls(0) == geometry.wls_per_block - 1
+
+    def test_reset(self, allocator):
+        allocator.install_block(1, 3)
+        allocator.reset()
+        assert allocator.cursors(0) == allocator.cursors(1) == []
+        assert allocator.allocate(0, 0.0) is None
+
+    def test_state_round_trip(self, allocator, geometry):
+        allocator.install_block(2, 5)
+        self._drain(allocator, 6)
+        restored = SequentialAllocator(geometry)
+        restored.load_state_dict(allocator.state_dict())
+        assert restored.state_dict() == allocator.state_dict()
+        n = allocator.free_wls(0)
+        assert self._drain(restored, n) == self._drain(allocator, n)
+        assert restored.allocate(0, 0.0) is allocator.allocate(0, 0.0) is None
 
 
 class TestWLAllocationManager:

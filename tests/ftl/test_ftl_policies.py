@@ -38,16 +38,16 @@ class TestMakeFTL:
 class TestPageFTLPolicy:
     def test_horizontal_first_allocation(self, config, controller):
         ftl = PageFTL(config, controller)
-        ftl.install_block(0, 3)
-        addresses = [ftl.allocate_wl(0).address for _ in range(5)]
+        ftl.allocator.install_block(0, 3)
+        addresses = [ftl.allocator.allocate(0, 0.0).address for _ in range(5)]
         assert [(a.layer, a.wl) for a in addresses] == [
             (0, 0), (0, 1), (0, 2), (0, 3), (1, 0),
         ]
 
     def test_default_params_everywhere(self, config, controller):
         ftl = PageFTL(config, controller)
-        ftl.install_block(0, 3)
-        allocation = ftl.allocate_wl(0)
+        ftl.allocator.install_block(0, 3)
+        allocation = ftl.allocator.allocate(0, 0.0)
         params, squeeze = ftl.program_params(0, allocation)
         assert squeeze == 0.0
         assert params.v_start_mv == V_START_DEFAULT_MV
@@ -60,19 +60,18 @@ class TestPageFTLPolicy:
 
     def test_exhausted_cursor_dropped(self, config, controller):
         ftl = PageFTL(config, controller)
-        ftl.install_block(0, 3)
+        ftl.allocator.install_block(0, 3)
         for _ in range(config.geometry.block.wls_per_block):
-            ftl.allocate_wl(0)
-        assert ftl.cursor_count(0) == 0
-        with pytest.raises(LookupError):
-            ftl.allocate_wl(0)
+            ftl.allocator.allocate(0, 0.0)
+        assert ftl.allocator.cursors(0) == []
+        assert ftl.allocator.allocate(0, 0.0) is None
 
 
 class TestVertFTLPolicy:
     def test_static_v_final_only(self, config, controller):
         ftl = VertFTL(config, controller)
-        ftl.install_block(0, 3)
-        params, squeeze = ftl.program_params(0, ftl.allocate_wl(0))
+        ftl.allocator.install_block(0, 3)
+        params, squeeze = ftl.program_params(0, ftl.allocator.allocate(0, 0.0))
         assert params.v_start_mv == V_START_DEFAULT_MV  # V_start untouched
         assert params.v_final_mv < V_FINAL_DEFAULT_MV
         assert squeeze == ftl.static_margin_mv
@@ -90,15 +89,15 @@ class TestVertFTLPolicy:
 class TestCubeFTLPolicy:
     def test_first_program_on_layer_is_monitoring_leader(self, config, controller):
         ftl = CubeFTL(config, controller)
-        ftl.install_block(0, 3)
-        allocation = ftl.allocate_wl(0)
+        ftl.allocator.install_block(0, 3)
+        allocation = ftl.allocator.allocate(0, ftl.buffer.utilization)
         params, squeeze = ftl.program_params(0, allocation)
         assert squeeze == 0.0  # no observation yet -> default parameters
 
     def test_follower_after_leader_recorded(self, config, controller):
         ftl = CubeFTL(config, controller)
-        ftl.install_block(0, 3)
-        leader_alloc = ftl.allocate_wl(0)
+        ftl.allocator.install_block(0, 3)
+        leader_alloc = ftl.allocator.allocate(0, ftl.buffer.utilization)
         params, squeeze = ftl.program_params(0, leader_alloc)
         result = controller.chip(0).program_wl(
             leader_alloc.block,
@@ -135,17 +134,17 @@ class TestCubeFTLPolicy:
 
     def test_wam_disabled_uses_sequential_cursors(self, config, controller):
         ftl = CubeFTL(config, controller, wam_enabled=False)
-        ftl.install_block(0, 3)
-        addresses = [ftl.allocate_wl(0).address for _ in range(4)]
+        ftl.allocator.install_block(0, 3)
+        addresses = [ftl.allocator.allocate(0, 0.0).address for _ in range(4)]
         assert [(a.layer, a.wl) for a in addresses] == [
             (0, 0), (0, 1), (0, 2), (0, 3),
         ]
 
     def test_wam_enabled_low_utilization_walks_leaders(self, config, controller):
         ftl = CubeFTL(config, controller)
-        ftl.install_block(0, 3)
+        ftl.allocator.install_block(0, 3)
         # empty buffer -> utilization 0 -> leaders first
-        first = ftl.allocate_wl(0)
-        second = ftl.allocate_wl(0)
+        first = ftl.allocator.allocate(0, ftl.buffer.utilization)
+        second = ftl.allocator.allocate(0, ftl.buffer.utilization)
         assert first.is_leader and second.is_leader
         assert (first.address.layer, second.address.layer) == (0, 1)

@@ -22,9 +22,9 @@ class TestOracleFTL:
     def test_every_wl_gets_fast_params(self, config):
         controller = SSDController(config)
         ftl = OracleFTL(config, controller)
-        ftl.install_block(0, 3)
+        ftl.allocator.install_block(0, 3)
         for _ in range(8):
-            allocation = ftl.allocate_wl(0)
+            allocation = ftl.allocator.allocate(0, 0.0)
             params, squeeze = ftl.program_params(0, allocation)
             assert squeeze > 0
             assert any(start > 1 for start in params.verify_plan.start_loops)
@@ -34,10 +34,10 @@ class TestOracleFTL:
         truth)."""
         controller = SSDController(config)
         ftl = OracleFTL(config, controller)
-        ftl.install_block(0, 3)
+        ftl.allocator.install_block(0, 3)
         chip = controller.chip(0)
         for _ in range(12):
-            allocation = ftl.allocate_wl(0)
+            allocation = ftl.allocator.allocate(0, 0.0)
             params, _squeeze = ftl.program_params(0, allocation)
             result = chip.program_wl(
                 allocation.block,
@@ -66,8 +66,8 @@ class TestOracleFTL:
     def test_erase_clears_cache(self, config):
         controller = SSDController(config)
         ftl = OracleFTL(config, controller)
-        ftl.install_block(0, 3)
-        allocation = ftl.allocate_wl(0)
+        ftl.allocator.install_block(0, 3)
+        allocation = ftl.allocator.allocate(0, 0.0)
         ftl.program_params(0, allocation)
         assert ftl._params_cache
         ftl.on_block_erased(0, 3)

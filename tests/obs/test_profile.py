@@ -11,6 +11,7 @@ from types import CodeType
 
 import pytest
 
+import repro.ftl as ftl_package
 import repro.ftl.base as base_module
 import repro.nand.chip as chip_module
 import repro.persist.driver as driver_module
@@ -19,6 +20,7 @@ from repro.ftl.base import BaseFTL
 from repro.ftl.dftl import DFTL
 from repro.nand.chip import NandChip
 from repro.obs.profile import (
+    FTL_LAYERS,
     HostProfile,
     profile_report,
     sampling,
@@ -96,6 +98,20 @@ class TestAttribution:
     )
     def test_code_object_layer(self, code, is_gc, layer):
         assert HostProfile().layer_of(code, is_gc=is_gc) == layer
+
+    @pytest.mark.parametrize("layer", sorted(FTL_LAYERS))
+    def test_every_ftl_layer_name_is_defined(self, layer):
+        """A name no FTL class defines would be skipped silently, and
+        the time of the method it meant charged to ``ftl.base``."""
+        classes = [
+            cls for cls in vars(ftl_package).values()
+            if isinstance(cls, type) and issubclass(cls, BaseFTL)
+        ]
+        stale = [
+            name for name in FTL_LAYERS[layer]
+            if not any(name in cls.__dict__ for cls in classes)
+        ]
+        assert stale == []
 
     def test_code_outside_the_package_has_no_layer(self):
         assert HostProfile().layer_of(_nested.__code__) == ""

@@ -63,7 +63,9 @@ def _key(result):
 
 
 class TestResumeEquivalence:
-    @pytest.mark.parametrize("ftl", ["page", "vert", "cube", "oracle", "dftl"])
+    @pytest.mark.parametrize(
+        "ftl", ["page", "vert", "cube", "cube-", "oracle", "dftl"]
+    )
     @pytest.mark.parametrize(
         "aged,faults", [(False, None), (True, "default")]
     )

@@ -252,6 +252,67 @@ class TestFlatFlagsBesideSpec:
         )
 
 
+#: bad --spec inputs -> (how the file is made from a good spec, what
+#: the one-line refusal says is wrong)
+BAD_SPECS = {
+    "unknown-key": (
+        lambda spec: json.dumps({**spec, "config": {"bogus": 1}}),
+        "config: unknown key(s) ['bogus']",
+    ),
+    "out-of-domain": (
+        lambda spec: json.dumps({**spec, "config": {"mu_threshold": 7}}),
+        "mu_threshold must be in (0, 1]",
+    ),
+    "malformed-json": (lambda spec: json.dumps(spec)[:-1], "invalid JSON"),
+    "missing-file": (None, "No such file or directory"),
+}
+#: each --spec command, with the flags it needs besides
+SPEC_COMMANDS = {
+    "simulate": [],
+    "sweep": ["--jobs", "1"],
+    "tenants": ["--jobs", "1"],
+}
+
+
+def _exit(argv):
+    """What the interpreter makes of ``main(argv)`` ending in
+    ``SystemExit``: the exit status, and the lines it prints to stderr
+    (a string exit code is printed and exits 1)."""
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    code = stop.value.code
+    if isinstance(code, str):
+        return 1, code.splitlines()
+    return code, []
+
+
+class TestBadInputRefused:
+    """A bad --spec file or --resume checkpoint ends the command with
+    one line naming the path and the problem, not a traceback."""
+
+    @pytest.mark.parametrize("bad", sorted(BAD_SPECS))
+    @pytest.mark.parametrize("command", sorted(SPEC_COMMANDS))
+    def test_bad_spec_file(self, tmp_path, command, bad):
+        source = SPEC_TENANTS if command == "tenants" else SPEC_SMOKE
+        with open(source) as handle:
+            spec = json.load(handle)
+        make, problem = BAD_SPECS[bad]
+        path = tmp_path / "spec.json"
+        if make is not None:
+            path.write_text(make(spec))
+        status, lines = _exit(
+            [command, "--spec", str(path), *SPEC_COMMANDS[command]]
+        )
+        assert status == 1
+        assert len(lines) == 1
+        assert lines[0].startswith(f"{path}: {problem}")
+
+    def test_missing_checkpoint(self, tmp_path):
+        missing = tmp_path / "no-checkpoint"
+        argv = ["simulate", "--spec", SPEC_SMOKE, "--resume", str(missing)]
+        assert _exit(argv) == (1, [f"{missing}: no header.json"])
+
+
 class TestCompare:
     def test_three_ftl_comparison(self, capsys):
         exit_code = main([
