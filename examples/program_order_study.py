@@ -47,7 +47,7 @@ def main() -> None:
     ))
 
     print("\n== Part 3: the WAM in action ==")
-    wam = WLAllocationManager(geometry, active_blocks_per_chip=2, mu_threshold=0.9)
+    wam = WLAllocationManager(geometry, mu_threshold=0.9)
     wam.install_block(0, 0)
     wam.install_block(0, 1)
     # calm period: mu low -> leaders, banking followers for later

@@ -66,12 +66,13 @@ from typing import List, Optional
 from repro.analysis.tables import format_table
 from repro.api import run_spec, spec_from_kwargs
 from repro.faults import CAMPAIGNS, get_campaign
+from repro.ftl import FTL_NAMES
 from repro.nand.reliability import AgingState
 from repro.obs.log import LEVELS, configure_logging, get_logger, log_event
 from repro.persist.checkpoint import CheckpointError
 from repro.specs import SimulationSpec, SpecError, load_spec_file
 from repro.ssd.config import SSDConfig
-from repro.workloads import WORKLOAD_GENERATORS, is_trace_path
+from repro.workloads import WORKLOAD_GENERATORS, check_workload_name
 
 # fixed name so `python -m repro.cli` and the installed entry point
 # emit identical logger= fields
@@ -80,12 +81,11 @@ logger = get_logger("repro.cli")
 
 def _workload_arg(value: str) -> str:
     """Accept a registry workload name or a ``trace:<path>`` reference."""
-    if is_trace_path(value) or value in WORKLOAD_GENERATORS:
-        return value
-    raise argparse.ArgumentTypeError(
-        f"unknown workload {value!r}; choose from "
-        f"{sorted(WORKLOAD_GENERATORS)} or a trace:<path> reference"
-    )
+    try:
+        check_workload_name(value)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+    return value
 
 
 class _FlatFlag(argparse.Action):
@@ -188,7 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--ftl",
         action=_FlatFlag,
-        choices=["page", "vert", "cube", "cube-", "oracle", "dftl"],
+        choices=FTL_NAMES,
         default="cube",
     )
     simulate.add_argument(
@@ -462,7 +462,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tenants.add_argument(
         "--ftl",
         action=_FlatFlag,
-        choices=["page", "vert", "cube", "cube-", "oracle", "dftl"],
+        choices=FTL_NAMES,
         default="cube",
         help="FTL for the built-in scenario (a --spec file carries its "
         "own ftl field)",
@@ -559,7 +559,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify the recovered device against the shadow-store oracle",
     )
     spor.add_argument(
-        "--ftl", choices=["page", "vert", "cube", "cube-", "oracle", "dftl"],
+        "--ftl", choices=FTL_NAMES,
         default="cube",
     )
     spor.add_argument(

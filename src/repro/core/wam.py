@@ -61,14 +61,6 @@ class ActiveBlockCursor:
 
     # -- queries -------------------------------------------------------
 
-    @property
-    def i_leader(self) -> int:
-        return self._leader_layer
-
-    @property
-    def i_follower(self) -> int:
-        return self._follower_layer
-
     def leader_available(self) -> bool:
         return self._leader_layer < self._n_layers
 
@@ -87,18 +79,6 @@ class ActiveBlockCursor:
         return self._leader_layer >= self._n_layers and not (
             follower_layer < self._leader_layer and follower_layer < self._n_layers
         )
-
-    def leaders_remaining(self) -> int:
-        return self._n_layers - self._leader_layer
-
-    def followers_remaining(self) -> int:
-        """Free follower WLs under h-layers already led (allocatable now)."""
-        if not self.follower_available():
-            return 0
-        per_layer = self._wls_per_layer - 1
-        full_layers = self._leader_layer - self._follower_layer - 1
-        current = self._wls_per_layer - self._follower_wl
-        return full_layers * per_layer + current
 
     def free_wls(self) -> int:
         """All WLs not yet programmed through this cursor."""
@@ -293,39 +273,21 @@ class SequentialAllocator(BlockAllocator):
 class WLAllocationManager(BlockAllocator):
     """Workload-aware WL allocation across a chip's active blocks.
 
-    Each chip keeps ``active_blocks_per_chip`` active blocks (the paper
-    uses two as the memory/flexibility compromise) whose WLs are
-    allocated through MOS cursors.
+    The FTL keeps ``config.active_blocks_per_chip`` blocks open per chip
+    (the paper uses two as the memory/flexibility compromise; see
+    ``BaseFTL._host_allocate``); the WAM allocates their WLs through MOS
+    cursors.
     """
 
     cursor_type = ActiveBlockCursor
 
-    def __init__(
-        self,
-        geometry: BlockGeometry,
-        active_blocks_per_chip: int = 2,
-        mu_threshold: float = 0.9,
-    ) -> None:
-        if active_blocks_per_chip < 1:
-            raise ValueError("active_blocks_per_chip must be >= 1")
+    def __init__(self, geometry: BlockGeometry, mu_threshold: float = 0.9) -> None:
         if not 0.0 < mu_threshold <= 1.0:
             raise ValueError("mu_threshold must be in (0, 1]")
         super().__init__(geometry)
-        self.active_blocks_per_chip = active_blocks_per_chip
         self.mu_threshold = mu_threshold
         self.leader_allocations = 0
         self.follower_allocations = 0
-
-    @property
-    def follower_fraction(self) -> float:
-        """Share of allocations that used fast follower WLs (the
-        burst-absorption signal the metrics timeline tracks)."""
-        total = self.leader_allocations + self.follower_allocations
-        return self.follower_allocations / total if total else 0.0
-
-    def blocks_needed(self, chip_id: int) -> int:
-        """How many fresh active blocks the chip should be given."""
-        return self.active_blocks_per_chip - len(self.cursors(chip_id))
 
     def allocate(self, chip_id: int, utilization: float) -> Optional[Allocation]:
         """Pick the most appropriate WL for the next flush.

@@ -9,6 +9,8 @@
   in flash) over the pageFTL allocation policy.
 """
 
+from functools import partial
+
 from repro.ftl.base import BaseFTL, FTLCounters
 from repro.ftl.mapping import PageMapper, UNMAPPED
 from repro.ftl.blockmgr import BlockManager, BlockState, OutOfSpaceError
@@ -28,23 +30,33 @@ _FTL_REGISTRY = {
     "oracle": OracleFTL,
     "oracleftl": OracleFTL,
     "dftl": DFTL,
+    # cubeFTL with the WAM disabled (horizontal-first allocation), the
+    # paper's cubeFTL- configuration
+    "cube-": partial(CubeFTL, wam_enabled=False),
+    "cubeftl-": partial(CubeFTL, wam_enabled=False),
 }
+
+#: the FTL names a run is given by (the CLI's ``--ftl`` choices);
+#: :func:`make_ftl` also takes the long forms (``pageftl``, ``cubeftl-``,
+#: ...), in any case
+FTL_NAMES = ("page", "vert", "cube", "cube-", "oracle", "dftl")
+
+
+def ftl_factory(name):
+    """The constructor :func:`make_ftl` calls for ``name`` (any case);
+    ``ValueError`` for a name it does not know."""
+    key = name.lower() if isinstance(name, str) else None
+    if key not in _FTL_REGISTRY:
+        raise ValueError(
+            f"unknown FTL {name!r}; choose from {list(FTL_NAMES)}"
+        )
+    return _FTL_REGISTRY[key]
 
 
 def make_ftl(name, config, controller, **kwargs):
-    """Instantiate an FTL by name ("page", "vert", "cube", "cube-").
-
-    ``"cube-"`` yields cubeFTL with the WAM disabled (horizontal-first
-    allocation), the paper's cubeFTL- configuration.
-    """
-    key = name.lower()
-    if key in ("cube-", "cubeftl-"):
-        return CubeFTL(config, controller, wam_enabled=False, **kwargs)
-    try:
-        cls = _FTL_REGISTRY[key]
-    except KeyError:
-        raise ValueError(f"unknown FTL {name!r}") from None
-    return cls(config, controller, **kwargs)
+    """Instantiate an FTL by name (see :data:`FTL_NAMES`); ``"cube-"``
+    is cubeFTL with the WAM disabled, the paper's cubeFTL-."""
+    return ftl_factory(name)(config, controller, **kwargs)
 
 
 __all__ = [
@@ -60,5 +72,7 @@ __all__ = [
     "CubeFTL",
     "OracleFTL",
     "DFTL",
+    "FTL_NAMES",
+    "ftl_factory",
     "make_ftl",
 ]

@@ -80,25 +80,9 @@ class FTLCounters:
         return self.read_retries / total if total else 0.0
 
     def to_dict(self) -> dict:
-        """Explicitly typed serialization (result schema v2)."""
+        """Every counter, then the two means (result schema v2)."""
         return {
-            "host_read_pages": self.host_read_pages,
-            "host_write_pages": self.host_write_pages,
-            "buffer_read_hits": self.buffer_read_hits,
-            "flash_reads": self.flash_reads,
-            "flash_programs": self.flash_programs,
-            "leader_programs": self.leader_programs,
-            "follower_programs": self.follower_programs,
-            "gc_reads": self.gc_reads,
-            "gc_programs": self.gc_programs,
-            "erases": self.erases,
-            "retired_blocks": self.retired_blocks,
-            "reprograms": self.reprograms,
-            "read_retries": self.read_retries,
-            "retried_reads": self.retried_reads,
-            "vfy_skipped": self.vfy_skipped,
-            "program_time_us": self.program_time_us,
-            "read_time_us": self.read_time_us,
+            **asdict(self),
             "mean_t_prog_us": self.mean_t_prog_us,
             "mean_num_retry": self.mean_num_retry,
         }

@@ -49,9 +49,7 @@ class CubeFTL(BaseFTL):
         self.wam_enabled = wam_enabled
         if wam_enabled:
             self.wam = self.allocator = WLAllocationManager(
-                config.geometry.block,
-                active_blocks_per_chip=config.active_blocks_per_chip,
-                mu_threshold=config.mu_threshold,
+                config.geometry.block, mu_threshold=config.mu_threshold
             )
         else:
             # the base FTL's horizontal-first allocator stays

@@ -18,11 +18,14 @@ every runner consumes --
   telemetry / profile / check / checkpoint group).
 
 Specs serialize to plain dicts (:meth:`SimulationSpec.to_dict`) and
-back (:func:`simulation_spec_from_dict`), so a run is reproducible from
+back (:meth:`SimulationSpec.from_dict`), so a run is reproducible from
 a JSON or TOML file (:func:`load_spec_file`, ``repro-ssd simulate
---spec``).  The old kwarg form of ``run_simulation`` remains as a thin
-shim that builds a spec -- the two forms are verified byte-identical by
-the golden-trace suite.
+--spec``).  Each dataclass is its own schema: every field is a key, a
+key left out takes the field's default, and one writer and one reader
+(:func:`_to_dict`, :func:`_from_dict`) serve every class.  The old
+kwarg form of ``run_simulation`` remains as a thin shim that builds a
+spec -- the two forms are verified byte-identical by the golden-trace
+suite.
 
 Example::
 
@@ -43,17 +46,29 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import (
+    MISSING,
+    dataclass,
+    field,
+    fields,
+    is_dataclass,
+    replace,
+)
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from repro.faults.campaign import CAMPAIGNS
-from repro.nand.geometry import BlockGeometry, SSDGeometry
-from repro.nand.reliability import AgingState
+from repro.check import parse_check_level
+from repro.faults.campaign import CAMPAIGNS, FaultCampaign
+from repro.ftl import ftl_factory
 from repro.nand.timing import NandTiming
 from repro.obs.timeseries import DEFAULT_INTERVAL_US
 from repro.ssd.config import SSDConfig
-from repro.workloads import build_columns, build_workload, is_trace_path
+from repro.workloads import (
+    build_columns,
+    build_workload,
+    check_workload_name,
+    is_trace_path,
+)
 from repro.workloads.base import Columns, Trace
 
 #: version stamp of the spec-file layout; bump on any key change
@@ -64,10 +79,119 @@ class SpecError(ValueError):
     """A spec (file) is malformed or uses unsupported values."""
 
 
-def _require_keys(mapping: dict, allowed: "set[str]", where: str) -> None:
-    unknown = sorted(set(mapping) - allowed)
+# ---------------------------------------------------------------------------
+# The file form: one writer and one reader for every spec dataclass
+# ---------------------------------------------------------------------------
+
+#: per field, a function from one form of its value to the other: the
+#: writer's from the value to its file form, the reader's back
+Conversions = Dict[str, Callable[[Any], Any]]
+
+#: the keys the spec file carries beside the fields, with their one
+#: supported value
+_STAMPS = {"spec_version": SPEC_VERSION}
+
+
+def _defaults(cls: type) -> Dict[str, Any]:
+    """Each field of ``cls`` that has a default, with that default."""
+    defaults = {}
+    for f in fields(cls):
+        if f.default_factory is not MISSING:
+            defaults[f.name] = f.default_factory()
+        elif f.default is not MISSING:
+            defaults[f.name] = f.default
+    return defaults
+
+
+def _form(value: Any) -> Any:
+    """A field value's file form: a spec by its ``to_dict``, a plain
+    dataclass (geometry, block, aging) with every field, a tuple as a
+    list, a dict as a copy."""
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    if is_dataclass(value):
+        return {f.name: _form(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_form(item) for item in value]
+    if isinstance(value, dict):
+        return dict(value)
+    return value
+
+
+def _to_dict(
+    spec: Any,
+    always: Tuple[str, ...] = (),
+    convert: Optional[Conversions] = None,
+) -> dict:
+    """``spec``'s file form: the ``always`` fields and the fields
+    without a default, and every other field whose file form differs
+    from its default's.  ``convert`` gives a field's file form where
+    :func:`_form` does not."""
+    convert = convert or {}
+    defaults = _defaults(type(spec))
+    out = {}
+    for f in fields(spec):
+        form = convert.get(f.name, _form)
+        value = form(getattr(spec, f.name))
+        if (
+            f.name in always
+            or f.name not in defaults
+            or value != form(defaults[f.name])
+        ):
+            out[f.name] = value
+    return out
+
+
+def _from_dict(
+    cls: type,
+    data: Any,
+    where: str,
+    convert: Optional[Conversions] = None,
+    *,
+    base: Any = None,
+    hidden: Tuple[str, ...] = (),
+    stamps: Optional[Dict[str, Any]] = None,
+) -> Any:
+    """Build ``cls`` from its file form ``data``.
+
+    Each key must name a field (``hidden`` fields have no file form) or
+    a stamp holding its supported value; a field without a default must
+    be given, and a key left out takes the field's default -- or, when
+    ``base`` is an instance to merge onto, ``base``'s value.
+    ``convert`` builds a field's value from its file form, and a field
+    whose default is a plain dataclass (geometry, block, aging) reads
+    its object merged onto that default."""
+    if not isinstance(data, dict):
+        raise SpecError(
+            f"{where}: expected an object, got {type(data).__name__}"
+        )
+    stamps = stamps or {}
+    defaults = _defaults(cls) if base is None else vars(base)
+    names = [f.name for f in fields(cls) if f.name not in hidden]
+    unknown = sorted(set(data) - set(names) - set(stamps))
     if unknown:
         raise SpecError(f"{where}: unknown key(s) {unknown}")
+    for key, supported in stamps.items():
+        if key in data and data[key] != supported:
+            raise SpecError(f"{key} {data[key]} != supported {supported}")
+    for name in names:
+        if name not in data and name not in defaults:
+            raise SpecError(f"{where}: missing {name!r}")
+    convert = convert or {}
+    kwargs = {}
+    for name in names:
+        if name not in data:
+            continue
+        value = data[name]
+        if name in convert:
+            value = convert[name](value)
+        elif is_dataclass(defaults.get(name)):
+            value = _from_dict(
+                type(defaults[name]), value, f"{where}.{name}",
+                base=defaults[name],
+            )
+        kwargs[name] = value
+    return cls(**kwargs) if base is None else replace(base, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -120,28 +244,17 @@ class WorkloadSpec:
         return self.name, config.logical_pages, n_requests, seed
 
     def to_dict(self) -> dict:
-        out: Dict[str, Any] = {"name": self.name, "n_requests": self.n_requests}
-        if self.seed is not None:
-            out["seed"] = self.seed
-        if self.params:
-            out["params"] = dict(self.params)
-        return out
+        return _to_dict(self, always=("name", "n_requests"))
 
     @classmethod
     def from_dict(cls, data: Union[str, dict]) -> "WorkloadSpec":
+        """The spec of a file's workload object, or of a bare name; the
+        name must be a registered workload or a ``trace:`` reference."""
         if isinstance(data, str):
-            return cls(name=data)
-        _require_keys(
-            data, {"name", "n_requests", "seed", "params"}, "workload"
-        )
-        if "name" not in data:
-            raise SpecError("workload: missing 'name'")
-        return cls(
-            name=data["name"],
-            n_requests=data.get("n_requests", 8000),
-            seed=data.get("seed"),
-            params=dict(data.get("params", {})),
-        )
+            data = {"name": data}
+        spec = _from_dict(cls, data, "workload", {"params": dict})
+        check_workload_name(spec.name)
+        return spec
 
 
 # ---------------------------------------------------------------------------
@@ -210,41 +323,12 @@ class TenantSpec:
         return self.rate_iops * self.rate_scale
 
     def to_dict(self) -> dict:
-        out: Dict[str, Any] = {
-            "name": self.name,
-            "workload": self.workload.to_dict(),
-            "rate_iops": self.rate_iops,
-        }
-        if self.rate_scale != 1.0:
-            out["rate_scale"] = self.rate_scale
-        if self.burstiness != 1.0:
-            out["burstiness"] = self.burstiness
-        if self.partition is not None:
-            out["partition"] = list(self.partition)
-        if self.seed is not None:
-            out["seed"] = self.seed
-        return out
+        return _to_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "TenantSpec":
-        _require_keys(
-            data,
-            {"name", "workload", "rate_iops", "rate_scale", "burstiness",
-             "partition", "seed"},
-            "tenant",
-        )
-        for key in ("name", "workload", "rate_iops"):
-            if key not in data:
-                raise SpecError(f"tenant: missing {key!r}")
-        partition = data.get("partition")
-        return cls(
-            name=data["name"],
-            workload=WorkloadSpec.from_dict(data["workload"]),
-            rate_iops=data["rate_iops"],
-            rate_scale=data.get("rate_scale", 1.0),
-            burstiness=data.get("burstiness", 1.0),
-            partition=tuple(partition) if partition is not None else None,
-            seed=data.get("seed"),
+        return _from_dict(
+            cls, data, "tenant", {"workload": WorkloadSpec.from_dict}
         )
 
 
@@ -308,34 +392,15 @@ class HostSpec:
         return "unbounded" if self.queue_depth is None else "ncq"
 
     def to_dict(self) -> dict:
-        out: Dict[str, Any] = {"queue_depth": self.queue_depth}
-        if self.open_loop:
-            out["open_loop"] = True
-        if self.rate_iops is not None:
-            out["rate_iops"] = self.rate_iops
-        if self.burstiness != 1.0:
-            out["burstiness"] = self.burstiness
-        if self.tenants:
-            out["tenants"] = [tenant.to_dict() for tenant in self.tenants]
-        return out
+        return _to_dict(self, always=("queue_depth",))
 
     @classmethod
     def from_dict(cls, data: dict) -> "HostSpec":
-        _require_keys(
-            data,
-            {"queue_depth", "open_loop", "rate_iops", "burstiness", "tenants"},
-            "host",
-        )
-        return cls(
-            queue_depth=data.get("queue_depth", 32),
-            open_loop=data.get("open_loop", False),
-            rate_iops=data.get("rate_iops"),
-            burstiness=data.get("burstiness", 1.0),
-            tenants=tuple(
-                TenantSpec.from_dict(tenant)
-                for tenant in data.get("tenants", [])
-            ),
-        )
+        return _from_dict(cls, data, "host", {
+            "tenants": lambda tenants: [
+                TenantSpec.from_dict(tenant) for tenant in tenants
+            ],
+        })
 
 
 # ---------------------------------------------------------------------------
@@ -403,76 +468,53 @@ class RunOptions:
         return self.metrics_interval
 
     def to_dict(self) -> dict:
-        out: Dict[str, Any] = {}
-        if self.trace is not None:
-            out["trace"] = self.trace
-        if self.metrics_interval is not None:
-            out["metrics_interval"] = self.metrics_interval
-        if self.telemetry:
-            out["telemetry"] = True
-        if self.profile:
-            out["profile"] = True
-        level = check_level_name(self.check)
-        if level is not None:
-            out["check"] = level
-        if self.max_events is not None:
-            out["max_events"] = self.max_events
-        if self.checkpoint_every is not None:
-            out["checkpoint_every"] = self.checkpoint_every
-        if self.checkpoint_dir is not None:
-            out["checkpoint_dir"] = self.checkpoint_dir
-        if self.resume_from is not None:
-            out["resume_from"] = self.resume_from
-        if self.artifact_dir is not None:
-            out["artifact_dir"] = self.artifact_dir
-        return out
+        return _to_dict(self, convert={"check": check_level_name})
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunOptions":
-        _require_keys(
-            data,
-            {"trace", "metrics_interval", "telemetry", "profile", "check",
-             "max_events", "checkpoint_every", "checkpoint_dir",
-             "resume_from", "artifact_dir"},
-            "options",
-        )
-        return cls(**data)
+        """The options of a file; ``check`` must be a level
+        :func:`~repro.check.parse_check_level` takes."""
+        options = _from_dict(cls, data, "options")
+        parse_check_level(options.check)
+        return options
 
 
 # ---------------------------------------------------------------------------
 # SSDConfig <-> dict
 # ---------------------------------------------------------------------------
 
-_CONFIG_SCALARS = (
-    "buffer_capacity_pages",
-    "buffer_read_us",
-    "mu_threshold",
-    "active_blocks_per_chip",
-    "max_inflight_programs",
-    "gc_trigger_blocks",
-    "wear_aware_allocation",
-    "gc_min_invalid_fraction",
-    "logical_fraction",
-    "env_shift_prob",
-    "store_tags",
-    "store_oob",
-    "seed",
-    "read_recovery_attempts",
-    "scrub_margin_threshold",
-)
 
-_DEFAULT_CONFIG = None
+def _campaign_name(campaign: Optional[FaultCampaign]) -> Optional[str]:
+    """A fault campaign's file form: its name in ``CAMPAIGNS``."""
+    if campaign is None:
+        return None
+    for name, named in CAMPAIGNS.items():
+        if named == campaign:
+            return name
+    raise SpecError(
+        f"fault campaign {campaign.name!r} is not a named "
+        "campaign; spec files only carry names from "
+        f"{sorted(CAMPAIGNS)}"
+    )
 
 
-def _default_config() -> SSDConfig:
-    global _DEFAULT_CONFIG
-    if _DEFAULT_CONFIG is None:
-        _DEFAULT_CONFIG = SSDConfig()
-    return _DEFAULT_CONFIG
+def _named_campaign(name: Optional[str]) -> Optional[FaultCampaign]:
+    """The campaign a spec file names (``None`` or ``"none"``: no
+    faults)."""
+    if name is None:
+        return None
+    if name not in CAMPAIGNS:
+        raise SpecError(
+            f"unknown fault campaign {name!r}; choose from "
+            f"{sorted(CAMPAIGNS)}"
+        )
+    return CAMPAIGNS[name]
 
 
 def config_to_dict(config: SSDConfig) -> dict:
-    """Serialize an :class:`SSDConfig` for a spec file.
+    """Serialize an :class:`SSDConfig` for a spec file: ``geometry``
+    (with its ``block``) and ``aging`` in full, every other field that
+    differs from its default.
 
     Only named fault campaigns serialize (the campaign *name* is
     stored); a custom :class:`FaultCampaign` object or a non-default
@@ -484,106 +526,22 @@ def config_to_dict(config: SSDConfig) -> dict:
             "spec files only carry the default NAND timing; construct "
             "custom-timing configs in code"
         )
-    faults_name: Optional[str] = None
-    if config.faults is not None:
-        for name, campaign in CAMPAIGNS.items():
-            if campaign == config.faults:
-                faults_name = name
-                break
-        else:
-            raise SpecError(
-                f"fault campaign {config.faults.name!r} is not a named "
-                "campaign; spec files only carry names from "
-                f"{sorted(CAMPAIGNS)}"
-            )
-    geometry = config.geometry
-    block = geometry.block
-    out: Dict[str, Any] = {
-        "geometry": {
-            "n_channels": geometry.n_channels,
-            "chips_per_channel": geometry.chips_per_channel,
-            "blocks_per_chip": geometry.blocks_per_chip,
-            "block": {
-                "n_layers": block.n_layers,
-                "wls_per_layer": block.wls_per_layer,
-                "pages_per_wl": block.pages_per_wl,
-                "page_size_bytes": block.page_size_bytes,
-            },
-        },
-        "aging": {
-            "pe_cycles": config.aging.pe_cycles,
-            "retention_months": config.aging.retention_months,
-        },
-    }
-    if faults_name is not None:
-        out["faults"] = faults_name
-    defaults = _default_config()
-    for key in _CONFIG_SCALARS:
-        value = getattr(config, key)
-        if value != getattr(defaults, key):
-            out[key] = value
-    return out
+    return _to_dict(
+        config,
+        always=("geometry", "aging"),
+        convert={"faults": _campaign_name},
+    )
 
 
 def config_from_dict(data: dict) -> SSDConfig:
     """Build an :class:`SSDConfig` from a spec-file dict (inverse of
-    :func:`config_to_dict`; every key optional, defaults apply)."""
-    allowed = {"geometry", "aging", "faults"} | set(_CONFIG_SCALARS)
-    _require_keys(data, allowed, "config")
-    kwargs: Dict[str, Any] = {}
-    geometry_data = data.get("geometry")
-    if geometry_data is not None:
-        _require_keys(
-            geometry_data,
-            {"n_channels", "chips_per_channel", "blocks_per_chip", "block"},
-            "config.geometry",
-        )
-        block_data = geometry_data.get("block", {})
-        _require_keys(
-            block_data,
-            {"n_layers", "wls_per_layer", "pages_per_wl", "page_size_bytes"},
-            "config.geometry.block",
-        )
-        default_geometry = _default_config().geometry
-        block = BlockGeometry(
-            n_layers=block_data.get("n_layers", 48),
-            wls_per_layer=block_data.get("wls_per_layer", 4),
-            pages_per_wl=block_data.get("pages_per_wl", 3),
-            page_size_bytes=block_data.get("page_size_bytes", 16 * 1024),
-        )
-        kwargs["geometry"] = SSDGeometry(
-            n_channels=geometry_data.get(
-                "n_channels", default_geometry.n_channels
-            ),
-            chips_per_channel=geometry_data.get(
-                "chips_per_channel", default_geometry.chips_per_channel
-            ),
-            blocks_per_chip=geometry_data.get(
-                "blocks_per_chip", default_geometry.blocks_per_chip
-            ),
-            block=block,
-        )
-    aging_data = data.get("aging")
-    if aging_data is not None:
-        _require_keys(
-            aging_data, {"pe_cycles", "retention_months"}, "config.aging"
-        )
-        kwargs["aging"] = AgingState(
-            pe_cycles=aging_data.get("pe_cycles", 0),
-            retention_months=aging_data.get("retention_months", 0.0),
-        )
-    faults_name = data.get("faults")
-    if faults_name is not None:
-        if faults_name not in CAMPAIGNS:
-            raise SpecError(
-                f"unknown fault campaign {faults_name!r}; choose from "
-                f"{sorted(CAMPAIGNS)}"
-            )
-        kwargs["faults"] = CAMPAIGNS[faults_name]
-    for key in _CONFIG_SCALARS:
-        if key in data:
-            kwargs[key] = data[key]
-    return SSDConfig(**kwargs)
+    :func:`config_to_dict`).  Every key is optional; ``geometry``, its
+    ``block`` and ``aging`` merge onto ``SSDConfig()``'s own, so a
+    partial geometry keeps the default device's 48 blocks per chip."""
+    return _from_dict(
+        SSDConfig, data, "config", {"faults": _named_campaign},
+        hidden=("timing",),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -685,56 +643,35 @@ class SimulationSpec:
                 "a spec carrying a pre-built Trace object does not "
                 "serialize; reference the stream by name or trace:<path>"
             )
-        out: Dict[str, Any] = {
-            "spec_version": SPEC_VERSION,
-            "config": config_to_dict(self.config),
-            "ftl": self.ftl,
-            "host": self.host.to_dict(),
-            "warmup_requests": self.warmup_requests,
-            "prefill": self.prefill,
-            "seed": self.seed,
-        }
-        if self.workload is not None:
-            out["workload"] = self.workload.to_dict()
-        options = self.options.to_dict()
-        if options:
-            out["options"] = options
-        if self.ftl_kwargs:
-            out["ftl_kwargs"] = dict(self.ftl_kwargs)
-        return out
+        return {**_STAMPS, **_to_dict(
+            self,
+            always=("config", "ftl", "host", "warmup_requests", "prefill",
+                    "seed"),
+            convert={"config": config_to_dict},
+        )}
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimulationSpec":
-        _require_keys(
+        """The spec of a file's root object; ``ftl`` must be a name
+        :func:`~repro.ftl.make_ftl` takes."""
+        spec = _from_dict(
+            cls,
             data,
-            {"spec_version", "config", "workload", "ftl", "host", "options",
-             "warmup_requests", "prefill", "seed", "ftl_kwargs"},
             "spec",
+            {
+                "config": config_from_dict,
+                "workload": lambda workload: (
+                    None if workload is None
+                    else WorkloadSpec.from_dict(workload)
+                ),
+                "host": HostSpec.from_dict,
+                "options": RunOptions.from_dict,
+                "ftl_kwargs": dict,
+            },
+            stamps=_STAMPS,
         )
-        version = data.get("spec_version", SPEC_VERSION)
-        if version != SPEC_VERSION:
-            raise SpecError(
-                f"spec_version {version} != supported {SPEC_VERSION}"
-            )
-        workload = data.get("workload")
-        return cls(
-            config=config_from_dict(data.get("config", {})),
-            workload=(
-                WorkloadSpec.from_dict(workload)
-                if workload is not None
-                else None
-            ),
-            ftl=data.get("ftl", "cube"),
-            host=HostSpec.from_dict(data.get("host", {})),
-            options=RunOptions.from_dict(data.get("options", {})),
-            warmup_requests=data.get("warmup_requests", 0),
-            prefill=data.get("prefill", 0.9),
-            seed=data.get("seed", 7),
-            ftl_kwargs=dict(data.get("ftl_kwargs", {})),
-        )
-
-
-simulation_spec_from_dict = SimulationSpec.from_dict
+        ftl_factory(spec.ftl)
+        return spec
 
 
 #: what building a spec from a malformed dict raises: its own checks'
@@ -781,7 +718,7 @@ def load_spec_file(path: Union[str, Path]) -> SimulationSpec:
 
 def validate_spec_dict(data: dict) -> List[str]:
     """Schema-check one spec dict; returns a list of problems (empty =
-    valid).  Used by ``tools/check_schema.py --spec``."""
+    valid).  Used by the artifact check on a run's ``spec.json``."""
     try:
         SimulationSpec.from_dict(data)
     except _SPEC_DICT_ERRORS as error:
@@ -797,7 +734,6 @@ __all__ = [
     "HostSpec",
     "RunOptions",
     "SimulationSpec",
-    "simulation_spec_from_dict",
     "config_to_dict",
     "config_from_dict",
     "load_spec_file",

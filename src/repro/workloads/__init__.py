@@ -75,6 +75,19 @@ def is_trace_path(name: str) -> bool:
     return name.startswith(TRACE_SCHEME)
 
 
+def check_workload_name(name) -> None:
+    """Raise ``ValueError`` unless ``name`` is a registered workload or a
+    ``trace:<path>`` reference."""
+    if not (
+        isinstance(name, str)
+        and (is_trace_path(name) or name in WORKLOAD_GENERATORS)
+    ):
+        raise ValueError(
+            f"unknown workload {name!r}; choose from {available_workloads()} "
+            "or a 'trace:<path>' reference"
+        )
+
+
 def _load_trace_scheme(name: str, logical_pages: int, **params) -> Trace:
     path = name[len(TRACE_SCHEME):]
     if not path:
@@ -107,14 +120,10 @@ def build_columns(
         return Columns.of(_load_trace_scheme(name, logical_pages, **params))
     if n_requests is None:
         raise TypeError("build_workload requires n_requests for generated workloads")
-    try:
-        generator = WORKLOAD_GENERATORS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown workload {name!r}; choose from {available_workloads()} "
-            "or a 'trace:<path>' reference"
-        ) from None
-    return generator.columns(logical_pages, n_requests, seed=seed, **params)
+    check_workload_name(name)
+    return WORKLOAD_GENERATORS[name].columns(
+        logical_pages, n_requests, seed=seed, **params
+    )
 
 
 def build_workload(
@@ -163,6 +172,7 @@ __all__ = [
     "TRACE_SCHEME",
     "available_workloads",
     "is_trace_path",
+    "check_workload_name",
     "build_columns",
     "build_workload",
 ]

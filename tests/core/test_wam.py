@@ -27,14 +27,15 @@ class TestActiveBlockCursor:
     def test_initial_state(self, cursor):
         assert cursor.leader_available()
         assert not cursor.follower_available()
-        assert cursor.i_leader == 0
-        assert cursor.i_follower == 0
+        # both pointers start at h-layer 0
+        assert cursor.take_leader().address == WLAddress(0, 0)
+        assert cursor.take_follower().address == WLAddress(0, 1)
 
     def test_take_leader_advances_pointer(self, cursor):
         allocation = cursor.take_leader()
         assert allocation == Allocation(7, WLAddress(0, 0), is_leader=True)
-        assert cursor.i_leader == 1
         assert cursor.follower_available()
+        assert cursor.take_leader().address == WLAddress(1, 0)
 
     def test_followers_only_behind_leader(self, cursor):
         cursor.take_leader()
@@ -58,18 +59,6 @@ class TestActiveBlockCursor:
         assert len(taken) == total
         with pytest.raises(LookupError):
             cursor.take_leader()
-
-    def test_leaders_remaining(self, cursor, geometry):
-        assert cursor.leaders_remaining() == geometry.n_layers
-        cursor.take_leader()
-        assert cursor.leaders_remaining() == geometry.n_layers - 1
-
-    def test_followers_remaining(self, cursor):
-        cursor.take_leader()
-        cursor.take_leader()
-        assert cursor.followers_remaining() == 6  # two led layers x 3
-        cursor.take_follower()
-        assert cursor.followers_remaining() == 5
 
     def test_free_wls_accounting(self, cursor, geometry):
         assert cursor.free_wls() == geometry.wls_per_block
@@ -188,8 +177,7 @@ class TestSequentialAllocator:
 class TestWLAllocationManager:
     @pytest.fixture
     def wam(self, geometry):
-        manager = WLAllocationManager(geometry, active_blocks_per_chip=2,
-                                      mu_threshold=0.9)
+        manager = WLAllocationManager(geometry, mu_threshold=0.9)
         manager.install_block(0, 10)
         manager.install_block(0, 11)
         return manager
@@ -226,20 +214,12 @@ class TestWLAllocationManager:
         for _ in range(total):
             assert wam.allocate(0, utilization=0.95) is not None
         assert wam.allocate(0, utilization=0.95) is None
-        assert wam.blocks_needed(0) == 2
-
-    def test_blocks_needed(self, geometry):
-        manager = WLAllocationManager(geometry, active_blocks_per_chip=2)
-        assert manager.blocks_needed(3) == 2
-        manager.install_block(3, 0)
-        assert manager.blocks_needed(3) == 1
+        assert wam.cursors(0) == []
 
     def test_free_wls(self, wam, geometry):
         assert wam.free_wls(0) == 2 * geometry.wls_per_block
 
     def test_validation(self, geometry):
-        with pytest.raises(ValueError):
-            WLAllocationManager(geometry, active_blocks_per_chip=0)
         with pytest.raises(ValueError):
             WLAllocationManager(geometry, mu_threshold=0.0)
 

@@ -17,11 +17,11 @@ from repro.obs.artifact import (
     validate_artifact,
     write_sweep_manifest,
 )
-from repro.specs import simulation_spec_from_dict
+from repro.specs import SimulationSpec
 
 
 def _spec(seed=5, **options):
-    spec = simulation_spec_from_dict({
+    spec = SimulationSpec.from_dict({
         "spec_version": 1,
         "config": {"geometry": {"blocks_per_chip": 8}},
         "workload": {"name": "OLTP", "n_requests": 200},

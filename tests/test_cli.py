@@ -252,6 +252,16 @@ class TestFlatFlagsBesideSpec:
         )
 
 
+def _bad_workload(spec):
+    """The spec file with workload ``NOPE``: its own, or its first
+    tenant's."""
+    if "workload" in spec:
+        return json.dumps({**spec, "workload": "NOPE"})
+    first, *others = spec["host"]["tenants"]
+    tenants = [{**first, "workload": "NOPE"}, *others]
+    return json.dumps({**spec, "host": {**spec["host"], "tenants": tenants}})
+
+
 #: bad --spec inputs -> (how the file is made from a good spec, what
 #: the one-line refusal says is wrong)
 BAD_SPECS = {
@@ -265,6 +275,16 @@ BAD_SPECS = {
     ),
     "malformed-json": (lambda spec: json.dumps(spec)[:-1], "invalid JSON"),
     "missing-file": (None, "No such file or directory"),
+    "unknown-ftl": (
+        lambda spec: json.dumps({**spec, "ftl": "bogus"}),
+        "unknown FTL 'bogus'",
+    ),
+    "unknown-check": (
+        lambda spec: json.dumps({**spec, "options": {"check": "paranoid"}}),
+        "check must be None/'off', True/'on', 'strict' or a CheckConfig, "
+        "got 'paranoid'",
+    ),
+    "unknown-workload": (_bad_workload, "unknown workload 'NOPE'"),
 }
 #: each --spec command, with the flags it needs besides
 SPEC_COMMANDS = {

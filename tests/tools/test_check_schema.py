@@ -26,6 +26,8 @@ def _load(name):
 
 check_schema = _load("check_schema")
 
+EXAMPLES = os.path.join(os.path.dirname(TOOLS), "examples")
+
 
 @pytest.fixture(scope="module")
 def document(tmp_path_factory):
@@ -59,3 +61,24 @@ def test_dropped_counter_is_flagged(document):
     broken = copy.deepcopy(document)
     del broken["counters"]["erases"]
     assert check_schema.check_stats(broken) == ["counters missing 'erases'"]
+
+
+class TestCheckSpec:
+    """``--spec`` loads the file as a run does: one problem, naming the
+    path, for anything the run would refuse."""
+
+    @pytest.mark.parametrize("name", ["spec_smoke.json", "spec_tenants.json"])
+    def test_examples_pass(self, name):
+        assert check_schema.check_spec(os.path.join(EXAMPLES, name)) == []
+
+    def test_missing_path(self, tmp_path):
+        path = str(tmp_path / "no-such.json")
+        assert check_schema.check_spec(path) == [
+            f"{path}: No such file or directory"
+        ]
+
+    def test_unknown_ftl(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"workload": "OLTP", "ftl": "bogus"}))
+        [problem] = check_schema.check_spec(str(path))
+        assert problem.startswith(f"{path}: unknown FTL 'bogus'")
